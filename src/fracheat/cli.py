@@ -38,6 +38,7 @@ from .norms import (
     UndefinedNormError,
     convergence_order,
     energy_norm,
+    energy_weights,
     norm_max,
     norm_trapezoid,
     sigma_threshold,
@@ -460,8 +461,9 @@ def run_stability(gamma: float, alpha: float, beta: float, sigma_spec: str,
     energy_norm(u0, problem, grid, face)
 
     outcome = march(problem, grid, SchemeParams(sigma), y0=u0)
-    norms = tuple(energy_norm(outcome.history[n], problem, grid, face)
-                  for n in range(len(outcome.history)))
+    weights = energy_weights(problem, grid, face)
+    norms = tuple(weights.norm(level, grid.h)
+                  for level in outcome.history.array())
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,
                            norms=norms, passed=passed)

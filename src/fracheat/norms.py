@@ -86,6 +86,13 @@ class EnergyWeights:
     gamma1: float
     case: NormCase
 
+    def norm(self, y, h: float) -> float:
+        """Energy norm of one level; see :func:`energy_norm`."""
+        v = np.asarray(y, dtype=float)
+        if self.case is NormCase.REFLECTED:
+            v = v[::-1]
+        return math.sqrt(_energy_sq(v, self, h))
+
 
 def _direct_weights(alpha: float, beta: float, face: np.ndarray, h: float,
                     case: NormCase) -> EnergyWeights:
@@ -139,13 +146,11 @@ def energy_norm(y, problem: Problem, grid: Grid, face: np.ndarray) -> float:
     with delta1 = (beta/alpha - 1)/p1_sq_0 and
     gamma1 = (alpha*beta + 1)/(2*alpha**2).  In the reflected regime the
     same formula is applied to the reversed vector with reversed face
-    coefficients and parameters (1/alpha, 1/beta).
+    coefficients and parameters (1/alpha, 1/beta).  To evaluate many
+    levels, build the weights once with :func:`energy_weights` and call
+    their :meth:`EnergyWeights.norm`.
     """
-    w = energy_weights(problem, grid, face)
-    v = np.asarray(y, dtype=float)
-    if w.case is NormCase.REFLECTED:
-        v = v[::-1]
-    return math.sqrt(_energy_sq(v, w, grid.h))
+    return energy_weights(problem, grid, face).norm(y, grid.h)
 
 
 def sigma_threshold(gamma: float, h: float, tau: float, c2: float) -> float:

@@ -5,20 +5,32 @@ value coupling y_0 = alpha*y_N eliminates the left endpoint, the system
 over the unknowns y_1..y_N is tridiagonal except for two departures: the
 first interior row picks up a corner coefficient on y_N, and the last
 row (the discretised flux coupling) touches columns 1, N-1 and N.  Such
-a system is solved in O(N) by superposition: two Thomas sweeps of the
-interior block, one with the actual right-hand side and one with the
-border column as load, then a scalar closure for y_N.
+a system is solved in O(N) by superposition: the tridiagonal interior
+block is factored with banded LAPACK (``dgbtrf``, one sub- and one
+super-diagonal), solved once with the border column as load, and a
+scalar closure of the flux row then gives y_N.
 
-A dense LU solve of the same system is kept as a test oracle, and the
-march can optionally record the relative residual of every step.
+The scheme has constant coefficients on a uniform time grid, so the
+matrix is the same at every step of a march: :class:`StepOperator` holds
+it with its factorisation, built once, and each step only computes its
+right-hand side and one banded back-substitution.  The memory term
+likewise takes its L1 weights from a single evaluation per march
+(:class:`L1Memory`) and stores each level increment as it is produced.
+
+:func:`assemble_step` is the one-shot form of a step, recomputing the
+memory term from the whole history; a dense LU solve of the same system
+is kept as a test oracle, and the march can optionally record the
+relative residual of every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import (
     DimensionError,
@@ -35,7 +47,9 @@ from .fractional import l1_weights
 __all__ = [
     "AssemblyError",
     "SingularSystemError",
+    "StepOperator",
     "StepSystem",
+    "L1Memory",
     "BlowUp",
     "SolveOutcome",
     "BLOWUP_LIMIT",
@@ -50,6 +64,10 @@ __all__ = [
 # stops the march; instabilities are reported, not crashed on.
 BLOWUP_LIMIT = 1e100
 
+# The closure pivot is treated as zero when it is within this many ulps
+# of the terms it was computed from.
+_CLOSURE_ULPS = 64.0
+
 
 class AssemblyError(ValueError):
     """The assembled system is structurally unusable (zero diagonal)."""
@@ -60,15 +78,17 @@ class SingularSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StepSystem:
-    """Linear system of one time step over the unknowns y_1..y_N.
+class StepOperator:
+    """Matrix of one time step over the unknowns y_1..y_N.
 
     ``lower``, ``diag``, ``upper`` hold the bands of the N-1 interior
     rows (``lower[0]`` is unused; ``upper[-1]`` couples the last interior
     row to y_N).  ``corner`` is the extra y_N coefficient in the first
     row produced by eliminating y_0 = alpha*y_N.  ``last_row`` holds the
-    flux-row coefficients on columns y_1, y_{N-1}, y_N, and ``rhs`` has
-    length N with the flux-row load in its final entry.
+    flux-row coefficients on columns y_1, y_{N-1}, y_N.
+
+    The matrix is factored on the first :meth:`solve` and the factors
+    are reused by every later one.
     """
 
     lower: np.ndarray
@@ -76,7 +96,6 @@ class StepSystem:
     upper: np.ndarray
     corner: float
     last_row: tuple[float, float, float]
-    rhs: np.ndarray
 
     def __post_init__(self) -> None:
         if np.any(self.diag == 0.0):
@@ -85,7 +104,68 @@ class StepSystem:
 
     @property
     def size(self) -> int:
-        return self.rhs.size
+        return self.diag.size + 1
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """LU of the interior block T, v = T^{-1} g and the closure pivot.
+
+        g collects the border couplings of the interior rows to y_N (the
+        corner plus the natural last band entry).  The flux row then
+        closes the scalar equation denom*y_N = rhs_N - b1*u_0 - bNm1*u_{m-1}
+        with u = T^{-1} rhs.
+        """
+        m = self.diag.size
+        ab = np.zeros((4, m))           # dgbtrf layout, kl = ku = 1
+        ab[1, 1:] = self.upper[:-1]
+        ab[2] = self.diag
+        ab[3, :-1] = self.lower[1:]
+        lu, piv, info = lapack.dgbtrf(ab, 1, 1)
+        if info > 0:
+            raise SingularSystemError(
+                f"zero pivot in interior row {info} of the banded factorisation"
+            )
+        g = np.zeros(m)
+        g[0] += self.corner
+        g[m - 1] += self.upper[m - 1]
+        v, _ = lapack.dgbtrs(lu, 1, 1, g, piv)
+
+        b1, bNm1, bN = self.last_row
+        denom = bN - b1 * v[0] - bNm1 * v[m - 1]
+        scale = abs(bN) + abs(b1 * v[0]) + abs(bNm1 * v[m - 1])
+        if abs(denom) <= _CLOSURE_ULPS * np.finfo(float).eps * scale:
+            raise SingularSystemError(
+                f"flux-row closure (row {m + 1}) is singular "
+                f"(pivot {denom:.3e}, row scale {scale:.3e})"
+            )
+        return lu, piv, v, float(denom)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the system for one right-hand side of length N."""
+        lu, piv, v, denom = self._factors
+        m = v.size
+        u, _ = lapack.dgbtrs(lu, 1, 1, rhs[:m], piv)
+        b1, bNm1, _ = self.last_row
+        yN = (rhs[m] - b1 * u[0] - bNm1 * u[m - 1]) / denom
+        sol = np.empty(m + 1)
+        sol[:m] = u - yN * v
+        sol[m] = yN
+        return sol
+
+    def with_rhs(self, rhs: np.ndarray) -> "StepSystem":
+        """The step system of this matrix and a right-hand side."""
+        return StepSystem(lower=self.lower, diag=self.diag, upper=self.upper,
+                          corner=self.corner, last_row=self.last_row, rhs=rhs)
+
+
+@dataclass(frozen=True)
+class StepSystem(StepOperator):
+    """Linear system of one time step: a :class:`StepOperator` plus its load.
+
+    ``rhs`` has length N with the flux-row load in its final entry.
+    """
+
+    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,6 +185,100 @@ class SolveOutcome:
     per_step_residuals: Optional[list[float]] = None
 
 
+class L1Memory:
+    """Discrete Caputo memory of a march with ``Nt`` steps.
+
+    At level n+1 the operator sum_{s<=n} c[s]*(y^{s+1} - y^s), whose
+    newest weight is c[n] = c_new, splits as c_new*y^{n+1} + load with
+
+        load = sum_{s<n} c[s]*(y^{s+1} - y^s) - c_new*y^n.
+
+    The weights of every level are tails of one array, computed once and
+    kept newest-last and contiguous: a reversed view would make the
+    matvec an order of magnitude slower.  Increments are stored as each
+    level is produced (:meth:`push`).
+    """
+
+    def __init__(self, gamma: float, tau: float, Nt: int, width: int):
+        self._c = l1_weights(Nt - 1, gamma, tau).c
+        self.c_new = float(self._c[-1])
+        self._inc = np.empty((Nt, width))
+        self._count = 0
+
+    def weights(self, n: int) -> np.ndarray:
+        """The L1 weights of level n+1, equal to ``l1_weights(n, ...).c``."""
+        return self._c[self._c.size - 1 - n:]
+
+    def load(self, yn: np.ndarray) -> np.ndarray:
+        """Memory load of the next level, given the newest level y^n."""
+        n = self._count
+        if n == 0:
+            return -self.c_new * yn
+        return self.weights(n)[:-1] @ self._inc[:n] - self.c_new * yn
+
+    def push(self, new: np.ndarray, old: np.ndarray) -> None:
+        """Record the increment of a newly produced level."""
+        np.subtract(new, old, out=self._inc[self._count])
+        self._count += 1
+
+
+def _step_operator(problem: Problem, grid: Grid, sigma: float,
+                   face: np.ndarray, c_new: float) -> StepOperator:
+    """Matrix of a step; ``c_new`` weighs the new level in the memory term.
+
+    Interior rows encode c_new*y_i - sigma*(a*y_xbar)_{x,i}; the flux row
+    encodes beta*D(y)_0 + D(y)_N + (2/h)*sigma*(a_N*y_xbar_N - beta*a_1*y_x_0)
+    with y_0 = alpha*y_N.
+    """
+    N, h = grid.N, grid.h
+    alpha, beta = problem.alpha, problem.beta
+    h2 = h * h
+    a_left = face[:-1]            # a_i   for rows i = 1..N-1
+    a_right = face[1:]            # a_i+1
+    lower = np.zeros(N - 1)
+    lower[1:] = -sigma * a_left[1:] / h2
+    diag = c_new + sigma * (a_left + a_right) / h2
+    upper = -sigma * a_right / h2
+    corner = -sigma * alpha * face[0] / h2
+
+    a1, aN = face[0], face[-1]
+    b1 = -sigma * 2.0 * beta * a1 / h2
+    bNm1 = -sigma * 2.0 * aN / h2
+    bN = (c_new * (1.0 + alpha * beta)
+          + sigma * 2.0 * aN / h2
+          + sigma * 2.0 * beta * a1 * alpha / h2)
+    return StepOperator(lower=lower, diag=diag, upper=upper, corner=corner,
+                        last_row=(b1, bNm1, bN))
+
+
+def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
+              n: int, yn: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """Right-hand side of the step from level n (``yn``) to level n+1.
+
+    Interior rows carry f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n
+    - load_i, where ``load`` is the memory load at every node; the flux row
+    carries (2/h)*mu + phi_N + beta*phi_0, the memory loads of both
+    endpoints and the explicit part of both fluxes.
+    """
+    h, beta = grid.h, problem.beta
+    h2 = h * h
+    t_sigma = (n + sigma) * grid.tau
+    phi = sample_space_time(problem.f, grid.x, t_sigma)
+    a_left = face[:-1]
+    a_right = face[1:]
+    rhs = np.empty(grid.N)
+    second = (a_right * yn[2:] - (a_left + a_right) * yn[1:-1]
+              + a_left * yn[:-2]) / h2
+    rhs[:-1] = phi[1:-1] - load[1:-1] + (1.0 - sigma) * second
+
+    a1, aN = face[0], face[-1]
+    rhs[-1] = (2.0 / h * problem.mu(t_sigma) + phi[-1] + beta * phi[0]
+               - beta * load[0] - load[-1]
+               - (1.0 - sigma) * 2.0 * aN / h2 * (yn[-1] - yn[-2])
+               + (1.0 - sigma) * 2.0 * beta * a1 / h2 * (yn[1] - yn[0]))
+    return rhs
+
+
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
                   history: History, face: np.ndarray | None = None) -> StepSystem:
     """Assemble the linear system advancing the history by one level.
@@ -117,125 +291,51 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
 
     where (c_new, load) split the discrete Caputo operator at the new
     level; the last row encodes the flux coupling with the memory terms
-    of both endpoints split the same way.
+    of both endpoints split the same way.  The memory load is recomputed
+    here from the whole history, independently of :class:`L1Memory`.
     """
     n = len(history) - 1
-    N, h, tau, sigma = grid.N, grid.h, grid.tau, params.sigma
+    N = grid.N
     if history.width != N + 1:
         raise DimensionError(
             f"history width {history.width} does not match grid ({N + 1})"
         )
     if face is None:
         face = face_coefficients(problem, grid)
-    alpha, beta = problem.alpha, problem.beta
-    h2 = h * h
 
     # Split the memory term at every node: D(y)_i = c_new*y_i^{n+1} + load_i.
     Y = history.array()
-    c = l1_weights(n, problem.gamma, tau).c
+    c = l1_weights(n, problem.gamma, grid.tau).c
     c_new = float(c[-1])
     if n >= 1:
         load = c[:-1] @ np.diff(Y, axis=0) - c_new * Y[n]
     else:
         load = -c_new * Y[0]
 
-    t_sigma = (n + sigma) * tau
-    phi = sample_space_time(problem.f, grid.x, t_sigma)
-    yn = Y[n]
-
-    lower = np.zeros(N - 1)
-    diag = np.empty(N - 1)
-    upper = np.empty(N - 1)
-    rhs = np.empty(N)
-
-    a_left = face[:-1]            # a_i   for rows i = 1..N-1
-    a_right = face[1:]            # a_i+1
-    lower[1:] = -sigma * a_left[1:] / h2
-    diag[:] = c_new + sigma * (a_left + a_right) / h2
-    upper[:] = -sigma * a_right / h2
-    corner = -sigma * alpha * face[0] / h2
-
-    second = (a_right * yn[2:] - (a_left + a_right) * yn[1:-1]
-              + a_left * yn[:-2]) / h2
-    rhs[:-1] = phi[1:-1] - load[1:-1] + (1.0 - sigma) * second
-
-    # Flux row: beta*D(y)_0 + D(y)_N + (2/h)*(a_N*y_xbar_N - beta*a_1*y_x_0)
-    #           = (2/h)*mu + phi_N + beta*phi_0, with y_0^{n+1} = alpha*y_N^{n+1}.
-    a1, aN = face[0], face[-1]
-    b1 = -sigma * 2.0 * beta * a1 / h2
-    bNm1 = -sigma * 2.0 * aN / h2
-    bN = (c_new * (1.0 + alpha * beta)
-          + sigma * 2.0 * aN / h2
-          + sigma * 2.0 * beta * a1 * alpha / h2)
-    rhs[-1] = (2.0 / h * problem.mu(t_sigma) + phi[-1] + beta * phi[0]
-               - beta * load[0] - load[-1]
-               - (1.0 - sigma) * 2.0 * aN / h2 * (yn[-1] - yn[-2])
-               + (1.0 - sigma) * 2.0 * beta * a1 / h2 * (yn[1] - yn[0]))
-
-    return StepSystem(lower=lower, diag=diag, upper=upper, corner=corner,
-                      last_row=(b1, bNm1, bN), rhs=rhs)
-
-
-def _thomas(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-            rhs: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve without pivoting (diagonally dominant systems)."""
-    m = diag.size
-    w = np.empty(m - 1) if m > 1 else np.empty(0)
-    g = np.empty(m)
-    piv = diag[0]
-    if piv == 0.0:
-        raise SingularSystemError("zero pivot in tridiagonal sweep (row 1)")
-    g[0] = rhs[0] / piv
-    if m > 1:
-        w[0] = sup[0] / piv
-    for i in range(1, m):
-        piv = diag[i] - sub[i - 1] * w[i - 1]
-        if piv == 0.0:
-            raise SingularSystemError(
-                f"zero pivot in tridiagonal sweep (row {i + 1})"
-            )
-        g[i] = (rhs[i] - sub[i - 1] * g[i - 1]) / piv
-        if i < m - 1:
-            w[i] = sup[i] / piv
-    for i in range(m - 2, -1, -1):
-        g[i] -= w[i] * g[i + 1]
-    return g
+    operator = _step_operator(problem, grid, params.sigma, face, c_new)
+    return operator.with_rhs(
+        _step_rhs(problem, grid, params.sigma, face, n, Y[n], load))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
     """Solve the step system in O(N) by superposition.
 
-    The interior block T (rows 1..N-1 over columns y_1..y_{N-1}) is swept
-    twice: u = T^{-1} rhs and v = T^{-1} g, where g collects the border
-    couplings to y_N (corner plus the natural last band entry).  The flux
-    row then closes a single scalar equation for y_N, and the interior
-    follows as u - y_N*v.
+    The interior block T (rows 1..N-1 over columns y_1..y_{N-1}) is
+    factored by banded LU and solved twice: u = T^{-1} rhs and
+    v = T^{-1} g, where g collects the border couplings to y_N.  The
+    flux row then closes a single scalar equation for y_N, and the
+    interior follows as u - y_N*v.
+
+    Raises
+    ------
+    SingularSystemError
+        If the interior block has an exactly zero pivot, or the closure
+        pivot is at roundoff level relative to the terms it is built from.
     """
-    N = system.size
-    m = N - 1
-    sub = system.lower[1:]
-    sup = system.upper[:-1]
-    g = np.zeros(m)
-    g[0] += system.corner
-    g[m - 1] += system.upper[m - 1]
-
-    u = _thomas(sub, system.diag, sup, system.rhs[:m])
-    v = _thomas(sub, system.diag, sup, g)
-
-    b1, bNm1, bN = system.last_row
-    denom = bN - b1 * v[0] - bNm1 * v[m - 1]
-    if abs(denom) < 1e-300:
-        raise SingularSystemError(
-            f"flux-row closure is singular (pivot {denom:.3e})"
-        )
-    yN = (system.rhs[m] - b1 * u[0] - bNm1 * u[m - 1]) / denom
-    sol = np.empty(N)
-    sol[:m] = u - yN * v
-    sol[m] = yN
-    return sol
+    return system.solve(system.rhs)
 
 
-def _dense_matrix(system: StepSystem) -> np.ndarray:
+def _dense_matrix(system: StepOperator) -> np.ndarray:
     N = system.size
     A = np.zeros((N, N))
     for j in range(N - 1):
@@ -277,10 +377,11 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
 
     Level 0 samples ``problem.u0`` on the grid (or takes ``y0`` verbatim
     when supplied, as the stability experiments do with random data).
-    Each later level is produced by assembly plus the bordered solve,
-    with y_0 recovered from the value coupling.  A level that is
-    non-finite or exceeds ``BLOWUP_LIMIT`` in max norm stops the march
-    and is recorded in the outcome instead of raising.
+    The step matrix is built and factored once; each later level costs
+    its right-hand side, the memory load and one banded solve, with y_0
+    recovered from the value coupling.  A level that is non-finite or
+    exceeds ``BLOWUP_LIMIT`` in max norm stops the march and is recorded
+    in the outcome instead of raising.
     """
     face = face_coefficients(problem, grid)
     if y0 is None:
@@ -295,11 +396,15 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     residuals: Optional[list[float]] = [] if check_residuals else None
     blow: Optional[BlowUp] = None
 
+    sigma = params.sigma
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
+    operator = _step_operator(problem, grid, sigma, face, memory.c_new)
     for n in range(grid.Nt):
-        system = assemble_step(problem, grid, params, history, face=face)
-        sol = solve_bordered(system)
+        yn = history[n]
+        rhs = _step_rhs(problem, grid, sigma, face, n, yn, memory.load(yn))
+        sol = operator.solve(rhs)
         if residuals is not None:
-            residuals.append(step_residual(system, sol))
+            residuals.append(step_residual(operator.with_rhs(rhs), sol))
         level = np.empty(grid.N + 1)
         level[1:] = sol
         level[0] = problem.alpha * sol[-1]
@@ -309,6 +414,7 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
         if not finite or top > BLOWUP_LIMIT:
             blow = BlowUp(level=n + 1, norm=top)
             break
+        memory.push(level, yn)
 
     return SolveOutcome(history=history, blow_up=blow,
                         per_step_residuals=residuals)

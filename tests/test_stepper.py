@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fracheat.core import (
     Grid,
@@ -11,11 +14,13 @@ from fracheat.core import (
     face_coefficients,
     sample_space,
 )
-from fracheat.fractional import discrete_caputo, split_implicit
+from fracheat.fractional import discrete_caputo, l1_weights, split_implicit
 from fracheat.manufactured import build_manufactured, build_zero
-from fracheat.norms import norm_max, norm_trapezoid
+from fracheat.norms import norm_max, norm_trapezoid, sigma_threshold
 from fracheat.stepper import (
+    BLOWUP_LIMIT,
     AssemblyError,
+    L1Memory,
     SingularSystemError,
     StepSystem,
     assemble_step,
@@ -148,6 +153,35 @@ def test_bordered_matches_dense_oracle_on_random_systems():
         assert step_residual(system, fast) <= 1e-12
 
 
+@st.composite
+def bordered_systems(draw):
+    """Strictly diagonally dominant bordered systems, N in [2, 64].
+
+    Every row has at most two off-diagonal entries in [-1, 1] and a
+    diagonal in [2.5, 4], so the system and its closure are regular.
+    """
+    N = draw(st.integers(2, 64))
+    off, dominant = st.floats(-1.0, 1.0), st.floats(2.5, 4.0)
+
+    def array(n, elements):
+        return draw(hnp.arrays(float, n, elements=elements))
+
+    lower = np.zeros(N - 1)
+    lower[1:] = array(N - 2, off)
+    return StepSystem(lower=lower, diag=array(N - 1, dominant),
+                      upper=array(N - 1, off), corner=draw(off),
+                      last_row=(draw(off), draw(off), draw(dominant)),
+                      rhs=array(N, off))
+
+
+@given(bordered_systems())
+def test_bordered_matches_dense_oracle_property(system):
+    fast = solve_bordered(system)
+    dense = solve_dense_oracle(system)
+    scale = max(float(np.max(np.abs(dense))), 1e-30)
+    assert np.max(np.abs(fast - dense)) / scale <= 1e-11
+
+
 def test_singular_closure_is_reported():
     # Both rows encode y_1 - y_2: the closure pivot vanishes exactly.
     system = StepSystem(lower=np.zeros(1), diag=np.array([1.0]),
@@ -160,9 +194,99 @@ def test_singular_closure_is_reported():
         solve_dense_oracle(system)
 
 
+def test_roundoff_closure_pivot_is_singular():
+    # Rows (0.1, 0.3) and (0.3, 0.9) are proportional, but the computed
+    # closure pivot 0.9 - 0.3*(0.3/0.1) is 2.2e-16, not zero.
+    system = StepSystem(lower=np.zeros(1), diag=np.array([0.1]),
+                        upper=np.array([0.3]), corner=0.0,
+                        last_row=(0.0, 0.3, 0.9),
+                        rhs=np.array([1.0, 2.0]))
+    with pytest.raises(SingularSystemError, match="row 2"):
+        solve_bordered(system)
+
+
+def test_tiny_scaled_system_is_not_singular():
+    # The closure pivot of this well-conditioned system is ~1e-305; the
+    # check is relative to the row scale, so the scale alone never trips it.
+    rng = np.random.default_rng(5)
+    unit = random_system(rng, 8)
+    tiny = StepSystem(lower=unit.lower * 1e-305, diag=unit.diag * 1e-305,
+                      upper=unit.upper * 1e-305, corner=unit.corner * 1e-305,
+                      last_row=tuple(b * 1e-305 for b in unit.last_row),
+                      rhs=unit.rhs * 1e-305)
+    expected = solve_bordered(unit)
+    assert solve_bordered(tiny) == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # marching
 # ---------------------------------------------------------------------------
+
+def replay_against_oracle(problem, grid, params, outcome):
+    """Redo every level of a march with assemble_step + the dense solve.
+
+    Each level is recomputed from the march's own earlier levels and must
+    match to 1e-12 relative to its max norm.  Returns the first level
+    whose oracle value exceeds the blow-up limit, or None.
+    """
+    Y = outcome.history.array()
+    history = History(Y[0], capacity=len(Y))
+    for n in range(len(Y) - 1):
+        system = assemble_step(problem, grid, params, history)
+        sol = solve_dense_oracle(system)
+        level = np.concatenate(([problem.alpha * sol[-1]], sol))
+        top = float(np.max(np.abs(level)))
+        if top > BLOWUP_LIMIT:
+            return n + 1
+        assert np.max(np.abs(level - Y[n + 1])) <= 1e-12 * top, n
+        history.append(Y[n + 1])
+    return None
+
+
+@pytest.mark.parametrize("grid", [Grid.balanced(20, 0.5), Grid(N=2, Nt=12),
+                                  Grid(N=3, Nt=12)],
+                         ids=["N20", "N2", "N3"])
+def test_factored_march_matches_per_step_oracle(grid):
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    params = SchemeParams(1.0)
+    outcome = march(problem, grid, params)
+    assert outcome.blow_up is None
+    assert replay_against_oracle(problem, grid, params, outcome) is None
+
+
+def test_factored_march_matches_oracle_with_explicit_part():
+    # Random homogeneous data at sigma = threshold (~0.62): the explicit
+    # (1 - sigma) part of the operator is live in every right-hand side.
+    problem = build_zero(alpha=2.0, beta=3.0, gamma=0.5)
+    grid = Grid(N=16, Nt=60)
+    sigma = sigma_threshold(0.5, grid.h, grid.tau, problem.c2)
+    assert 0.5 < sigma < 1.0
+    y0 = np.random.default_rng(8).uniform(-1.0, 1.0, grid.N + 1)
+    y0[0] = problem.alpha * y0[-1]
+    params = SchemeParams(sigma)
+    outcome = march(problem, grid, params, y0=y0)
+    assert outcome.blow_up is None
+    assert replay_against_oracle(problem, grid, params, outcome) is None
+
+
+def test_factored_march_blows_up_at_the_oracle_level():
+    problem = build_manufactured(0.1, 10.0, 0.4)
+    grid = Grid.balanced(80, 0.4)
+    params = SchemeParams(1.0)
+    outcome = march(problem, grid, params)
+    assert outcome.blow_up is not None
+    assert replay_against_oracle(problem, grid, params,
+                                 outcome) == outcome.blow_up.level
+
+
+def test_cached_memory_weights_are_contiguous_tails():
+    gamma, tau, Nt = 0.3, 0.01, 40
+    memory = L1Memory(gamma, tau, Nt, width=5)
+    for n in (0, 1, 17, Nt - 1):
+        w = memory.weights(n)
+        assert w.flags.c_contiguous
+        assert np.array_equal(w, l1_weights(n, gamma, tau).c)
+
 
 def test_zero_data_stays_zero():
     outcome = march(build_zero(), Grid(N=8, Nt=6), SchemeParams(1.0))
