@@ -5,80 +5,12 @@ The equation couples a Caputo time derivative of order gamma in (0, 1)
 with a variable-diffusivity second-order operator on the unit interval;
 the boundary conditions tie the endpoint values together through alpha
 and the endpoint fluxes through beta.  The package provides the implicit
-weighted difference scheme with its O(N) bordered-tridiagonal solver,
-the discrete energy norm and stability threshold, manufactured problems
-with known exact solutions, and a CLI for convergence and stability
-studies (``python -m fracheat`` or the ``fracheat`` script).
+weighted difference scheme with its O(N) bordered-tridiagonal solver
+(:mod:`fracheat.stepper`), the discrete energy norm and stability
+threshold (:mod:`fracheat.norms`), manufactured problems with known
+exact solutions (:mod:`fracheat.manufactured`), and a CLI for
+convergence and stability studies (:mod:`fracheat.cli`, run as
+``python -m fracheat`` or the ``fracheat`` script).
 """
 
-from .core import (
-    BoundsViolationError,
-    DimensionError,
-    DomainError,
-    Grid,
-    History,
-    Problem,
-    SchemeParams,
-    face_coefficients,
-    weighted_level,
-)
-from .fractional import (
-    L1Weights,
-    OracleFailureError,
-    caputo_oracle,
-    discrete_caputo,
-    energy_identity_remainders,
-    l1_weights,
-    split_implicit,
-)
-from .manufactured import (
-    CATALOG,
-    CompatibilityError,
-    ManufacturedProblem,
-    build_manufactured,
-    build_zero,
-    verify_compatibility,
-)
-from .norms import (
-    EnergyWeights,
-    UndefinedNormError,
-    convergence_order,
-    energy_norm,
-    energy_weights,
-    norm_interior,
-    norm_max,
-    norm_trapezoid,
-    sigma_threshold,
-)
-from .stepper import (
-    BlowUp,
-    SingularSystemError,
-    SolveOutcome,
-    StepSystem,
-    assemble_step,
-    march,
-    solve_bordered,
-    solve_dense_oracle,
-    step_residual,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "Grid", "Problem", "SchemeParams", "History",
-    "face_coefficients", "weighted_level",
-    "L1Weights", "l1_weights", "discrete_caputo", "split_implicit",
-    "caputo_oracle", "energy_identity_remainders",
-    "StepSystem", "SolveOutcome", "BlowUp",
-    "assemble_step", "solve_bordered", "solve_dense_oracle",
-    "step_residual", "march",
-    "EnergyWeights", "energy_weights", "energy_norm",
-    "norm_interior", "norm_trapezoid", "norm_max",
-    "sigma_threshold", "convergence_order",
-    "ManufacturedProblem", "build_manufactured", "build_zero",
-    "verify_compatibility", "CATALOG",
-    "DomainError", "DimensionError", "BoundsViolationError",
-    "OracleFailureError", "SingularSystemError", "UndefinedNormError",
-    "CompatibilityError",
-]

@@ -14,9 +14,12 @@ stability     march homogeneous random initial data and check that the
 Exit codes: 0 success, 1 failed stability check, 2 usage error, 3 blow-up
 when --fail-on-blowup is set.
 
-A JSON config file (``--config``) supplies defaults for any long option
-of the chosen subcommand (keys use underscores, e.g. ``{"gamma": 0.5,
-"levels": [20, 40, 80]}``); explicit flags override it.
+A JSON config file (``--config``) sets any option of the chosen
+subcommand that takes a value (keys use underscores, ``T`` for ``--t``,
+e.g. ``{"gamma": 0.5, "levels": [20, 40, 80]}``).  Its values become
+option strings ahead of the command line, so the parser checks them
+like flags and explicit flags override them.  An unknown key, or a value
+not of its option's JSON type (number, text, or list), is a usage error.
 """
 
 from __future__ import annotations
@@ -65,10 +68,17 @@ __all__ = [
 _UNSTABLE_ERROR = 1e30
 
 CSV_HEADER = "h,Nt,tau,err_full,co_full,err_max,co_max"
+_COLUMNS = tuple(CSV_HEADER.split(","))
 
 
 class UsageError(ValueError):
     """Bad configuration or flags; reported with exit code 2."""
+
+
+def _check_problem(name: str) -> None:
+    if name not in CATALOG:
+        raise UsageError(f"problem: unknown name {name!r} "
+                         f"(available: {', '.join(sorted(CATALOG))})")
 
 
 def _fmt(v: float) -> str:
@@ -99,10 +109,7 @@ class StudyConfig:
     check_residuals: bool = False
 
     def validate(self) -> None:
-        if self.problem not in CATALOG:
-            names = ", ".join(sorted(CATALOG))
-            raise UsageError(f"problem: unknown name {self.problem!r} "
-                             f"(available: {names})")
+        _check_problem(self.problem)
         if len(self.levels) < 1 or any(n < 2 for n in self.levels):
             raise UsageError("levels: need mesh sizes with N >= 2")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
@@ -114,8 +121,6 @@ class StudyConfig:
         bad = set(self.norms) - {"full", "max"}
         if bad or not self.norms:
             raise UsageError("norms: subset of {'full', 'max'}, nonempty")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise UsageError("sigma: must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,7 @@ def _error_history(outcome: SolveOutcome, problem: Problem,
     x = grid.x
     full, mx = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(len(outcome.history)):
-            y = outcome.history[n]
+        for n, y in enumerate(outcome.history):
             u = np.asarray(problem.exact(x, n * grid.tau), dtype=float)
             z = y - u
             if not np.all(np.isfinite(z)):
@@ -249,9 +253,7 @@ def run_convergence(config: StudyConfig) -> StudyReport:
 def render_csv(report: StudyReport) -> str:
     lines = [CSV_HEADER]
     for cell in report.cells():
-        lines.append(",".join(cell[k] for k in
-                              ("h", "Nt", "tau", "err_full", "co_full",
-                               "err_max", "co_max")))
+        lines.append(",".join(cell[k] for k in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -259,15 +261,14 @@ def render_table(report: StudyReport) -> str:
     cfg = report.config
     head = (f"gamma={cfg.gamma} alpha={cfg.alpha} beta={cfg.beta} "
             f"sigma={cfg.sigma} T={cfg.T} coupling={cfg.coupling}")
-    cols = ("h", "Nt", "tau", "err_full", "co_full", "err_max", "co_max")
     cells = report.cells()
     widths = {c: max(len(c), max((len(r[c]) for r in cells), default=0))
-              for c in cols}
+              for c in _COLUMNS}
     lines = [head,
-             "  ".join(c.ljust(widths[c]) for c in cols),
-             "  ".join("-" * widths[c] for c in cols)]
+             "  ".join(c.ljust(widths[c]) for c in _COLUMNS),
+             "  ".join("-" * widths[c] for c in _COLUMNS)]
     for cell in cells:
-        lines.append("  ".join(cell[c].ljust(widths[c]) for c in cols))
+        lines.append("  ".join(cell[c].ljust(widths[c]) for c in _COLUMNS))
     for row in report.rows:
         if row.blew_up:
             lines.append(f"note: h={_fmt(row.h)} level blew up "
@@ -294,10 +295,7 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
               T: float, N: int, Nt: Optional[int],
               sigma: float) -> SolveResult:
     """One march; error norms are filled in when an exact solution exists."""
-    if problem_name not in CATALOG:
-        names = ", ".join(sorted(CATALOG))
-        raise UsageError(f"problem: unknown name {problem_name!r} "
-                         f"(available: {names})")
+    _check_problem(problem_name)
     problem = CATALOG[problem_name](alpha=alpha, beta=beta, gamma=gamma, T=T)
     grid = Grid(N=N, Nt=Nt, T=T) if Nt else Grid.balanced(N, gamma, T)
     outcome = march(problem, grid, SchemeParams(sigma))
@@ -315,17 +313,15 @@ def _write_solution(result: SolveResult, path: str, with_history: bool) -> None:
     lines = []
     if with_history:
         lines.append("t,x,y")
-        for n in range(len(result.outcome.history)):
+        for n, level in enumerate(result.outcome.history):
             t = n * result.grid.tau
-            for x, y in zip(result.grid.x, result.outcome.history[n]):
+            for x, y in zip(result.grid.x, level):
                 lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(y)}")
     else:
         lines.append("x,y")
-        final = result.outcome.history[len(result.outcome.history) - 1]
-        for x, y in zip(result.grid.x, final):
+        for x, y in zip(result.grid.x, result.outcome.history[-1]):
             lines.append(f"{_fmt(x)},{_fmt(y)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +414,8 @@ class StabilityReport:
     passed: bool
 
 
-def _homogeneous_problem(alpha: float, beta: float, gamma: float,
-                         T: float) -> Problem:
-    return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=lambda x: np.exp(x),
-                   f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-                   mu=lambda t: 0.0,
-                   u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c1=1.0, c2=math.e)
-
-
-def run_stability(gamma: float, alpha: float, beta: float, sigma_spec: str,
-                  N: int, Nt: int, T: float = 1.0,
+def run_stability(gamma: float, alpha: float, beta: float,
+                  sigma_spec: str | float, N: int, Nt: int, T: float = 1.0,
                   seed: int = 1) -> StabilityReport:
     """March random homogeneous data and track the energy norm.
 
@@ -446,7 +432,7 @@ def run_stability(gamma: float, alpha: float, beta: float, sigma_spec: str,
         For mixed-sign (alpha, beta) regimes, where the energy norm does
         not exist and the experiment is meaningless.
     """
-    problem = _homogeneous_problem(alpha, beta, gamma, T)
+    problem = CATALOG["zero"](alpha=alpha, beta=beta, gamma=gamma, T=T)
     grid = Grid(N=N, Nt=Nt, T=T)
     face = face_coefficients(problem, grid)
     threshold = sigma_threshold(gamma, grid.h, grid.tau, problem.c2)
@@ -462,8 +448,7 @@ def run_stability(gamma: float, alpha: float, beta: float, sigma_spec: str,
 
     outcome = march(problem, grid, SchemeParams(sigma), y0=u0)
     weights = energy_weights(problem, grid, face)
-    norms = tuple(weights.norm(level, grid.h)
-                  for level in outcome.history.array())
+    norms = tuple(weights.norm(level, grid.h) for level in outcome.history)
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,
                            norms=norms, passed=passed)
@@ -483,105 +468,138 @@ def render_stability(report: StabilityReport) -> str:
 # Argument handling
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _list_of(kind):
+    """Option type of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p.strip()) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse {kind.__name__} list {text!r}") from None
+    return parse
+
+
+_ints, _floats, _names = _list_of(int), _list_of(float), _list_of(str)
+
+
+def _sigma_spec(text: str) -> str | float:
+    if text == "threshold":
+        return text
     try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise UsageError(f"cannot parse float list {text!r}") from exc
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or 'threshold', got {text!r}") from None
 
 
-def _parse_ints(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    try:
-        return tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError as exc:
-        raise UsageError(f"cannot parse integer list {text!r}") from exc
+# Option types that take a config value (or, for the list types, each
+# list item) as a JSON number, and those that take it as JSON text.
+_NUMBER_TYPES = (int, float, _ints, _floats, _sigma_spec)
+_TEXT_TYPES = (None, _ints, _floats, _names, _sigma_spec)
+_LIST_TYPES = (_ints, _floats, _names)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, dict[str, argparse.Action]]]:
+    """The parser, and per subcommand the options a config file may set.
+
+    The switches ``--history`` and ``--fail-on-blowup`` are flags only.
+    """
     parser = argparse.ArgumentParser(
         prog="fracheat",
         description="Nonlocal time-fractional diffusion solver and "
                     "study harness.")
     sub = parser.add_subparsers(dest="command", required=True)
+    settable: dict[str, dict[str, argparse.Action]] = {}
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, alpha: float = 1.0, beta: float = 1.0,
+                sigma_type=float):
+        p = sub.add_parser(name, help=summary)
+        options = settable[name] = {}
+
+        def option(*flags, **kwargs) -> None:
+            action = p.add_argument(*flags, **kwargs)
+            options[action.dest] = action
+
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--sigma", default=None,
-                       help="scheme weight in [0,1]; stability also "
-                            "accepts 'threshold'")
-        p.add_argument("--t", dest="T", type=float, default=None,
-                       help="final time")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "table"), default=None)
-        p.add_argument("--seed", type=int, default=None)
+        option("--gamma", type=float, default=0.5)
+        option("--alpha", type=float, default=alpha)
+        option("--beta", type=float, default=beta)
+        option("--sigma", type=sigma_type, default=1.0,
+               help="scheme weight in [0,1]; stability also "
+                    "accepts 'threshold'")
+        option("--t", dest="T", type=float, default=1.0, help="final time")
+        option("--out", default=None, help="output file path")
+        option("--format", choices=("csv", "table"), default="csv")
+        option("--seed", type=int, default=1)
         p.add_argument("--fail-on-blowup", action="store_true")
+        return p, option
 
-    p_solve = sub.add_parser("solve", help="march one problem")
-    common(p_solve)
-    p_solve.add_argument("--problem", default=None)
-    p_solve.add_argument("--n", type=int, default=None,
-                         help="space subintervals")
-    p_solve.add_argument("--nt", type=int, default=None,
-                         help="time steps (default: balanced coupling)")
+    p_solve, option = command("solve", "march one problem")
+    option("--problem", default="mms-cubic")
+    option("--n", type=int, default=20, help="space subintervals")
+    option("--nt", type=int, default=None,
+           help="time steps (default: balanced coupling)")
     p_solve.add_argument("--history", action="store_true",
                          help="write all levels (columns t,x,y)")
 
-    p_conv = sub.add_parser("convergence", help="refinement study")
-    common(p_conv)
-    p_conv.add_argument("--problem", default=None)
-    p_conv.add_argument("--levels", default=None,
-                        help="comma list of N values, e.g. 20,40,80")
-    p_conv.add_argument("--coupling", choices=("balanced", "fixed"),
-                        default=None)
-    p_conv.add_argument("--tau", type=float, default=None,
-                        help="time step for fixed coupling")
-    p_conv.add_argument("--norms", default=None,
-                        help="comma subset of full,max")
+    _, option = command("convergence", "refinement study")
+    option("--problem", default="mms-cubic")
+    option("--levels", type=_ints, default=(20, 40, 80),
+           help="comma list of N values, e.g. 20,40,80")
+    option("--coupling", choices=("balanced", "fixed"), default="balanced")
+    option("--tau", type=float, default=None,
+           help="time step for fixed coupling")
+    option("--norms", type=_names, default=("full", "max"),
+           help="comma subset of full,max")
 
-    p_ord = sub.add_parser("caputo-order",
-                           help="truncation order of the memory operator")
-    common(p_ord)
-    p_ord.add_argument("--gammas", default=None,
-                       help="comma list of fractional orders")
-    p_ord.add_argument("--taus", default=None,
-                       help="comma list of time steps")
-    p_ord.add_argument("--function", default=None,
-                       choices=sorted(ORDER_FUNCTIONS))
+    _, option = command("caputo-order",
+                        "truncation order of the memory operator")
+    option("--gammas", type=_floats, default=(0.3, 0.5, 0.9),
+           help="comma list of fractional orders")
+    option("--taus", type=_floats,
+           default=(0.05, 0.025, 0.0125, 0.00625, 0.003125),
+           help="comma list of time steps")
+    option("--function", default="cubic", choices=sorted(ORDER_FUNCTIONS))
 
-    p_stab = sub.add_parser("stability", help="energy decay experiment")
-    common(p_stab)
-    p_stab.add_argument("--n", type=int, default=None)
-    p_stab.add_argument("--nt", type=int, default=None)
+    _, option = command("stability", "energy decay experiment",
+                        alpha=2.0, beta=3.0, sigma_type=_sigma_spec)
+    option("--n", type=int, default=16)
+    option("--nt", type=int, default=50)
 
-    return parser
+    return parser, settable
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    if not getattr(args, "config", None):
-        return {}
+def _config_argv(options: dict[str, argparse.Action], path: str) -> list[str]:
+    """Option strings equivalent to a config file, for the parser.
+
+    Each value must have the JSON type of its option; the parser then
+    checks it exactly as it checks the flag.
+    """
     try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config: cannot read {args.config!r}: {exc}")
-    if not isinstance(data, dict):
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
+        raise UsageError(f"config: cannot read {path!r}: {exc}")
+    if not isinstance(cfg, dict):
         raise UsageError("config: expected a flat JSON object")
-    return data
-
-
-def _opt(args: argparse.Namespace, cfg: dict, name: str, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
+    argv = []
+    for key, value in cfg.items():
+        action = options.get(key)
+        if action is None:
+            raise UsageError(f"config: unknown option {key!r} "
+                             f"(available: {', '.join(sorted(options))})")
+        items = (value if isinstance(value, list)
+                 and action.type in _LIST_TYPES else [value])
+        for item in items:
+            number = (isinstance(item, (int, float))
+                      and not isinstance(item, bool))
+            if not (number and action.type in _NUMBER_TYPES
+                    or isinstance(item, str) and action.type in _TEXT_TYPES):
+                raise UsageError(f"config: {key}: wrong-typed value {value!r}")
+        argv.append(f"{action.option_strings[0]}="
+                    f"{','.join(str(item) for item in items)}")
+    return argv
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -593,39 +611,28 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser, settable = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "solve":
-            return _main_solve(args, cfg)
-        if args.command == "convergence":
-            return _main_convergence(args, cfg)
-        if args.command == "caputo-order":
-            return _main_caputo_order(args, cfg)
-        if args.command == "stability":
-            return _main_stability(args, cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        if args.config:
+            # Config options go right after the subcommand, so flags given
+            # on the command line come later and win.
+            at = argv.index(args.command) + 1
+            cfg_argv = _config_argv(settable[args.command], args.config)
+            args = parser.parse_args(argv[:at] + cfg_argv + argv[at:])
+        return _COMMANDS[args.command](args)
     except (UsageError, DomainError, UndefinedNormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _main_solve(args: argparse.Namespace, cfg: dict) -> int:
-    nt = _opt(args, cfg, "nt")
-    result = run_solve(
-        problem_name=_opt(args, cfg, "problem", "mms-cubic"),
-        alpha=float(_opt(args, cfg, "alpha", 1.0)),
-        beta=float(_opt(args, cfg, "beta", 1.0)),
-        gamma=float(_opt(args, cfg, "gamma", 0.5)),
-        T=float(_opt(args, cfg, "T", 1.0)),
-        N=int(_opt(args, cfg, "n", 20)),
-        Nt=int(nt) if nt else None,
-        sigma=float(_opt(args, cfg, "sigma", 1.0)),
-    )
-    out = _opt(args, cfg, "out")
-    if out:
-        _write_solution(result, out, args.history)
+def _main_solve(args: argparse.Namespace) -> int:
+    result = run_solve(problem_name=args.problem, alpha=args.alpha,
+                       beta=args.beta, gamma=args.gamma, T=args.T, N=args.n,
+                       Nt=args.nt, sigma=args.sigma)
+    if args.out:
+        _write_solution(result, args.out, args.history)
     if result.err_full_final is not None:
         print(f"err_full_final={_fmt(result.err_full_final)}")
         print(f"err_max_final={_fmt(result.err_max_final)}")
@@ -640,60 +647,36 @@ def _main_solve(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _main_convergence(args: argparse.Namespace, cfg: dict) -> int:
-    norms = _opt(args, cfg, "norms", ("full", "max"))
-    if isinstance(norms, str):
-        norms = tuple(p.strip() for p in norms.split(",") if p.strip())
-    config = StudyConfig(
-        gamma=float(_opt(args, cfg, "gamma", 0.5)),
-        alpha=float(_opt(args, cfg, "alpha", 1.0)),
-        beta=float(_opt(args, cfg, "beta", 1.0)),
-        sigma=float(_opt(args, cfg, "sigma", 1.0)),
-        T=float(_opt(args, cfg, "T", 1.0)),
-        levels=_parse_ints(_opt(args, cfg, "levels", (20, 40, 80))),
-        coupling=_opt(args, cfg, "coupling", "balanced"),
-        tau=_opt(args, cfg, "tau"),
-        norms=tuple(norms),
-        problem=_opt(args, cfg, "problem", "mms-cubic"),
-    )
+def _main_convergence(args: argparse.Namespace) -> int:
+    config = StudyConfig(gamma=args.gamma, alpha=args.alpha, beta=args.beta,
+                         sigma=args.sigma, T=args.T, levels=args.levels,
+                         coupling=args.coupling, tau=args.tau,
+                         norms=args.norms, problem=args.problem)
     report = run_convergence(config)
-    fmt = _opt(args, cfg, "format", "csv")
-    text = render_csv(report) if fmt == "csv" else render_table(report)
-    _emit(text, _opt(args, cfg, "out"))
+    text = render_csv(report) if args.format == "csv" else render_table(report)
+    _emit(text, args.out)
     if args.fail_on_blowup and any(r.blew_up for r in report.rows):
         return 3
     return 0
 
 
-def _main_caputo_order(args: argparse.Namespace, cfg: dict) -> int:
-    gammas = _opt(args, cfg, "gammas", "0.3,0.5,0.9")
-    taus = _opt(args, cfg, "taus", "0.05,0.025,0.0125,0.00625,0.003125")
-    if isinstance(gammas, str):
-        gammas = _parse_floats(gammas)
-    if isinstance(taus, str):
-        taus = _parse_floats(taus)
-    report = run_caputo_order(
-        gammas=gammas, taus=taus,
-        function=_opt(args, cfg, "function", "cubic"),
-        t_final=float(_opt(args, cfg, "T", 1.0)),
-    )
-    _emit(render_order_report(report), _opt(args, cfg, "out"))
+def _main_caputo_order(args: argparse.Namespace) -> int:
+    report = run_caputo_order(gammas=args.gammas, taus=args.taus,
+                              function=args.function, t_final=args.T)
+    _emit(render_order_report(report), args.out)
     return 0
 
 
-def _main_stability(args: argparse.Namespace, cfg: dict) -> int:
-    report = run_stability(
-        gamma=float(_opt(args, cfg, "gamma", 0.5)),
-        alpha=float(_opt(args, cfg, "alpha", 2.0)),
-        beta=float(_opt(args, cfg, "beta", 3.0)),
-        sigma_spec=str(_opt(args, cfg, "sigma", "1.0")),
-        N=int(_opt(args, cfg, "n", 16)),
-        Nt=int(_opt(args, cfg, "nt", 50)),
-        T=float(_opt(args, cfg, "T", 1.0)),
-        seed=int(_opt(args, cfg, "seed", 1)),
-    )
-    _emit(render_stability(report), _opt(args, cfg, "out"))
+def _main_stability(args: argparse.Namespace) -> int:
+    report = run_stability(gamma=args.gamma, alpha=args.alpha,
+                           beta=args.beta, sigma_spec=args.sigma, N=args.n,
+                           Nt=args.nt, T=args.T, seed=args.seed)
+    _emit(render_stability(report), args.out)
     return 0 if report.passed else 1
+
+
+_COMMANDS = {"solve": _main_solve, "convergence": _main_convergence,
+             "caputo-order": _main_caputo_order, "stability": _main_stability}
 
 
 if __name__ == "__main__":

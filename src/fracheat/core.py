@@ -5,16 +5,18 @@ operator with two-parameter nonlocal boundary conditions: the solution
 value at the left end is tied to the value at the right end through the
 parameter ``alpha``, and the boundary fluxes are tied through ``beta``
 plus a time-dependent datum ``mu``.  This module holds the mesh, the
-problem data, the scheme weight, and the solution history container; the
-numerics live in :mod:`fracheat.fractional`, :mod:`fracheat.stepper` and
+problem data and the scheme weight; the numerics live in
+:mod:`fracheat.fractional`, :mod:`fracheat.stepper` and
 :mod:`fracheat.norms`.
 
-All types are immutable after construction (``History`` only grows) and
-safe to share between threads by value.
+All types are immutable after construction and safe to share between
+threads by value.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,16 +29,10 @@ __all__ = [
     "Grid",
     "Problem",
     "SchemeParams",
-    "TimeLevel",
-    "History",
     "face_coefficients",
-    "weighted_level",
     "sample_space",
     "sample_space_time",
 ]
-
-# A solution snapshot is a plain 1-D float array of length N+1.
-TimeLevel = np.ndarray
 
 
 class DomainError(ValueError):
@@ -62,7 +58,7 @@ class Grid:
     Nt : int
         Number of time steps (Nt >= 1); step ``tau = T/Nt``.
     T : float
-        Final time, positive.
+        Final time, positive and finite.
     """
 
     N: int
@@ -70,12 +66,15 @@ class Grid:
     T: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise DomainError(f"need at least 2 space subintervals, got N={self.N}")
-        if self.Nt < 1:
-            raise DomainError(f"need at least 1 time step, got Nt={self.Nt}")
-        if not self.T > 0:
-            raise DomainError(f"final time must be positive, got T={self.T}")
+        for name, least in (("N", 2), ("Nt", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise DomainError(f"{name} must be an integer >= {least}, "
+                                  f"got {value!r}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise DomainError(f"final time must be positive and finite, "
+                              f"got T={self.T}")
 
     @property
     def h(self) -> float:
@@ -90,11 +89,6 @@ class Grid:
         """Space nodes x_i = i*h, i = 0..N."""
         return np.arange(self.N + 1) * self.h
 
-    @property
-    def t(self) -> np.ndarray:
-        """Time levels t_n = n*tau, n = 0..Nt."""
-        return np.arange(self.Nt + 1) * self.tau
-
     @classmethod
     def balanced(cls, N: int, gamma: float, T: float = 1.0) -> "Grid":
         """Grid whose time step balances the two truncation terms.
@@ -106,7 +100,7 @@ class Grid:
         """
         if not 0.0 < gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-        h = 1.0 / N
+        h = cls(N=N, Nt=1, T=T).h       # checks N and T before use
         tau_star = h ** (2.0 / (2.0 - gamma))
         Nt = int(np.ceil(T / tau_star))
         return cls(N=N, Nt=Nt, T=T)
@@ -127,7 +121,7 @@ class Problem:
     gamma : float
         Fractional order of the time derivative, in (0, 1).
     alpha, beta : float
-        Boundary coupling parameters; ``alpha*beta`` must be positive.
+        Boundary coupling parameters, finite with ``alpha*beta`` positive.
     k : callable
         Diffusivity ``k(x)`` on [0, 1].
     f : callable
@@ -157,6 +151,9 @@ class Problem:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"boundary parameters must be finite, "
+                              f"got alpha={self.alpha}, beta={self.beta}")
         if not self.alpha * self.beta > 0.0:
             raise DomainError(
                 f"boundary parameters must satisfy alpha*beta > 0, "
@@ -175,54 +172,6 @@ class SchemeParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma <= 1.0:
             raise DomainError(f"sigma must lie in [0, 1], got {self.sigma}")
-
-
-class History:
-    """Ordered sequence of solution levels (the fractional memory).
-
-    Level 0 is the sampled initial condition; every appended level must
-    have the same length.  The backing storage is a single 2-D array so
-    that per-step weighted sums over the whole history stay cheap.
-    """
-
-    def __init__(self, first_level, capacity: int | None = None):
-        first = np.asarray(first_level, dtype=float)
-        if first.ndim != 1:
-            raise DimensionError("a time level must be a 1-D vector")
-        cap = max(capacity or 0, 8)
-        self._buf = np.empty((cap, first.size), dtype=float)
-        self._buf[0] = first
-        self._count = 1
-
-    @property
-    def width(self) -> int:
-        """Number of space nodes per level (N+1)."""
-        return self._buf.shape[1]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, n: int) -> TimeLevel:
-        if not -self._count <= n < self._count:
-            raise IndexError(f"level {n} not recorded (have {self._count})")
-        return self._buf[n % self._count]
-
-    def array(self) -> np.ndarray:
-        """View of all recorded levels, shape (len, N+1)."""
-        return self._buf[: self._count]
-
-    def append(self, level) -> None:
-        lv = np.asarray(level, dtype=float)
-        if lv.shape != (self.width,):
-            raise DimensionError(
-                f"level length {lv.size} does not match history width {self.width}"
-            )
-        if self._count == self._buf.shape[0]:
-            grown = np.empty((2 * self._count, self.width), dtype=float)
-            grown[: self._count] = self._buf[: self._count]
-            self._buf = grown
-        self._buf[self._count] = lv
-        self._count += 1
 
 
 def sample_space(func: Callable, x: np.ndarray) -> np.ndarray:
@@ -275,14 +224,3 @@ def face_coefficients(problem: Problem, grid: Grid) -> np.ndarray:
             f"[{problem.c1}, {problem.c2}]"
         )
     return a
-
-
-def weighted_level(next_level, curr_level, sigma: float) -> TimeLevel:
-    """Blend of two time levels: sigma*next + (1-sigma)*curr."""
-    nxt = np.asarray(next_level, dtype=float)
-    cur = np.asarray(curr_level, dtype=float)
-    if nxt.shape != cur.shape:
-        raise DimensionError(
-            f"levels have different lengths: {nxt.shape} vs {cur.shape}"
-        )
-    return sigma * nxt + (1.0 - sigma) * cur

@@ -31,7 +31,6 @@ from .fractional import caputo_oracle
 
 __all__ = [
     "CompatibilityError",
-    "ManufacturedProblem",
     "CompatibilityReport",
     "space_profile",
     "space_profile_d1",
@@ -77,13 +76,8 @@ def caputo_time_profile(gamma: float, t):
             + t ** (1.0 - gamma) / math.gamma(2.0 - gamma))
 
 
-@dataclass(frozen=True)
-class ManufacturedProblem(Problem):
-    """A problem whose ``exact`` field is the manufactured solution."""
-
-
 def build_manufactured(alpha: float, beta: float, gamma: float,
-                       T: float = 1.0) -> ManufacturedProblem:
+                       T: float = 1.0) -> Problem:
     """Manufactured problem for given boundary parameters and order.
 
     The source and boundary datum are derived so that S(x)*Q(t) solves
@@ -109,9 +103,9 @@ def build_manufactured(alpha: float, beta: float, gamma: float,
     def exact(x, t):
         return space_profile(alpha, x) * time_profile(t)
 
-    return ManufacturedProblem(gamma=gamma, alpha=alpha, beta=beta,
-                               k=k, f=f, mu=mu, u0=u0,
-                               c1=1.0, c2=math.e, exact=exact)
+    return Problem(gamma=gamma, alpha=alpha, beta=beta,
+                   k=k, f=f, mu=mu, u0=u0,
+                   c1=1.0, c2=math.e, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,7 @@ class CompatibilityReport:
     max_flux_residual: float
 
 
-def verify_compatibility(problem: ManufacturedProblem, grid: Grid,
+def verify_compatibility(problem: Problem, grid: Grid,
                          samples: int = 50, seed: int = 20260810,
                          pde_tol: float = 1e-8,
                          bc_tol: float = 1e-12) -> CompatibilityReport:
@@ -193,13 +187,16 @@ def verify_compatibility(problem: ManufacturedProblem, grid: Grid,
 
 def build_zero(alpha: float = 1.0, beta: float = 1.0, gamma: float = 0.5,
                T: float = 1.0) -> Problem:
-    """Fully homogeneous problem; the zero function is its exact solution."""
+    """Fully homogeneous problem; the zero function is its exact solution.
+
+    k(x) = exp(x) with c1 = 1, c2 = e, as in the manufactured family.
+    """
     return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                   k=np.exp,
                    f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
                    mu=lambda t: 0.0,
                    u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c1=1.0, c2=1.0,
+                   c1=1.0, c2=math.e,
                    exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)))
 
 

@@ -16,9 +16,11 @@ it with its factorisation, built once, and each step only computes its
 right-hand side and one banded back-substitution.  The memory term
 likewise takes its L1 weights from a single evaluation per march
 (:class:`L1Memory`) and stores each level increment as it is produced.
+The levels of a march live in one preallocated ``(Nt+1, N+1)`` array,
+row n holding level n; each step writes its row in place.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
-memory term from the whole history; a dense LU solve of the same system
+memory term from a level array; a dense LU solve of the same system
 is kept as a test oracle, and the march can optionally record the
 relative residual of every step.
 """
@@ -35,7 +37,6 @@ from scipy.linalg import lapack
 from .core import (
     DimensionError,
     Grid,
-    History,
     Problem,
     SchemeParams,
     face_coefficients,
@@ -101,10 +102,6 @@ class StepOperator:
         if np.any(self.diag == 0.0):
             i = int(np.where(self.diag == 0.0)[0][0])
             raise AssemblyError(f"zero diagonal in interior row {i + 1}")
-
-    @property
-    def size(self) -> int:
-        return self.diag.size + 1
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -178,9 +175,13 @@ class BlowUp:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Result of a march: history, optional blow-up, optional residuals."""
+    """Result of a march: its levels, optional blow-up, optional residuals.
 
-    history: History
+    ``history`` holds the levels produced, row n holding level n; after a
+    blow-up its last row is the offending level.
+    """
+
+    history: np.ndarray
     blow_up: Optional[BlowUp] = None
     per_step_residuals: Optional[list[float]] = None
 
@@ -252,8 +253,11 @@ def _step_operator(problem: Problem, grid: Grid, sigma: float,
 
 
 def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
-              n: int, yn: np.ndarray, load: np.ndarray) -> np.ndarray:
+              x: np.ndarray, n: int, yn: np.ndarray,
+              load: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
+
+    ``x`` holds the space nodes of ``grid``, computed once by the caller.
 
     Interior rows carry f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n
     - load_i, where ``load`` is the memory load at every node; the flux row
@@ -263,7 +267,7 @@ def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
     h, beta = grid.h, problem.beta
     h2 = h * h
     t_sigma = (n + sigma) * grid.tau
-    phi = sample_space_time(problem.f, grid.x, t_sigma)
+    phi = sample_space_time(problem.f, x, t_sigma)
     a_left = face[:-1]
     a_right = face[1:]
     rhs = np.empty(grid.N)
@@ -280,11 +284,11 @@ def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
 
 
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
-                  history: History, face: np.ndarray | None = None) -> StepSystem:
-    """Assemble the linear system advancing the history by one level.
+                  levels, face: np.ndarray | None = None) -> StepSystem:
+    """Assemble the linear system advancing a level array by one level.
 
-    With n+1 levels recorded the system produces level n+1.  Interior
-    rows encode
+    ``levels`` has shape ``(n+1, N+1)``, row s holding level s; the
+    system produces level n+1.  Interior rows encode
 
         c_new*y_i - sigma*(a*y_xbar)_{x,i} =
             f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n - load_i
@@ -292,19 +296,18 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     where (c_new, load) split the discrete Caputo operator at the new
     level; the last row encodes the flux coupling with the memory terms
     of both endpoints split the same way.  The memory load is recomputed
-    here from the whole history, independently of :class:`L1Memory`.
+    here from all the levels, independently of :class:`L1Memory`.
     """
-    n = len(history) - 1
-    N = grid.N
-    if history.width != N + 1:
+    Y = np.asarray(levels, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != grid.N + 1:
         raise DimensionError(
-            f"history width {history.width} does not match grid ({N + 1})"
+            f"levels have shape {Y.shape}, expected (n+1, {grid.N + 1})"
         )
+    n = Y.shape[0] - 1
     if face is None:
         face = face_coefficients(problem, grid)
 
     # Split the memory term at every node: D(y)_i = c_new*y_i^{n+1} + load_i.
-    Y = history.array()
     c = l1_weights(n, problem.gamma, grid.tau).c
     c_new = float(c[-1])
     if n >= 1:
@@ -314,7 +317,7 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
 
     operator = _step_operator(problem, grid, params.sigma, face, c_new)
     return operator.with_rhs(
-        _step_rhs(problem, grid, params.sigma, face, n, Y[n], load))
+        _step_rhs(problem, grid, params.sigma, face, grid.x, n, Y[n], load))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -336,7 +339,7 @@ def solve_bordered(system: StepSystem) -> np.ndarray:
 
 
 def _dense_matrix(system: StepOperator) -> np.ndarray:
-    N = system.size
+    N = system.diag.size + 1
     A = np.zeros((N, N))
     for j in range(N - 1):
         if j > 0:
@@ -379,20 +382,23 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     when supplied, as the stability experiments do with random data).
     The step matrix is built and factored once; each later level costs
     its right-hand side, the memory load and one banded solve, with y_0
-    recovered from the value coupling.  A level that is non-finite or
-    exceeds ``BLOWUP_LIMIT`` in max norm stops the march and is recorded
-    in the outcome instead of raising.
+    recovered from the value coupling, and is written in place into the
+    level array.  A level that is non-finite or exceeds ``BLOWUP_LIMIT``
+    in max norm stops the march and is recorded in the outcome instead
+    of raising.
     """
     face = face_coefficients(problem, grid)
+    x = grid.x
+    Y = np.empty((grid.Nt + 1, grid.N + 1))
     if y0 is None:
-        first = sample_space(problem.u0, grid.x)
+        Y[0] = sample_space(problem.u0, x)
     else:
         first = np.asarray(y0, dtype=float)
         if first.shape != (grid.N + 1,):
             raise DimensionError(
-                f"y0 has length {first.size}, expected {grid.N + 1}"
+                f"y0 has shape {first.shape}, expected ({grid.N + 1},)"
             )
-    history = History(first, capacity=grid.Nt + 1)
+        Y[0] = first
     residuals: Optional[list[float]] = [] if check_residuals else None
     blow: Optional[BlowUp] = None
 
@@ -400,15 +406,12 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     operator = _step_operator(problem, grid, sigma, face, memory.c_new)
     for n in range(grid.Nt):
-        yn = history[n]
-        rhs = _step_rhs(problem, grid, sigma, face, n, yn, memory.load(yn))
-        sol = operator.solve(rhs)
+        yn, level = Y[n], Y[n + 1]
+        rhs = _step_rhs(problem, grid, sigma, face, x, n, yn, memory.load(yn))
+        level[1:] = operator.solve(rhs)
+        level[0] = problem.alpha * level[-1]
         if residuals is not None:
-            residuals.append(step_residual(operator.with_rhs(rhs), sol))
-        level = np.empty(grid.N + 1)
-        level[1:] = sol
-        level[0] = problem.alpha * sol[-1]
-        history.append(level)
+            residuals.append(step_residual(operator.with_rhs(rhs), level[1:]))
         finite = bool(np.all(np.isfinite(level)))
         top = float(np.max(np.abs(level))) if finite else float("inf")
         if not finite or top > BLOWUP_LIMIT:
@@ -416,5 +419,6 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
             break
         memory.push(level, yn)
 
-    return SolveOutcome(history=history, blow_up=blow,
+    levels = Y[:blow.level + 1] if blow else Y
+    return SolveOutcome(history=levels, blow_up=blow,
                         per_step_residuals=residuals)

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracheat.cli import (
     CSV_HEADER,
@@ -21,6 +25,14 @@ from fracheat.norms import UndefinedNormError
 from fracheat.prng import splitmix64, uniform_symmetric
 
 QUICK = dict(gamma=0.5, alpha=2.0, beta=5.0, levels=(5, 10, 20))
+
+
+def exit_code(argv) -> int:
+    """Exit code of the command line, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +290,123 @@ def test_stability_failure_renders_fail_line():
     report = StabilityReport(sigma=0.0, threshold=0.5,
                              norms=(1.0, 2.0), passed=False)
     assert render_stability(report).strip().endswith("FAIL")
+
+
+# ---------------------------------------------------------------------------
+# one typed option path for flags and config files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--sigma", "threshold"],
+    ["stability", "--sigma", "abc"],
+    ["solve", "--alpha", "inf", "--n", "4", "--nt", "2"],
+    ["convergence", "--levels", "5,x"],
+], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
+        "levels-not-integers"])
+def test_bad_flags_exit_2_with_a_message(argv, capsys):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"gamma": "abc"}),
+    ("solve", {"n": 2.5}),
+    ("convergence", {"coupling": "fixed", "tau": "0.3"}),
+    ("convergence", {"levels": [5, 10.5]}),
+    ("solve", {"out": True}),
+    ("solve", {"problem": 3}),
+    ("solve", {"gama": 0.5}),
+    ("solve", {"history": True}),
+], ids=["gamma-text", "n-fraction", "tau-text", "levels-fraction",
+        "out-bool", "problem-number", "unknown-key", "switch-key"])
+def test_bad_config_values_exit_2_with_a_message(command, cfg, tmp_path,
+                                                 capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert exit_code([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"gamma": "\xff"}',
+                                     b"[1, 2]", b""],
+                         ids=["not-json", "not-utf8", "not-object", "empty"])
+def test_unreadable_config_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert exit_code(["solve", "--config", str(path)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_config_values_parse_like_flags(tmp_path, capsys):
+    # Negative numbers in exponent form would read as options if they
+    # were passed as separate arguments.
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"alpha": -1e-05, "beta": -2e-05, "n": 6,
+                               "nt": 4, "T": 0.5}))
+    assert exit_code(["solve", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert exit_code(["solve", "--alpha=-1e-05", "--beta=-2e-05", "--n", "6",
+                      "--nt", "4", "--t", "0.5"]) == 0
+    assert capsys.readouterr().out == from_config
+    for levels in ("5,10", [5, 10]):
+        cfg.write_text(json.dumps({"levels": levels, "gamma": 0.5}))
+        assert exit_code(["convergence", "--config", str(cfg),
+                          "--alpha", "2", "--beta", "5"]) == 0
+        assert capsys.readouterr().out == render_csv(
+            run_convergence(StudyConfig(gamma=0.5, alpha=2.0, beta=5.0,
+                                        levels=(5, 10))))
+
+
+# Wrong-typed JSON values per option kind.  None of them is a valid value,
+# so no example can start a march larger than the fixed tiny mesh flags.
+_NESTED = st.lists(st.lists(st.integers(), max_size=2), min_size=1,
+                   max_size=2)
+_ALWAYS_WRONG = st.booleans() | st.none() | _NESTED
+_WRONG = {
+    "float": _ALWAYS_WRONG | st.text(max_size=8)
+    | st.lists(st.floats(), min_size=1, max_size=2),
+    "int": _ALWAYS_WRONG | st.text(max_size=8)
+    | st.floats().filter(lambda v: not float(v).is_integer()),
+    "sigma": _ALWAYS_WRONG,
+    "text": _ALWAYS_WRONG | st.integers() | st.floats(),
+    "ints": _ALWAYS_WRONG | st.lists(st.booleans() | st.none(), min_size=1,
+                                     max_size=2)
+    | st.floats().filter(lambda v: not float(v).is_integer()),
+    "list": _ALWAYS_WRONG | st.lists(st.booleans() | st.none(), min_size=1,
+                                     max_size=2),
+}
+_COMMON = {"gamma": "float", "alpha": "float", "beta": "float",
+           "sigma": "float", "T": "float", "out": "text", "format": "text",
+           "seed": "int"}
+# Subcommand -> (flags fixing a tiny mesh, kind of every config key).
+_COMMANDS = {
+    "solve": (["--n", "4", "--nt", "3", "--t", "1"],
+              {**_COMMON, "problem": "text", "n": "int", "nt": "int"}),
+    "convergence": (["--levels", "4,6", "--coupling", "balanced", "--t", "1"],
+                    {**_COMMON, "problem": "text", "levels": "ints",
+                     "coupling": "text", "tau": "float", "norms": "list"}),
+    "caputo-order": (["--gammas", "0.5", "--taus", "0.5,0.25", "--t", "1"],
+                     {**_COMMON, "gammas": "list", "taus": "list",
+                      "function": "text"}),
+    "stability": (["--n", "4", "--nt", "3", "--t", "1"],
+                  {**_COMMON, "sigma": "sigma", "n": "int", "nt": "int"}),
+}
+
+
+@given(st.data())
+def test_wrong_typed_config_values_never_raise(data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    flags, kinds = _COMMANDS[command]
+    keys = data.draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                              max_size=3, unique=True))
+    cfg = {key: data.draw(_WRONG[kinds[key]], label=key) for key in keys}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(Path(tmp) / "out.txt")
+        code = exit_code([command, "--config", str(path), "--out", out,
+                          *flags])
+    assert code in (0, 1, 2, 3)

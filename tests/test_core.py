@@ -5,15 +5,12 @@ import pytest
 
 from fracheat.core import (
     BoundsViolationError,
-    DimensionError,
     DomainError,
     Grid,
-    History,
     Problem,
     SchemeParams,
     face_coefficients,
     sample_space,
-    weighted_level,
 )
 from fracheat.manufactured import build_manufactured
 
@@ -35,6 +32,29 @@ def test_grid_rejects_degenerate_meshes():
         Grid(N=4, Nt=4, T=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(N=2.5, Nt=3), dict(N=4.0, Nt=3), dict(N=4, Nt=3.5),
+    dict(N=True, Nt=3), dict(N=4, Nt=True), dict(N="4", Nt=3),
+    dict(N=4, Nt=3, T=math.inf), dict(N=4, Nt=3, T=math.nan),
+], ids=["N-frac", "N-float", "Nt-frac", "N-bool", "Nt-bool", "N-str",
+        "T-inf", "T-nan"])
+def test_grid_accepts_only_integer_counts_and_finite_time(kwargs):
+    with pytest.raises(DomainError):
+        Grid(**kwargs)
+
+
+def test_grid_accepts_numpy_integers():
+    g = Grid(N=np.int64(4), Nt=np.int32(3))
+    assert g.x[-1] == 1.0
+
+
+@pytest.mark.parametrize("N, T", [(0, 1.0), (1, 1.0), (2.5, 1.0),
+                                  (8, math.inf), (8, math.nan), (8, -1.0)])
+def test_balanced_grid_rejects_bad_mesh_input(N, T):
+    with pytest.raises(DomainError):
+        Grid.balanced(N, 0.5, T)
+
+
 def test_balanced_grid_keeps_tau_below_balancing_value():
     for gamma in (0.2, 0.5, 0.8):
         for N in (20, 40, 80):
@@ -54,6 +74,14 @@ def test_problem_rejects_bad_parameters():
     with pytest.raises(DomainError):
         Problem(gamma=0.5, alpha=1.0, beta=1.0,
                 **{**kwargs, "c1": 2.0, "c2": 1.0})
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf),
+                                         (-math.inf, -1.0), (math.inf, math.inf),
+                                         (math.nan, 1.0)])
+def test_problem_rejects_non_finite_boundary_parameters(alpha, beta):
+    with pytest.raises(DomainError):
+        build_manufactured(alpha, beta, 0.5)
 
 
 def test_scheme_params_range():
@@ -93,45 +121,6 @@ def test_face_coefficients_bounds_violation_names_index():
                       mu=lambda t: 0.0, u0=lambda x: 0.0, c1=1.0, c2=1.5)
     with pytest.raises(BoundsViolationError, match="a_"):
         face_coefficients(problem, Grid(N=10, Nt=1))
-
-
-def test_weighted_level_identity_cases():
-    nxt = np.array([2.0, -1.0, 4.0])
-    cur = np.array([0.0, 1.0, 8.0])
-    assert np.array_equal(weighted_level(nxt, cur, 1.0), nxt)
-    assert np.array_equal(weighted_level(nxt, cur, 0.0), cur)
-    assert np.array_equal(weighted_level([2.0], [0.0], 0.5), [1.0])
-
-
-def test_weighted_level_is_affine_in_its_arguments():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        u = rng.normal(size=7)
-        v = rng.normal(size=7)
-        a = rng.normal()
-        sigma = rng.uniform()
-        lhs = weighted_level(a * u, a * v, sigma)
-        rhs = a * weighted_level(u, v, sigma)
-        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
-
-
-def test_weighted_level_length_mismatch():
-    with pytest.raises(DimensionError):
-        weighted_level([1.0, 2.0], [1.0], 0.5)
-
-
-def test_history_growth_and_validation():
-    h = History([1.0, 2.0, 3.0], capacity=1)
-    for n in range(1, 6):
-        h.append(np.full(3, float(n)))
-    assert len(h) == 6
-    assert h.array().shape == (6, 3)
-    assert np.array_equal(h[0], [1.0, 2.0, 3.0])
-    assert np.array_equal(h[-1], [5.0, 5.0, 5.0])
-    with pytest.raises(DimensionError):
-        h.append([1.0, 2.0])
-    with pytest.raises(IndexError):
-        h[6]
 
 
 def test_sample_space_falls_back_to_pointwise_callbacks():

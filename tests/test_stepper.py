@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracheat.core import (
+    DimensionError,
     Grid,
-    History,
     Problem,
     SchemeParams,
     face_coefficients,
@@ -57,34 +57,50 @@ def test_two_cell_first_row_hand_expansion():
     problem = build_manufactured(3.0, 2.0, 0.5)
     grid = Grid(N=2, Nt=4)
     face = face_coefficients(problem, grid)
-    history = History(sample_space(problem.u0, grid.x))
-    system = assemble_step(problem, grid, SchemeParams(1.0), history)
+    levels = sample_space(problem.u0, grid.x)[None, :]
+    system = assemble_step(problem, grid, SchemeParams(1.0), levels)
     h2 = grid.h**2
     c_new = grid.tau**-0.5 / math.gamma(1.5)
     assert system.diag[0] == pytest.approx(c_new + (face[0] + face[1]) / h2,
                                            rel=1e-14)
     assert system.upper[0] == pytest.approx(-face[1] / h2, rel=1e-14)
     assert system.corner == pytest.approx(-3.0 * face[0] / h2, rel=1e-14)
-    expected_rhs = problem.f(grid.x[1], grid.tau) + c_new * history[0][1]
+    expected_rhs = problem.f(grid.x[1], grid.tau) + c_new * levels[0][1]
     assert system.rhs[0] == pytest.approx(expected_rhs, rel=1e-14)
 
 
 def test_homogeneous_problem_has_zero_rhs():
     problem = build_zero(alpha=1.0, beta=1.0, gamma=0.5)
     grid = Grid(N=8, Nt=3)
-    history = History(np.zeros(9))
+    levels = np.zeros((1, 9))
     for sigma in (0.0, 0.5, 1.0):
-        system = assemble_step(problem, grid, SchemeParams(sigma), history)
+        system = assemble_step(problem, grid, SchemeParams(sigma), levels)
         assert np.all(system.rhs == 0.0)
 
 
 def test_single_step_residual_is_tiny():
     problem = build_manufactured(3.0, 2.0, 0.5)
     grid = Grid.balanced(20, 0.5)
-    history = History(sample_space(problem.u0, grid.x))
-    system = assemble_step(problem, grid, SchemeParams(1.0), history)
+    levels = sample_space(problem.u0, grid.x)[None, :]
+    system = assemble_step(problem, grid, SchemeParams(1.0), levels)
     sol = solve_bordered(system)
     assert step_residual(system, sol) <= 1e-12
+
+
+def test_assemble_step_rejects_malformed_level_arrays():
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    grid = Grid(N=4, Nt=3)
+    for levels in (np.zeros((2, 4)), np.zeros((2, 6)), np.zeros(5),
+                   np.zeros((1, 1, 5)), np.zeros((0, 5))):
+        with pytest.raises(DimensionError):
+            assemble_step(problem, grid, SchemeParams(1.0), levels)
+
+
+def test_march_rejects_initial_level_of_wrong_length():
+    grid = Grid(N=4, Nt=3)
+    for y0 in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
+        with pytest.raises(DimensionError):
+            march(build_zero(), grid, SchemeParams(1.0), y0=y0)
 
 
 def test_zero_diagonal_is_rejected():
@@ -103,8 +119,8 @@ def test_decoupled_rows_behave_diagonally():
     # unknown is rhs/diag and the flux row closes y_N alone.
     problem = build_manufactured(2.0, 5.0, 0.5)
     grid = Grid(N=6, Nt=5)
-    history = History(sample_space(problem.u0, grid.x))
-    system = assemble_step(problem, grid, SchemeParams(0.0), history)
+    levels = sample_space(problem.u0, grid.x)[None, :]
+    system = assemble_step(problem, grid, SchemeParams(0.0), levels)
     assert np.all(system.lower == 0.0)
     assert np.all(system.upper == 0.0)
     assert system.corner == 0.0
@@ -229,17 +245,15 @@ def replay_against_oracle(problem, grid, params, outcome):
     match to 1e-12 relative to its max norm.  Returns the first level
     whose oracle value exceeds the blow-up limit, or None.
     """
-    Y = outcome.history.array()
-    history = History(Y[0], capacity=len(Y))
+    Y = outcome.history
     for n in range(len(Y) - 1):
-        system = assemble_step(problem, grid, params, history)
+        system = assemble_step(problem, grid, params, Y[:n + 1])
         sol = solve_dense_oracle(system)
         level = np.concatenate(([problem.alpha * sol[-1]], sol))
         top = float(np.max(np.abs(level)))
         if top > BLOWUP_LIMIT:
             return n + 1
         assert np.max(np.abs(level - Y[n + 1])) <= 1e-12 * top, n
-        history.append(Y[n + 1])
     return None
 
 
@@ -255,7 +269,7 @@ def test_factored_march_matches_per_step_oracle(grid):
 
 
 def test_factored_march_matches_oracle_with_explicit_part():
-    # Random homogeneous data at sigma = threshold (~0.62): the explicit
+    # Random homogeneous data at sigma = threshold (~0.63): the explicit
     # (1 - sigma) part of the operator is live in every right-hand side.
     problem = build_zero(alpha=2.0, beta=3.0, gamma=0.5)
     grid = Grid(N=16, Nt=60)
@@ -291,7 +305,7 @@ def test_cached_memory_weights_are_contiguous_tails():
 def test_zero_data_stays_zero():
     outcome = march(build_zero(), Grid(N=8, Nt=6), SchemeParams(1.0))
     assert outcome.blow_up is None
-    assert np.all(outcome.history.array() == 0.0)
+    assert np.all(outcome.history == 0.0)
 
 
 def test_compatible_constant_is_preserved():
@@ -305,14 +319,14 @@ def test_compatible_constant_is_preserved():
                       c1=1.0, c2=math.e)
     outcome = march(problem, Grid(N=16, Nt=20), SchemeParams(1.0))
     assert outcome.blow_up is None
-    assert np.max(np.abs(outcome.history.array() - 3.5)) <= 1e-12 * 3.5
+    assert np.max(np.abs(outcome.history - 3.5)) <= 1e-12 * 3.5
 
 
 def test_march_levels_satisfy_value_coupling():
     problem = build_manufactured(3.0, 2.0, 0.5)
     grid = Grid.balanced(10, 0.5)
     outcome = march(problem, grid, SchemeParams(1.0))
-    Y = outcome.history.array()
+    Y = outcome.history
     assert np.allclose(Y[1:, 0], 3.0 * Y[1:, -1], rtol=1e-13, atol=1e-13)
 
 
@@ -320,7 +334,7 @@ def test_memory_split_is_consistent_along_the_march():
     problem = build_manufactured(2.0, 5.0, 0.5)
     grid = Grid.balanced(10, 0.5)
     outcome = march(problem, grid, SchemeParams(1.0))
-    Y = outcome.history.array()
+    Y = outcome.history
     for n in range(1, len(outcome.history)):
         for i in (0, grid.N // 2, grid.N):
             c_new, load = split_implicit(Y[:n, i], problem.gamma, grid.tau)
