@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DomainError, Grid, Problem, SchemeParams, face_coefficients
-from .fractional import caputo_oracle, discrete_caputo
+from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
 from .manufactured import CATALOG
 from .norms import (
     UndefinedNormError,
@@ -372,10 +372,22 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
     if function not in ORDER_FUNCTIONS:
         raise UsageError(f"function: unknown id {function!r} "
                          f"(available: {', '.join(sorted(ORDER_FUNCTIONS))})")
+    if not 0.0 < t_final < math.inf:
+        raise UsageError(f"t: final time must be positive and finite, "
+                         f"got {t_final}")
+    for tau in taus:
+        if not 0.0 < tau < math.inf:
+            raise UsageError(f"taus: time steps must be positive and "
+                             f"finite, got {tau}")
     v, v_prime = ORDER_FUNCTIONS[function]
     rows = []
     for gamma in gammas:
-        reference = caputo_oracle(v, v_prime, t_final, gamma)
+        try:
+            reference = caputo_oracle(v, v_prime, t_final, gamma)
+        except (OverflowError, OracleFailureError) as exc:
+            raise UsageError(f"t: the Caputo derivative of {function!r} at "
+                             f"t={t_final} is out of the oracle's reach "
+                             f"({exc})") from None
         prev_err = prev_tau = None
         for tau in sorted(taus, reverse=True):
             steps = round(t_final / tau)
@@ -448,7 +460,7 @@ def run_stability(gamma: float, alpha: float, beta: float,
 
     outcome = march(problem, grid, SchemeParams(sigma), y0=u0)
     weights = energy_weights(problem, grid, face)
-    norms = tuple(weights.norm(level, grid.h) for level in outcome.history)
+    norms = tuple(weights.norms(outcome.history, grid.h).tolist())
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,
                            norms=norms, passed=passed)

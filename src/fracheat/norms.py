@@ -88,10 +88,19 @@ class EnergyWeights:
 
     def norm(self, y, h: float) -> float:
         """Energy norm of one level; see :func:`energy_norm`."""
-        v = np.asarray(y, dtype=float)
+        return float(self.norms(y, h))
+
+    def norms(self, levels, h: float) -> np.ndarray:
+        """Energy norm of each row of a level array, in one pass.
+
+        The sums run along the last axis, which for a row of a
+        C-contiguous array is the contiguous one, so each row sums in
+        the same order as the level would on its own.
+        """
+        v = np.asarray(levels, dtype=float)
         if self.case is NormCase.REFLECTED:
-            v = v[::-1]
-        return math.sqrt(_energy_sq(v, self, h))
+            v = v[..., ::-1]
+        return np.sqrt(_energy_sq(v, self, h))
 
 
 def _direct_weights(alpha: float, beta: float, face: np.ndarray, h: float,
@@ -128,11 +137,12 @@ def energy_weights(problem: Problem, grid: Grid, face: np.ndarray) -> EnergyWeig
     )
 
 
-def _energy_sq(y: np.ndarray, w: EnergyWeights, h: float) -> float:
-    interior = y[1:-1]
-    return float(h * np.sum(interior**2)
-                 + w.delta1 * h * np.sum(w.p1_sq[1:-1] * interior**2)
-                 + w.gamma1 * y[0] ** 2 * h)
+def _energy_sq(y: np.ndarray, w: EnergyWeights, h: float) -> np.ndarray:
+    """Squared energy norm along the last axis of ``y``."""
+    interior = y[..., 1:-1]
+    return (h * np.sum(interior**2, axis=-1)
+            + w.delta1 * h * np.sum(w.p1_sq[1:-1] * interior**2, axis=-1)
+            + w.gamma1 * y[..., 0] ** 2 * h)
 
 
 def energy_norm(y, problem: Problem, grid: Grid, face: np.ndarray) -> float:

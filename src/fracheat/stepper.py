@@ -16,8 +16,14 @@ it with its factorisation, built once, and each step only computes its
 right-hand side and one banded back-substitution.  The memory term
 likewise takes its L1 weights from a single evaluation per march
 (:class:`L1Memory`) and stores each level increment as it is produced.
-The levels of a march live in one preallocated ``(Nt+1, N+1)`` array,
-row n holding level n; each step writes its row in place.
+Its exact sum over the whole history is the one cost that grows with
+Nt*Nt, so it is blocked over levels: once per block of levels, matrix
+products with a copied, C-contiguous slice of the weights give the
+*far* part of the block's loads (the terms of every increment older
+than the block), and each step adds only the *near* part, the
+increments since the block began.  The levels of a march live in one
+preallocated ``(Nt+1, N+1)`` array, row n holding level n; each step
+writes its row in place.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array; a dense LU solve of the same system
@@ -32,6 +38,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
 from .core import (
@@ -68,6 +75,14 @@ BLOWUP_LIMIT = 1e100
 # The closure pivot is treated as zero when it is within this many ulps
 # of the terms it was computed from.
 _CLOSURE_ULPS = 64.0
+
+# Levels per block of the memory sum (see L1Memory): the far part of a
+# block's loads is a product of a _BLOCK-row weight slice with the
+# increment history, taken _SPAN increments at a time.  A _SPAN-wide
+# slice of the weights (256 KB) and of a history 321 nodes wide (1.3 MB)
+# fit a 2 MB L2 cache together, and the copied slice does not grow with Nt.
+_BLOCK = 64
+_SPAN = 512
 
 
 class AssemblyError(ValueError):
@@ -196,14 +211,29 @@ class L1Memory:
 
     The weights of every level are tails of one array, computed once and
     kept newest-last and contiguous: a reversed view would make the
-    matvec an order of magnitude slower.  Increments are stored as each
-    level is produced (:meth:`push`).
+    contraction an order of magnitude slower.  Increments are stored as
+    each level is produced (:meth:`push`).
+
+    The sum is exact and blocked over levels.  At the first level n0 of
+    each block of ``_BLOCK`` levels, the *far* part of the next loads,
+    the terms of every increment older than n0, is the matrix product
+    ``W @ inc[:n0]`` whose row j holds the weights of level n0+j+1 on
+    those increments.  W is a Toeplitz slice of the weights: its rows
+    overlap in memory, and BLAS takes no such view without a slow
+    fallback, so W is copied C-contiguous once per block, ``_SPAN``
+    columns at a time.  Each step then adds only its *near* part, the
+    at most ``_BLOCK - 1`` increments since n0.  The history of
+    increments is thus streamed from memory once per block instead of
+    once per level.  The first block has no far part, so marches of at most
+    ``_BLOCK`` steps sum exactly as one contraction per level does;
+    later loads differ from it by rounding only.
     """
 
     def __init__(self, gamma: float, tau: float, Nt: int, width: int):
         self._c = l1_weights(Nt - 1, gamma, tau).c
         self.c_new = float(self._c[-1])
         self._inc = np.empty((Nt, width))
+        self._far = np.empty((0, width))
         self._count = 0
 
     def weights(self, n: int) -> np.ndarray:
@@ -215,7 +245,32 @@ class L1Memory:
         n = self._count
         if n == 0:
             return -self.c_new * yn
-        return self.weights(n)[:-1] @ self._inc[:n] - self.c_new * yn
+        j = n % _BLOCK
+        if j == 0:
+            self._far = self._far_loads(n)
+        total = self.weights(j)[:-1] @ self._inc[n - j:n]
+        if n >= _BLOCK:
+            total += self._far[j]
+        return total - self.c_new * yn
+
+    def _far_loads(self, n0: int) -> np.ndarray:
+        """Far parts of the loads of the block starting at level n0.
+
+        Row j is ``weights(n0 + j)[:n0] @ inc[:n0]``, for the levels of
+        the block that the march can reach.  The weight slice is copied
+        ``_SPAN`` increments at a time, so the copy stays small however
+        long the march is.
+        """
+        last = self._c.size - 1
+        rows = min(_BLOCK, last + 1 - n0)
+        top = last - n0 + 1 - rows
+        far = np.zeros((rows, self._inc.shape[1]))
+        for k in range(0, n0, _SPAN):
+            m = min(_SPAN, n0 - k)
+            windows = sliding_window_view(self._c[:last], m)
+            W = np.ascontiguousarray(windows[top + k:top + k + rows][::-1])
+            far += W @ self._inc[k:k + m]
+        return far
 
     def push(self, new: np.ndarray, old: np.ndarray) -> None:
         """Record the increment of a newly produced level."""

@@ -4,7 +4,9 @@ The benchmark's tracer wraps functions by the name their caller uses
 (``benchmarks/spans.py``) and its workloads build problems through the
 catalog (``benchmarks/workloads.py``).  A refactor that drops or renames
 one of these names blinds a traced layer or breaks the benchmark's
-set-up, so the names are pinned here.
+set-up, so the names are pinned here.  The per-step calls of a march
+(the memory load and push, the right-hand side and the factored solve)
+are pinned too, as the layers a tracer of the march wraps.
 """
 
 import importlib
@@ -20,15 +22,27 @@ LOOKED_UP = {
                      "energy_norm", "norm_trapezoid", "norm_max"),
     "fracheat.stepper": ("assemble_step", "solve_bordered", "l1_weights",
                          "sample_space", "sample_space_time",
-                         "face_coefficients"),
+                         "face_coefficients", "_step_rhs"),
     "fracheat.core": ("Grid", "face_coefficients", "sample_space"),
 }
+
+# Methods a march calls every step, which a tracer wraps on the class.
+METHODS = {"fracheat.stepper": (("L1Memory", "load"), ("L1Memory", "push"),
+                                ("StepOperator", "solve"))}
 
 
 @pytest.mark.parametrize("module, name", [
     (module, name) for module, names in LOOKED_UP.items() for name in names])
 def test_benchmark_names_are_callable(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
+
+
+@pytest.mark.parametrize("module, owner, name", [
+    (module, owner, name) for module, pairs in METHODS.items()
+    for owner, name in pairs])
+def test_step_methods_are_callable(module, owner, name):
+    cls = getattr(importlib.import_module(module), owner, None)
+    assert callable(getattr(cls, name, None))
 
 
 def test_catalog_is_a_dict_of_builders_taking_benchmark_keywords():

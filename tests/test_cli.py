@@ -301,8 +301,13 @@ def test_stability_failure_renders_fail_line():
     ["stability", "--sigma", "abc"],
     ["solve", "--alpha", "inf", "--n", "4", "--nt", "2"],
     ["convergence", "--levels", "5,x"],
+    ["caputo-order", "--taus", "0"],
+    ["caputo-order", "--taus", "nan"],
+    ["caputo-order", "--t", "inf"],
+    ["caputo-order", "--function", "exp", "--t", "800", "--taus", "400"],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
-        "levels-not-integers"])
+        "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
+        "caputo-t-inf", "caputo-exp-overflow"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err

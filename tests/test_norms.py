@@ -138,6 +138,28 @@ def test_reflected_evaluation_matches_closed_form():
         assert direct == pytest.approx(closed, rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (0.5, 0.2)],
+                         ids=["direct", "reflected"])
+@pytest.mark.parametrize("N", [2, 16, 129, 1000])
+def test_row_norms_equal_level_by_level_sums(alpha, beta, N):
+    # One pass over a level array gives, bit for bit, the norms that the
+    # level-by-level sums give; the printed stability output relies on it.
+    problem = build_manufactured(alpha, beta, 0.5)
+    grid = Grid(N=N, Nt=2)
+    w = energy_weights(problem, grid, face_coefficients(problem, grid))
+    h = grid.h
+    levels = np.random.default_rng(N).uniform(-1, 1, (40, N + 1))
+    expected = []
+    for y in levels:
+        v = y[::-1] if w.case is NormCase.REFLECTED else y
+        interior = v[1:-1]
+        expected.append(math.sqrt(
+            h * np.sum(interior**2)
+            + w.delta1 * h * np.sum(w.p1_sq[1:-1] * interior**2)
+            + w.gamma1 * v[0] ** 2 * h))
+    assert w.norms(levels, h).tolist() == expected
+
+
 def test_energy_norm_equivalent_to_trapezoid_norm():
     # Frozen regression bands for the ratio over N in {8,16,32,64}.
     bounds = {(2.0, 3.0): (0.85, 1.25), (0.7, 0.1): (1.45, 2.55)}

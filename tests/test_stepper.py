@@ -18,6 +18,8 @@ from fracheat.fractional import discrete_caputo, l1_weights, split_implicit
 from fracheat.manufactured import build_manufactured, build_zero
 from fracheat.norms import norm_max, norm_trapezoid, sigma_threshold
 from fracheat.stepper import (
+    _BLOCK,
+    _SPAN,
     BLOWUP_LIMIT,
     AssemblyError,
     L1Memory,
@@ -258,8 +260,9 @@ def replay_against_oracle(problem, grid, params, outcome):
 
 
 @pytest.mark.parametrize("grid", [Grid.balanced(20, 0.5), Grid(N=2, Nt=12),
-                                  Grid(N=3, Nt=12)],
-                         ids=["N20", "N2", "N3"])
+                                  Grid(N=3, Nt=12),
+                                  Grid(N=12, Nt=3 * _BLOCK + 5)],
+                         ids=["N20", "N2", "N3", "three-blocks"])
 def test_factored_march_matches_per_step_oracle(grid):
     problem = build_manufactured(3.0, 2.0, 0.5)
     params = SchemeParams(1.0)
@@ -300,6 +303,46 @@ def test_cached_memory_weights_are_contiguous_tails():
         w = memory.weights(n)
         assert w.flags.c_contiguous
         assert np.array_equal(w, l1_weights(n, gamma, tau).c)
+
+
+def blocked_load_error(gamma, tau, Nt, width, seed):
+    """Worst error of L1Memory.load against the unblocked contraction.
+
+    Random levels are pushed one by one; at every level the load must
+    equal ``weights(n)[:-1] @ inc[:n] - c_new*y^n`` to 1e-13 relative to
+    the sum of the magnitudes of its terms.
+    """
+    rng = np.random.default_rng(seed)
+    memory = L1Memory(gamma, tau, Nt, width)
+    inc = np.empty((Nt, width))
+    y = rng.uniform(-1.0, 1.0, width)
+    worst = 0.0
+    for n in range(Nt):
+        w = memory.weights(n)[:-1]
+        expected = w @ inc[:n] - memory.c_new * y
+        scale = np.abs(w) @ np.abs(inc[:n]) + memory.c_new * np.abs(y)
+        worst = max(worst, float(np.max(np.abs(memory.load(y) - expected)
+                                        / scale)))
+        new = y + rng.uniform(-1.0, 1.0, width)
+        inc[n] = new - y
+        memory.push(new, y)
+        y = new
+    return worst
+
+
+@pytest.mark.parametrize("Nt", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                2 * _BLOCK + 7, _SPAN + 2 * _BLOCK + 7],
+                         ids=["below-block", "one-block", "block-plus-one",
+                              "partial-last-block", "several-spans"])
+def test_blocked_load_matches_unblocked_contraction(Nt):
+    assert blocked_load_error(0.5, 0.01, Nt, 9, seed=Nt) <= 1e-13
+
+
+@given(st.integers(1, 3 * _BLOCK + 10), st.integers(1, 24),
+       st.floats(0.05, 0.95), st.floats(1e-4, 1.0), st.integers(0, 2**16))
+def test_blocked_load_matches_unblocked_contraction_property(Nt, width, gamma,
+                                                             tau, seed):
+    assert blocked_load_error(gamma, tau, Nt, width, seed) <= 1e-13
 
 
 def test_zero_data_stays_zero():
