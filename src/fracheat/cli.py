@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError, Grid, Problem, SchemeParams, face_coefficients
+from .core import (DomainError, Grid, Problem, SchemeParams, check_steps,
+                   face_coefficients)
 from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
 from .manufactured import CATALOG
 from .norms import (
@@ -47,7 +48,7 @@ from .norms import (
     sigma_threshold,
 )
 from .prng import uniform_symmetric
-from .stepper import SolveOutcome, march
+from .stepper import SingularSystemError, SolveOutcome, march
 
 __all__ = [
     "UsageError",
@@ -82,9 +83,7 @@ def _check_problem(name: str) -> None:
 
 
 def _fmt(v: float) -> str:
-    """Six significant digits, scientific notation."""
-    if not math.isfinite(v):
-        return "inf" if v > 0 else "-inf"
+    """Six significant digits, scientific notation (``inf``, ``nan`` as is)."""
     return f"{v:.5e}"
 
 
@@ -127,7 +126,6 @@ class StudyConfig:
 class StudyRow:
     """One refinement level of a study."""
 
-    N: int
     h: float
     Nt: int
     tau: float
@@ -193,28 +191,21 @@ class StudyReport:
 def _study_grid(N: int, config: StudyConfig) -> Grid:
     if config.coupling == "balanced":
         return Grid.balanced(N, config.gamma, config.T)
-    Nt = int(np.ceil(config.T / config.tau))
-    return Grid(N=N, Nt=Nt, T=config.T)
+    return Grid.with_step(N, config.tau, config.T)
 
 
 def _error_history(outcome: SolveOutcome, problem: Problem,
                    grid: Grid) -> tuple[list[float], list[float]]:
-    """Per-level trapezoid and max error norms; non-finite maps to inf."""
+    """Per-level trapezoid and max error norms; NaN maps to inf."""
     x = grid.x
     full, mx = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for n, y in enumerate(outcome.history):
-            u = np.asarray(problem.exact(x, n * grid.tau), dtype=float)
-            z = y - u
-            if not np.all(np.isfinite(z)):
-                full.append(float("inf"))
-                mx.append(float("inf"))
-                continue
-            ef = norm_trapezoid(z, grid.h)
-            em = norm_max(z)
-            full.append(ef if math.isfinite(ef) else float("inf"))
-            mx.append(em)
-    return full, mx
+            z = y - np.asarray(problem.exact(x, n * grid.tau), dtype=float)
+            full.append(norm_trapezoid(z, grid.h))
+            mx.append(norm_max(z))
+    return ([math.inf if math.isnan(e) else e for e in full],
+            [math.inf if math.isnan(e) else e for e in mx])
 
 
 def run_convergence(config: StudyConfig) -> StudyReport:
@@ -224,23 +215,22 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     omitted) instead of aborting the study.
     """
     config.validate()
-    builder = CATALOG[config.problem]
-    params = SchemeParams(config.sigma)
     start = time.perf_counter()
+    problem = CATALOG[config.problem](alpha=config.alpha, beta=config.beta,
+                                      gamma=config.gamma, T=config.T)
+    if problem.exact is None:
+        raise UsageError(f"problem: {config.problem!r} has no exact "
+                         f"solution to measure errors against")
+    params = SchemeParams(config.sigma)
     rows = []
     for N in config.levels:
-        problem = builder(alpha=config.alpha, beta=config.beta,
-                          gamma=config.gamma, T=config.T)
-        if problem.exact is None:
-            raise UsageError(f"problem: {config.problem!r} has no exact "
-                             f"solution to measure errors against")
         grid = _study_grid(N, config)
         outcome = march(problem, grid, params,
                         check_residuals=config.check_residuals)
         full, mx = _error_history(outcome, problem, grid)
         res = outcome.per_step_residuals
         rows.append(StudyRow(
-            N=N, h=grid.h, Nt=grid.Nt, tau=grid.tau,
+            h=grid.h, Nt=grid.Nt, tau=grid.tau,
             err_full=max(full) if "full" in config.norms else None,
             err_max=max(mx) if "max" in config.norms else None,
             blew_up=outcome.blow_up is not None,
@@ -282,7 +272,6 @@ def render_table(report: StudyReport) -> str:
 
 @dataclass(frozen=True)
 class SolveResult:
-    problem: Problem
     grid: Grid
     outcome: SolveOutcome
     err_full_final: Optional[float]
@@ -304,7 +293,7 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
         full, mx = _error_history(outcome, problem, grid)
         ef, em = full[-1], mx[-1]
         pf, pm = max(full), max(mx)
-    return SolveResult(problem=problem, grid=grid, outcome=outcome,
+    return SolveResult(grid=grid, outcome=outcome,
                        err_full_final=ef, err_max_final=em,
                        err_full_peak=pf, err_max_peak=pm)
 
@@ -363,8 +352,8 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
                      function: str, t_final: float = 1.0) -> OrderReport:
     """Error of the discrete operator against the quadrature oracle.
 
-    For each gamma and each tau (which must divide t_final into an
-    integer number of steps up to roundoff) the test function is sampled
+    For each gamma and each tau (distinct values, each dividing t_final
+    into at most MAX_STEPS steps up to roundoff) the test function is sampled
     on the time grid, the discrete operator is evaluated at t_final, and
     the difference to the oracle is tabulated together with the observed
     order between consecutive tau values.
@@ -379,6 +368,9 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
         if not 0.0 < tau < math.inf:
             raise UsageError(f"taus: time steps must be positive and "
                              f"finite, got {tau}")
+        check_steps(t_final / tau)
+    if len(set(taus)) < len(taus):
+        raise UsageError(f"taus: time steps must be distinct, got {taus}")
     v, v_prime = ORDER_FUNCTIONS[function]
     rows = []
     for gamma in gammas:
@@ -634,7 +626,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg_argv = _config_argv(settable[args.command], args.config)
             args = parser.parse_args(argv[:at] + cfg_argv + argv[at:])
         return _COMMANDS[args.command](args)
-    except (UsageError, DomainError, UndefinedNormError) as exc:
+    except (UsageError, DomainError, UndefinedNormError,
+            SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,9 @@ __all__ = [
     "DomainError",
     "DimensionError",
     "BoundsViolationError",
+    "MAX_STEPS",
+    "check_gamma",
+    "check_steps",
     "Grid",
     "Problem",
     "SchemeParams",
@@ -47,6 +50,25 @@ class BoundsViolationError(ValueError):
     """A sampled diffusivity value escapes the declared [c1, c2] range."""
 
 
+# Most time steps a grid or a series may have: far above any study (the
+# longest planned, N=1280 at gamma=0.8, takes about 151,000), and low
+# enough that a longer march is refused before its levels are allocated.
+MAX_STEPS = 10**6
+
+
+def check_gamma(gamma: float) -> None:
+    """Reject a fractional order outside the open interval (0, 1)."""
+    if not 0.0 < gamma < 1.0:
+        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
+
+
+def check_steps(steps: float) -> None:
+    """Reject a number of time steps above MAX_STEPS, or NaN."""
+    if not steps <= MAX_STEPS:
+        raise DomainError(f"{steps} time steps exceed the limit of "
+                          f"{MAX_STEPS}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform space-time mesh on [0, 1] x [0, T].
@@ -56,7 +78,7 @@ class Grid:
     N : int
         Number of space subintervals (N >= 2); mesh width ``h = 1/N``.
     Nt : int
-        Number of time steps (Nt >= 1); step ``tau = T/Nt``.
+        Number of time steps (1 <= Nt <= MAX_STEPS); step ``tau = T/Nt``.
     T : float
         Final time, positive and finite.
     """
@@ -72,6 +94,7 @@ class Grid:
                     or value < least):
                 raise DomainError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
+        check_steps(self.Nt)
         if not (self.T > 0 and math.isfinite(self.T)):
             raise DomainError(f"final time must be positive and finite, "
                               f"got T={self.T}")
@@ -90,6 +113,14 @@ class Grid:
         return np.arange(self.N + 1) * self.h
 
     @classmethod
+    def with_step(cls, N: int, tau: float, T: float = 1.0) -> "Grid":
+        """Grid of the fewest steps of at most ``tau``: Nt = ceil(T/tau)."""
+        cls(N=N, Nt=1, T=T)             # checks N and T before use
+        steps = T / tau
+        check_steps(steps)
+        return cls(N=N, Nt=int(np.ceil(steps)), T=T)
+
+    @classmethod
     def balanced(cls, N: int, gamma: float, T: float = 1.0) -> "Grid":
         """Grid whose time step balances the two truncation terms.
 
@@ -98,12 +129,9 @@ class Grid:
         Rounding up keeps tau at or below the balancing value, so the
         combined error bound is preserved.
         """
-        if not 0.0 < gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
+        check_gamma(gamma)
         h = cls(N=N, Nt=1, T=T).h       # checks N and T before use
-        tau_star = h ** (2.0 / (2.0 - gamma))
-        Nt = int(np.ceil(T / tau_star))
-        return cls(N=N, Nt=Nt, T=T)
+        return cls.with_step(N, h ** (2.0 / (2.0 - gamma)), T)
 
 
 @dataclass(frozen=True)
@@ -121,7 +149,8 @@ class Problem:
     gamma : float
         Fractional order of the time derivative, in (0, 1).
     alpha, beta : float
-        Boundary coupling parameters, finite with ``alpha*beta`` positive.
+        Boundary coupling parameters, finite with ``alpha*beta`` positive
+        and finite.
     k : callable
         Diffusivity ``k(x)`` on [0, 1].
     f : callable
@@ -149,14 +178,13 @@ class Problem:
     exact: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
+        check_gamma(self.gamma)
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError(f"boundary parameters must be finite, "
                               f"got alpha={self.alpha}, beta={self.beta}")
-        if not self.alpha * self.beta > 0.0:
+        if not 0.0 < self.alpha * self.beta < math.inf:
             raise DomainError(
-                f"boundary parameters must satisfy alpha*beta > 0, "
+                f"boundary parameters must satisfy 0 < alpha*beta < inf, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
         if not 0.0 < self.c1 <= self.c2:
@@ -177,20 +205,17 @@ class SchemeParams:
 def sample_space(func: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function of x on an array of nodes.
 
-    Tries a single vectorised call first and falls back to per-point
-    evaluation for callbacks written against plain floats.
+    Same as :func:`sample_space_time` with the time argument ignored.
     """
-    try:
-        out = np.asarray(func(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(func(float(xi))) for xi in x])
+    return sample_space_time(lambda xs, _: func(xs), x, None)
 
 
 def sample_space_time(func: Callable, x: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate f(x, t) on an array of space nodes at one time."""
+    """Evaluate f(x, t) on an array of space nodes at one time.
+
+    Tries a single vectorised call first and falls back to per-point
+    evaluation for callbacks written against plain floats.
+    """
     try:
         out = np.asarray(func(x, t), dtype=float)
         if out.shape == x.shape:

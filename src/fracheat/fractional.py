@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DimensionError, DomainError
+from .core import DimensionError, DomainError, check_gamma
 
 __all__ = [
     "OracleFailureError",
@@ -47,11 +47,6 @@ class OracleFailureError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"fractional order must lie in (0, 1), got {gamma}")
 
 
 def _power_increments(n: int, gamma: float, tau: float) -> np.ndarray:
@@ -98,7 +93,7 @@ def l1_weights(n: int, gamma: float, tau: float) -> L1Weights:
     """
     if n < 0:
         raise DomainError(f"time index must be nonnegative, got {n}")
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if not tau > 0.0:
         raise DomainError(f"time step must be positive, got {tau}")
     inc = _power_increments(n, gamma, tau)
@@ -124,23 +119,26 @@ def discrete_caputo(series, gamma: float, tau: float) -> float:
     return float(w.c @ np.diff(y))
 
 
-def split_implicit(series, gamma: float, tau: float) -> tuple[float, float]:
+def split_implicit(series, gamma: float,
+                   tau: float) -> tuple[float, float | np.ndarray]:
     """Split the operator at the next level into c_new*y_next + load.
 
-    ``series`` holds the known levels y^0..y^n.  Returns ``(c_new, load)``
-    with ``c_new = tau**(-gamma)/G(2-gamma)`` such that for every y_next
+    ``series`` holds the known levels y^0..y^n along axis 0, each level
+    one value or one row of values.  Returns ``(c_new, load)`` with
+    ``c_new = tau**(-gamma)/G(2-gamma)`` such that for every y_next
 
-        discrete_caputo(series + [y_next]) == c_new*y_next + load.
+        discrete_caputo(series + [y_next]) == c_new*y_next + load,
 
-    ``load`` depends only on the known history, so an implicit step can
-    move it to the right-hand side.
+    taken value by value; ``load`` is a float for a 1-D series and a row
+    for a 2-D one.  It depends only on the known history, so an implicit
+    step can move it to the right-hand side.
     """
     y = np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise DimensionError("series must be 1-D with at least one level")
-    w = l1_weights(y.size - 1, gamma, tau)
+    if y.ndim not in (1, 2) or y.shape[0] < 1:
+        raise DimensionError("series must hold a level or more, 1-D or 2-D")
+    w = l1_weights(y.shape[0] - 1, gamma, tau)
     c_new = float(w.c[-1])
-    load = float(w.c[:-1] @ np.diff(y)) - c_new * float(y[-1])
+    load = w.c[:-1] @ np.diff(y, axis=0) - c_new * y[-1]
     return c_new, load
 
 
@@ -163,7 +161,7 @@ def caputo_oracle(v, v_prime, t: float, gamma: float, tol: float = 1e-10) -> flo
         If the quadrature error estimate exceeds ``tol``; the achieved
         accuracy is attached to the exception.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if not t > 0.0:
         raise DomainError(f"oracle needs t > 0, got t={t}")
     p = 1.0 / (1.0 - gamma)
@@ -208,7 +206,7 @@ def energy_identity_remainders(series, nu: float, tau: float) -> tuple[float, fl
     y = np.asarray(series, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise DimensionError("series must be 1-D with at least two levels")
-    _check_gamma(nu)
+    check_gamma(nu)
     n = y.size - 2
     g2 = math.gamma(2.0 - nu)
     two = 2.0 ** (1.0 - nu)

@@ -86,10 +86,6 @@ class EnergyWeights:
     gamma1: float
     case: NormCase
 
-    def norm(self, y, h: float) -> float:
-        """Energy norm of one level; see :func:`energy_norm`."""
-        return float(self.norms(y, h))
-
     def norms(self, levels, h: float) -> np.ndarray:
         """Energy norm of each row of a level array, in one pass.
 
@@ -108,7 +104,10 @@ def _direct_weights(alpha: float, beta: float, face: np.ndarray, h: float,
     p1_sq = np.zeros(face.size + 1)
     p1_sq[:-1] = h * np.cumsum(1.0 / face[::-1])[::-1]
     delta1 = (beta / alpha - 1.0) / p1_sq[0]
-    gamma1 = (alpha * beta + 1.0) / (2.0 * alpha**2)
+    try:
+        gamma1 = (alpha * beta + 1.0) / (2.0 * alpha**2)
+    except OverflowError:               # alpha**2 beyond the float range
+        gamma1 = math.inf
     return EnergyWeights(p1_sq=p1_sq, delta1=delta1, gamma1=gamma1, case=case)
 
 
@@ -120,21 +119,28 @@ def energy_weights(problem: Problem, grid: Grid, face: np.ndarray) -> EnergyWeig
     UndefinedNormError
         If (beta/alpha - 1) and (alpha**2 - 1) have opposite signs; the
         energy norm is only defined in the two sign-consistent regimes.
+    DomainError
+        If the weights overflow, for parameters of extreme magnitude.
     """
     a, b = problem.alpha, problem.beta
     ratio = b / a - 1.0
     square = a * a - 1.0
     if ratio >= 0.0 and square >= 0.0:
-        return _direct_weights(a, b, np.asarray(face, float), grid.h,
-                               NormCase.DIRECT)
-    if ratio <= 0.0 and square <= 0.0:
-        return _direct_weights(1.0 / a, 1.0 / b,
-                               np.asarray(face, float)[::-1], grid.h,
-                               NormCase.REFLECTED)
-    raise UndefinedNormError(
-        f"energy norm undefined for alpha={a}, beta={b}: "
-        f"(beta/alpha - 1) and (alpha**2 - 1) have opposite signs"
-    )
+        weights = _direct_weights(a, b, np.asarray(face, float), grid.h,
+                                  NormCase.DIRECT)
+    elif ratio <= 0.0 and square <= 0.0:
+        weights = _direct_weights(1.0 / a, 1.0 / b,
+                                  np.asarray(face, float)[::-1], grid.h,
+                                  NormCase.REFLECTED)
+    else:
+        raise UndefinedNormError(
+            f"energy norm undefined for alpha={a}, beta={b}: "
+            f"(beta/alpha - 1) and (alpha**2 - 1) have opposite signs"
+        )
+    if not (math.isfinite(weights.delta1) and math.isfinite(weights.gamma1)):
+        raise DomainError(f"energy norm weights are not finite for "
+                          f"alpha={a}, beta={b}")
+    return weights
 
 
 def _energy_sq(y: np.ndarray, w: EnergyWeights, h: float) -> np.ndarray:
@@ -158,9 +164,9 @@ def energy_norm(y, problem: Problem, grid: Grid, face: np.ndarray) -> float:
     same formula is applied to the reversed vector with reversed face
     coefficients and parameters (1/alpha, 1/beta).  To evaluate many
     levels, build the weights once with :func:`energy_weights` and call
-    their :meth:`EnergyWeights.norm`.
+    their :meth:`EnergyWeights.norms`.
     """
-    return energy_weights(problem, grid, face).norm(y, grid.h)
+    return float(energy_weights(problem, grid, face).norms(y, grid.h))
 
 
 def sigma_threshold(gamma: float, h: float, tau: float, c2: float) -> float:

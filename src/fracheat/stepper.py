@@ -50,7 +50,7 @@ from .core import (
     sample_space,
     sample_space_time,
 )
-from .fractional import l1_weights
+from .fractional import l1_weights, split_implicit
 
 __all__ = [
     "AssemblyError",
@@ -145,7 +145,8 @@ class StepOperator:
         b1, bNm1, bN = self.last_row
         denom = bN - b1 * v[0] - bNm1 * v[m - 1]
         scale = abs(bN) + abs(b1 * v[0]) + abs(bNm1 * v[m - 1])
-        if abs(denom) <= _CLOSURE_ULPS * np.finfo(float).eps * scale:
+        # Written so that a NaN pivot counts as singular too.
+        if not abs(denom) > _CLOSURE_ULPS * np.finfo(float).eps * scale:
             raise SingularSystemError(
                 f"flux-row closure (row {m + 1}) is singular "
                 f"(pivot {denom:.3e}, row scale {scale:.3e})"
@@ -182,7 +183,7 @@ class StepSystem(StepOperator):
 
 @dataclass(frozen=True)
 class BlowUp:
-    """Record of a non-finite or astronomically large level."""
+    """Record of a level that is non-finite (norm inf) or too large."""
 
     level: int
     norm: float
@@ -351,7 +352,8 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     where (c_new, load) split the discrete Caputo operator at the new
     level; the last row encodes the flux coupling with the memory terms
     of both endpoints split the same way.  The memory load is recomputed
-    here from all the levels, independently of :class:`L1Memory`.
+    here from all the levels by :func:`split_implicit`, independently of
+    :class:`L1Memory`.
     """
     Y = np.asarray(levels, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != grid.N + 1:
@@ -361,15 +363,7 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     n = Y.shape[0] - 1
     if face is None:
         face = face_coefficients(problem, grid)
-
-    # Split the memory term at every node: D(y)_i = c_new*y_i^{n+1} + load_i.
-    c = l1_weights(n, problem.gamma, grid.tau).c
-    c_new = float(c[-1])
-    if n >= 1:
-        load = c[:-1] @ np.diff(Y, axis=0) - c_new * Y[n]
-    else:
-        load = -c_new * Y[0]
-
+    c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     operator = _step_operator(problem, grid, params.sigma, face, c_new)
     return operator.with_rhs(
         _step_rhs(problem, grid, params.sigma, face, grid.x, n, Y[n], load))
@@ -467,10 +461,9 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
         level[0] = problem.alpha * level[-1]
         if residuals is not None:
             residuals.append(step_residual(operator.with_rhs(rhs), level[1:]))
-        finite = bool(np.all(np.isfinite(level)))
-        top = float(np.max(np.abs(level))) if finite else float("inf")
-        if not finite or top > BLOWUP_LIMIT:
-            blow = BlowUp(level=n + 1, norm=top)
+        top = float(np.max(np.abs(level)))
+        if not top <= BLOWUP_LIMIT:     # also true for inf and NaN
+            blow = BlowUp(level=n + 1, norm=np.inf if np.isnan(top) else top)
             break
         memory.push(level, yn)
 

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fracheat.cli import (
+    CATALOG,
     CSV_HEADER,
     StudyConfig,
     UsageError,
@@ -20,9 +21,12 @@ from fracheat.cli import (
     run_convergence,
     run_stability,
     StabilityReport,
+    _error_history,
 )
-from fracheat.norms import UndefinedNormError
+from fracheat.core import Grid
+from fracheat.norms import UndefinedNormError, sigma_threshold
 from fracheat.prng import splitmix64, uniform_symmetric
+from fracheat.stepper import SolveOutcome
 
 QUICK = dict(gamma=0.5, alpha=2.0, beta=5.0, levels=(5, 10, 20))
 
@@ -107,6 +111,27 @@ def test_table_rendering_mentions_blowups():
     text = render_table(report)
     assert "blew up" in text
     assert "gamma=0.4" in text
+
+
+def test_study_builds_its_problem_once(monkeypatch):
+    builds = []
+    build = CATALOG["mms-cubic"]
+    monkeypatch.setitem(CATALOG, "mms-cubic",
+                        lambda **kw: builds.append(kw) or build(**kw))
+    assert len(run_convergence(StudyConfig(**QUICK)).rows) == 3
+    assert len(builds) == 1
+
+
+def test_error_history_maps_non_finite_levels_to_inf():
+    problem = CATALOG["zero"]()
+    levels = np.zeros((4, 5))
+    levels[1, 2] = math.nan
+    levels[2, 0] = -math.inf
+    levels[3, 1] = 1e200
+    full, mx = _error_history(SolveOutcome(history=levels), problem,
+                              Grid(N=4, Nt=3))
+    assert full == [0.0, math.inf, math.inf, math.inf]
+    assert mx == [0.0, math.inf, math.inf, 1e200]
 
 
 def test_config_validation_messages():
@@ -286,6 +311,34 @@ def test_stability_refusal_is_an_exception():
         run_stability(0.4, 0.1, 10.0, "1.0", N=8, Nt=5)
 
 
+def test_non_finite_norms_print_as_inf_and_nan():
+    report = StabilityReport(sigma=1.0, threshold=0.5,
+                             norms=(1.0, math.inf, math.nan), passed=False)
+    assert render_stability(report).splitlines()[3:6] == [
+        "0,1.00000e+00", "1,inf", "2,nan"]
+
+
+@given(gamma=st.floats(0.05, 0.95), reflected=st.booleans(),
+       negative=st.booleans(), alpha_exp=st.floats(0.0, 3.0),
+       ratio_exp=st.floats(0.0, 3.0), place=st.floats(0.0, 1.0),
+       N=st.integers(2, 12), Nt=st.integers(1, 30),
+       seed=st.integers(1, 2**63 - 1))
+def test_energy_never_grows_for_sigma_from_threshold_to_one(
+        gamma, reflected, negative, alpha_exp, ratio_exp, place, N, Nt, seed):
+    # Admissible pairs: 1 <= |alpha| <= |beta| (direct regime), or their
+    # reciprocals (reflected regime), both of one sign.
+    alpha, beta = 10.0**alpha_exp, 10.0 ** (alpha_exp + ratio_exp)
+    if reflected:
+        alpha, beta = 1.0 / alpha, 1.0 / beta
+    if negative:
+        alpha, beta = -alpha, -beta
+    threshold = min(max(sigma_threshold(gamma, 1.0 / N, 1.0 / Nt, math.e),
+                        0.0), 1.0)
+    sigma = threshold + place * (1.0 - threshold)
+    report = run_stability(gamma, alpha, beta, sigma, N=N, Nt=Nt, seed=seed)
+    assert max(report.norms) <= report.norms[0] * (1.0 + 1e-12)
+
+
 def test_stability_failure_renders_fail_line():
     report = StabilityReport(sigma=0.0, threshold=0.5,
                              norms=(1.0, 2.0), passed=False)
@@ -305,13 +358,39 @@ def test_stability_failure_renders_fail_line():
     ["caputo-order", "--taus", "nan"],
     ["caputo-order", "--t", "inf"],
     ["caputo-order", "--function", "exp", "--t", "800", "--taus", "400"],
+    ["caputo-order", "--taus", "1e-300"],
+    ["caputo-order", "--gammas", "0.5", "--taus", "0.5,0.5"],
+    ["convergence", "--coupling", "fixed", "--tau", "1e-300",
+     "--levels", "4,8"],
+    ["convergence", "--t", "1e300", "--levels", "4,8"],
+    ["solve", "--n", "4", "--nt", "100000000000000000000"],
+    ["solve", "--problem", "zero", "--alpha", "1e200", "--beta", "1e200",
+     "--sigma", "0", "--n", "8", "--nt", "20"],
+    ["solve", "--problem", "zero", "--alpha", "1e154", "--beta", "1e154",
+     "--sigma", "0", "--n", "8", "--nt", "20"],
+    ["solve", "--alpha", "1e154", "--beta", "1e154", "--n", "8", "--nt", "20"],
+    ["stability", "--alpha", "1e200", "--beta", "1e200", "--n", "8",
+     "--nt", "20"],
+    ["stability", "--alpha", "1e-160", "--beta", "1e-160", "--n", "8",
+     "--nt", "20"],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
-        "caputo-t-inf", "caputo-exp-overflow"])
+        "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
+        "caputo-taus-repeated", "fixed-tau-tiny", "balanced-t-huge",
+        "solve-nt-huge", "coupling-product-overflows",
+        "singular-closure", "nan-closure-pivot", "stability-product-overflows",
+        "stability-weights-overflow"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert "error" in err and "Traceback" not in err
+    assert "error: " in err.splitlines()[-1] and "Traceback" not in err
+
+
+def test_tiny_coupling_product_still_solves(capsys):
+    assert exit_code(["solve", "--alpha", "1e-160", "--beta", "1e-160",
+                      "--n", "8", "--nt", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("=") == 4 and "inf" not in out and "nan" not in out
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -415,3 +494,49 @@ def test_wrong_typed_config_values_never_raise(data):
         code = exit_code([command, "--config", str(path), "--out", out,
                           *flags])
     assert code in (0, 1, 2, 3)
+
+
+# Random command lines: each subcommand's flags (but not --out and
+# --config) with values that probe the edges of every option type.  The
+# flags that fix the mesh and the time span come last and win, so every
+# example stays small.
+_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "1e154", "0.5",
+           "threshold", "zero", "fixed", "table", "max", "abc")
+_SWITCHES = ("--history", "--fail-on-blowup")
+_FLAGS = ("--gamma", "--alpha", "--beta", "--sigma", "--format", "--seed")
+_TINY_SOLVE = ["--n", "4", "--nt", "5", "--t", "1"]
+_ARGV = {
+    "solve": (_FLAGS + ("--problem", "--n", "--nt"), _TINY_SOLVE),
+    "convergence": (_FLAGS + ("--problem", "--levels", "--coupling", "--tau",
+                              "--norms"),
+                    ["--levels", "4,8", "--coupling", "balanced",
+                     "--t", "1"]),
+    "caputo-order": (_FLAGS + ("--gammas", "--taus", "--function"),
+                     ["--taus", "0.5,0.25", "--t", "1"]),
+    "stability": (_FLAGS + ("--n", "--nt"), _TINY_SOLVE),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_ARGV)))
+    flags, tiny = _ARGV[command]
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags + _SWITCHES),
+                              max_size=4)):
+        argv.append(flag)
+        if flag not in _SWITCHES:
+            argv.append(draw(st.sampled_from(_VALUES)))
+    return argv + tiny
+
+
+# Random draws seldom pair two extreme couplings, so the pairs whose
+# product or weights overflow are given as explicit examples.
+@given(command_lines())
+@example(["stability", "--alpha", "1e300", "--beta", "1e300", *_TINY_SOLVE])
+@example(["stability", "--alpha", "1e154", "--beta", "1e154", "--sigma", "0",
+          *_TINY_SOLVE])
+@example(["solve", "--alpha", "1e300", "--beta", "1e154", "--sigma", "0",
+          *_TINY_SOLVE])
+def test_random_argv_ends_with_a_documented_exit_code(argv):
+    assert exit_code(argv) in (0, 1, 2, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracheat.core import (
+    MAX_STEPS,
     BoundsViolationError,
     DomainError,
     Grid,
@@ -12,6 +13,7 @@ from fracheat.core import (
     face_coefficients,
     sample_space,
 )
+from fracheat.fractional import caputo_oracle, l1_weights
 from fracheat.manufactured import build_manufactured
 
 
@@ -55,6 +57,24 @@ def test_balanced_grid_rejects_bad_mesh_input(N, T):
         Grid.balanced(N, 0.5, T)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Grid(N=4, Nt=MAX_STEPS + 1),
+    lambda: Grid(N=4, Nt=10**20),
+    lambda: Grid.with_step(4, 1e-300),
+    lambda: Grid.with_step(4, 1e-300, T=1e300),
+    lambda: Grid.balanced(4, 0.5, T=1e300),
+], ids=["Nt", "Nt-huge", "tiny-tau", "overflowing-ratio", "balanced-long-T"])
+def test_grids_refuse_more_than_max_steps(build):
+    with pytest.raises(DomainError, match="limit"):
+        build()
+
+
+def test_grid_with_step_rounds_the_step_count_up():
+    g = Grid.with_step(4, 0.3)
+    assert g.Nt == 4 and g.tau <= 0.3
+    assert Grid.with_step(4, 1.0 / MAX_STEPS).Nt == MAX_STEPS
+
+
 def test_balanced_grid_keeps_tau_below_balancing_value():
     for gamma in (0.2, 0.5, 0.8):
         for N in (20, 40, 80):
@@ -78,10 +98,23 @@ def test_problem_rejects_bad_parameters():
 
 @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf),
                                          (-math.inf, -1.0), (math.inf, math.inf),
-                                         (math.nan, 1.0)])
+                                         (math.nan, 1.0), (1e200, 1e200),
+                                         (-1e155, -1e154)])
 def test_problem_rejects_non_finite_boundary_parameters(alpha, beta):
     with pytest.raises(DomainError):
         build_manufactured(alpha, beta, 0.5)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5, math.nan])
+@pytest.mark.parametrize("use", [
+    lambda gamma: build_manufactured(2.0, 3.0, gamma),
+    lambda gamma: Grid.balanced(8, gamma),
+    lambda gamma: l1_weights(3, gamma, 0.1),
+    lambda gamma: caputo_oracle(math.exp, math.exp, 1.0, gamma),
+], ids=["problem", "balanced-grid", "l1-weights", "oracle"])
+def test_fractional_order_has_one_range_check(use, gamma):
+    with pytest.raises(DomainError, match=r"^gamma must lie in \(0, 1\)"):
+        use(gamma)
 
 
 def test_scheme_params_range():

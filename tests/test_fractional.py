@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracheat.core import DomainError
+from fracheat.core import DimensionError, DomainError
 from fracheat.fractional import (
     OracleFailureError,
     caputo_oracle,
@@ -140,6 +140,23 @@ def test_split_matches_full_evaluation():
         full = discrete_caputo(np.append(series, y_next), gamma, tau)
         scale = max(abs(full), 1.0)
         assert abs(c_new * y_next + load - full) / scale <= 1e-13
+
+
+def test_split_of_level_rows_matches_the_split_at_each_node():
+    levels = np.random.default_rng(4).normal(size=(7, 5))
+    c_new, load = split_implicit(levels, 0.4, 0.05)
+    assert load.shape == (5,)
+    for i in range(5):
+        c_i, load_i = split_implicit(levels[:, i], 0.4, 0.05)
+        assert c_i == c_new
+        assert load_i == pytest.approx(load[i], rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("series", [[], np.zeros((0, 3)), np.zeros((2, 2, 2))],
+                         ids=["empty", "no-rows", "3-D"])
+def test_split_rejects_series_without_levels(series):
+    with pytest.raises(DimensionError):
+        split_implicit(series, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------

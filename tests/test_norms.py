@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracheat.core import DomainError, Grid, face_coefficients
-from fracheat.manufactured import build_manufactured
+from fracheat.manufactured import build_manufactured, build_zero
 from fracheat.norms import (
     NormCase,
     UndefinedNormError,
@@ -158,6 +158,15 @@ def test_row_norms_equal_level_by_level_sums(alpha, beta, N):
             + w.delta1 * h * np.sum(w.p1_sq[1:-1] * interior**2)
             + w.gamma1 * v[0] ** 2 * h))
     assert w.norms(levels, h).tolist() == expected
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-160, 1e-160), (-1e-155, -1e-160)])
+def test_energy_weights_that_overflow_are_refused(alpha, beta):
+    # Both are in the reflected regime, where the weights use 1/alpha.
+    problem = build_zero(alpha, beta, 0.5)
+    grid = Grid(N=8, Nt=2)
+    with pytest.raises(DomainError, match="not finite"):
+        energy_weights(problem, grid, face_coefficients(problem, grid))
 
 
 def test_energy_norm_equivalent_to_trapezoid_norm():

@@ -223,6 +223,30 @@ def test_roundoff_closure_pivot_is_singular():
         solve_bordered(system)
 
 
+def test_nan_closure_pivot_is_singular():
+    # A NaN pivot fails every comparison; it must not pass as regular.
+    system = StepSystem(lower=np.zeros(1), diag=np.array([1.0]),
+                        upper=np.array([0.5]), corner=0.0,
+                        last_row=(0.0, 1.0, math.nan),
+                        rhs=np.array([1.0, 2.0]))
+    with pytest.raises(SingularSystemError, match="pivot nan"):
+        solve_bordered(system)
+
+
+def test_nan_level_stops_the_march_with_an_infinite_norm():
+    # The source turns NaN from t = 0.6 on, which poisons level 6.
+    problem = Problem(gamma=0.5, alpha=1.0, beta=1.0,
+                      k=np.ones_like,
+                      f=lambda x, t: np.full_like(x, math.nan if t > 0.55
+                                                  else 0.0),
+                      mu=lambda t: 0.0, u0=np.zeros_like, c1=1.0, c2=1.0)
+    outcome = march(problem, Grid(N=4, Nt=10), SchemeParams(1.0))
+    assert outcome.blow_up is not None
+    assert outcome.blow_up.level == 6 and outcome.blow_up.norm == math.inf
+    assert np.isnan(outcome.history[-1]).any()
+    assert np.all(outcome.history[:-1] == 0.0)
+
+
 def test_tiny_scaled_system_is_not_singular():
     # The closure pivot of this well-conditioned system is ~1e-305; the
     # check is relative to the row scale, so the scale alone never trips it.
