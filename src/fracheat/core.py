@@ -26,12 +26,15 @@ __all__ = [
     "DomainError",
     "DimensionError",
     "BoundsViolationError",
+    "MAX_NODES",
     "MAX_STEPS",
     "check_gamma",
     "check_steps",
     "Grid",
+    "NodeSampler",
     "Problem",
     "SchemeParams",
+    "Separable",
     "face_coefficients",
     "sample_space",
     "sample_space_time",
@@ -50,10 +53,11 @@ class BoundsViolationError(ValueError):
     """A sampled diffusivity value escapes the declared [c1, c2] range."""
 
 
-# Most time steps a grid or a series may have: far above any study (the
-# longest planned, N=1280 at gamma=0.8, takes about 151,000), and low
-# enough that a longer march is refused before its levels are allocated.
-MAX_STEPS = 10**6
+# Most time steps a grid or a series may have, and most space intervals
+# a grid may have: far above any study (the longest planned, N=1280 at
+# gamma=0.8, takes about 151,000 steps), and low enough that a longer or
+# wider march is refused before its levels are allocated.
+MAX_STEPS = MAX_NODES = 10**6
 
 
 def check_gamma(gamma: float) -> None:
@@ -76,7 +80,8 @@ class Grid:
     Parameters
     ----------
     N : int
-        Number of space subintervals (N >= 2); mesh width ``h = 1/N``.
+        Number of space subintervals (2 <= N <= MAX_NODES); mesh width
+        ``h = 1/N``.
     Nt : int
         Number of time steps (1 <= Nt <= MAX_STEPS); step ``tau = T/Nt``.
     T : float
@@ -94,6 +99,9 @@ class Grid:
                     or value < least):
                 raise DomainError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
+        if self.N > MAX_NODES:
+            raise DomainError(f"{self.N} space intervals exceed the limit of "
+                              f"{MAX_NODES}")
         check_steps(self.Nt)
         if not (self.T > 0 and math.isfinite(self.T)):
             raise DomainError(f"final time must be positive and finite, "
@@ -154,7 +162,8 @@ class Problem:
     k : callable
         Diffusivity ``k(x)`` on [0, 1].
     f : callable
-        Source term ``f(x, t)``.
+        Source term ``f(x, t)``; a :class:`Separable` has its space
+        factors sampled once per march.
     mu : callable
         Flux boundary datum ``mu(t)``.
     u0 : callable
@@ -163,7 +172,8 @@ class Problem:
         Declared bounds ``0 < c1 <= k(x) <= c2``; verified against the
         grid samples when face coefficients are built.
     exact : callable, optional
-        Reference solution ``u(x, t)`` used by error reports.
+        Reference solution ``u(x, t)`` used by error reports; a
+        :class:`Separable` is evaluated a block of levels at a time.
     """
 
     gamma: float
@@ -223,6 +233,60 @@ def sample_space_time(func: Callable, x: np.ndarray, t: float) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(func(float(xi), t)) for xi in x])
+
+
+def _term_sum(terms, zero):
+    """Sum of the arrays ``terms`` in order, or ``zero`` if there are none."""
+    value = zero
+    for k, term in enumerate(terms):
+        value = value + term if k else term
+    return value
+
+
+@dataclass(frozen=True)
+class Separable:
+    """Function of (x, t) stated as a short sum of space x time terms.
+
+    ``terms`` holds pairs (s_k, q_k); the value is s_1(x)*q_1(t) +
+    s_2(x)*q_2(t) + ..., summed in term order, and zero without terms.
+    """
+
+    terms: tuple[tuple[Callable, Callable], ...] = ()
+
+    def __call__(self, x, t):
+        return _term_sum((s(x) * q(t) for s, q in self.terms),
+                         np.zeros_like(np.asarray(x, dtype=float)))
+
+
+class NodeSampler:
+    """A function of (x, t) on fixed nodes, at one time or a block of times.
+
+    A :class:`Separable` has its space factors sampled once, here; each
+    time then costs one multiply and one add per term, with the time
+    factor a Python scalar, as in a pointwise call, and data without
+    terms give one shared zero array.  Other callbacks go through
+    :func:`sample_space_time` at every time.
+    """
+
+    def __init__(self, func: Callable, x: np.ndarray):
+        self._func, self._x = func, x
+        self._factors = ([(sample_space(s, x), q) for s, q in func.terms]
+                         if isinstance(func, Separable) else None)
+        self._zero = np.zeros_like(x, dtype=float)
+
+    def at(self, t: float) -> np.ndarray:
+        """Values at time t."""
+        if self._factors is None:
+            return sample_space_time(self._func, self._x, t)
+        return _term_sum((s * q(t) for s, q in self._factors), self._zero)
+
+    def rows(self, times) -> np.ndarray:
+        """Values at several times, row j holding time ``times[j]``."""
+        if self._factors is None:
+            return np.array([self.at(t) for t in times])
+        return _term_sum((s * np.array([q(t) for t in times])[:, None]
+                          for s, q in self._factors),
+                         np.zeros((len(times), self._x.size)))
 
 
 def face_coefficients(problem: Problem, grid: Grid) -> np.ndarray:

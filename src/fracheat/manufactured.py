@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Problem
+from .core import Grid, Problem, Separable
 from .fractional import caputo_oracle
 
 __all__ = [
@@ -81,31 +81,29 @@ def build_manufactured(alpha: float, beta: float, gamma: float,
     """Manufactured problem for given boundary parameters and order.
 
     The source and boundary datum are derived so that S(x)*Q(t) solves
-    the problem exactly; k(x) = exp(x) gives c1 = 1, c2 = e.
+    the problem exactly; k(x) = exp(x) gives c1 = 1, c2 = e.  Source and
+    exact solution are :class:`~fracheat.core.Separable`:
+    f = S*D(Q) + (-E)*Q with E(x) = exp(x)*(S'(x) + S''(x)), and u = S*Q.
     """
     mu_factor = math.e * (3.0 - 6.0 * alpha) - beta * alpha
 
-    def k(x):
-        return np.exp(x)
+    def S(x):
+        return space_profile(alpha, x)
 
-    def f(x, t):
-        return (space_profile(alpha, x) * caputo_time_profile(gamma, t)
-                - np.exp(x) * (space_profile_d1(alpha, x)
-                               + space_profile_d2(alpha, x))
-                * time_profile(t))
+    def minus_E(x):
+        return -(np.exp(x) * (space_profile_d1(alpha, x)
+                              + space_profile_d2(alpha, x)))
+
+    def DQ(t):
+        return caputo_time_profile(gamma, t)
 
     def mu(t):
         return mu_factor * time_profile(t)
 
-    def u0(x):
-        return space_profile(alpha, x)
-
-    def exact(x, t):
-        return space_profile(alpha, x) * time_profile(t)
-
     return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=k, f=f, mu=mu, u0=u0,
-                   c1=1.0, c2=math.e, exact=exact)
+                   k=np.exp, f=Separable(((S, DQ), (minus_E, time_profile))),
+                   mu=mu, u0=S, c1=1.0, c2=math.e,
+                   exact=Separable(((S, time_profile),)))
 
 
 @dataclass(frozen=True)
@@ -189,15 +187,15 @@ def build_zero(alpha: float = 1.0, beta: float = 1.0, gamma: float = 0.5,
                T: float = 1.0) -> Problem:
     """Fully homogeneous problem; the zero function is its exact solution.
 
+    Source and exact solution are separable with no terms, so a march
+    spends nothing on the source.
+
     k(x) = exp(x) with c1 = 1, c2 = e, as in the manufactured family.
     """
     return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=np.exp,
-                   f=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-                   mu=lambda t: 0.0,
+                   k=np.exp, f=Separable(), mu=lambda t: 0.0,
                    u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c1=1.0, c2=math.e,
-                   exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)))
+                   c1=1.0, c2=math.e, exact=Separable())
 
 
 # Named problems addressable from the command line.  Builders share the

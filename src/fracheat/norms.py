@@ -53,22 +53,24 @@ def norm_interior(y, h: float) -> float:
     return float(np.sqrt(h * np.sum(v[1:-1] ** 2)))
 
 
-def norm_trapezoid(y, h: float) -> float:
+def norm_trapezoid(y, h: float) -> float | np.ndarray:
     """Full-grid L2 norm with half-weighted endpoints.
 
     sqrt(0.5*h*y_0**2 + 0.5*h*y_N**2 + sum_{i=1}^{N-1} y_i**2 * h); this
     is the trapezoid rule applied to y**2 and the norm reported in the
-    error tables.
+    error tables.  Taken along the last axis: a float for one level, an
+    array for a level array, each row summed as it would be alone.
     """
     v = np.asarray(y, dtype=float)
-    return float(np.sqrt(0.5 * h * (v[0] ** 2 + v[-1] ** 2)
-                         + h * np.sum(v[1:-1] ** 2)))
+    norm = np.sqrt(0.5 * h * (v[..., 0] ** 2 + v[..., -1] ** 2)
+                   + h * np.sum(v[..., 1:-1] ** 2, axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def norm_max(y) -> float:
-    """Max norm over all nodes."""
-    v = np.asarray(y, dtype=float)
-    return float(np.max(np.abs(v)))
+def norm_max(y) -> float | np.ndarray:
+    """Max norm over all nodes, along the last axis like norm_trapezoid."""
+    norm = np.max(np.abs(np.asarray(y, dtype=float)), axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)

@@ -2,28 +2,22 @@
 
 Each time step solves a linear system for the new level.  After the
 value coupling y_0 = alpha*y_N eliminates the left endpoint, the system
-over the unknowns y_1..y_N is tridiagonal except for two departures: the
-first interior row picks up a corner coefficient on y_N, and the last
-row (the discretised flux coupling) touches columns 1, N-1 and N.  Such
-a system is solved in O(N) by superposition: the tridiagonal interior
-block is factored with banded LAPACK (``dgbtrf``, one sub- and one
-super-diagonal), solved once with the border column as load, and a
-scalar closure of the flux row then gives y_N.
+over y_1..y_N is tridiagonal except for a corner coefficient on y_N in
+the first row and the last row (the discretised flux coupling), which
+touches columns 1, N-1 and N.  It is solved in O(N) by superposition:
+banded LAPACK factors the tridiagonal interior block, and a scalar
+closure of the flux row gives y_N.
 
-The scheme has constant coefficients on a uniform time grid, so the
-matrix is the same at every step of a march: :class:`StepOperator` holds
-it with its factorisation, built once, and each step only computes its
-right-hand side and one banded back-substitution.  The memory term
-likewise takes its L1 weights from a single evaluation per march
-(:class:`L1Memory`) and stores each level increment as it is produced.
-Its exact sum over the whole history is the one cost that grows with
-Nt*Nt, so it is blocked over levels: once per block of levels, matrix
-products with a copied, C-contiguous slice of the weights give the
-*far* part of the block's loads (the terms of every increment older
-than the block), and each step adds only the *near* part, the
-increments since the block began.  The levels of a march live in one
-preallocated ``(Nt+1, N+1)`` array, row n holding level n; each step
-writes its row in place.
+The scheme has constant coefficients in time, so what depends only on x
+is done once per march: :class:`StepOperator` builds and factors the
+matrix, :class:`L1Memory` takes its L1 weights from one evaluation and
+sums the memory exactly, blocked over levels, and a
+:class:`~fracheat.core.NodeSampler` holds the source on the nodes, so
+separable data (:class:`~fracheat.core.Separable`) have their space
+factors sampled once and each step evaluates only the time factors.  A
+step then costs its right-hand side, the memory load and one banded
+back-substitution, and writes its level in place into one
+``(Nt+1, N+1)`` array.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array; a dense LU solve of the same system
@@ -43,12 +37,14 @@ from scipy.linalg import lapack
 
 from .core import (
     DimensionError,
+    DomainError,
     Grid,
+    NodeSampler,
     Problem,
     SchemeParams,
     face_coefficients,
     sample_space,
-    sample_space_time,
+    sample_space_time,  # noqa: F401  (looked up here by benchmarks/spans.py)
 )
 from .fractional import l1_weights, split_implicit
 
@@ -125,7 +121,7 @@ class StepOperator:
         g collects the border couplings of the interior rows to y_N (the
         corner plus the natural last band entry).  The flux row then
         closes the scalar equation denom*y_N = rhs_N - b1*u_0 - bNm1*u_{m-1}
-        with u = T^{-1} rhs.
+        with u = T^{-1} rhs, and the interior follows as u - y_N*v.
         """
         m = self.diag.size
         ab = np.zeros((4, m))           # dgbtrf layout, kl = ku = 1
@@ -143,9 +139,10 @@ class StepOperator:
         v, _ = lapack.dgbtrs(lu, 1, 1, g, piv)
 
         b1, bNm1, bN = self.last_row
-        denom = bN - b1 * v[0] - bNm1 * v[m - 1]
-        scale = abs(bN) + abs(b1 * v[0]) + abs(bNm1 * v[m - 1])
-        # Written so that a NaN pivot counts as singular too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = bN - b1 * v[0] - bNm1 * v[m - 1]
+            scale = abs(bN) + abs(b1 * v[0]) + abs(bNm1 * v[m - 1])
+        # Written so that a NaN or infinite pivot counts as singular too.
         if not abs(denom) > _CLOSURE_ULPS * np.finfo(float).eps * scale:
             raise SingularSystemError(
                 f"flux-row closure (row {m + 1}) is singular "
@@ -293,27 +290,32 @@ def _step_operator(problem: Problem, grid: Grid, sigma: float,
     a_left = face[:-1]            # a_i   for rows i = 1..N-1
     a_right = face[1:]            # a_i+1
     lower = np.zeros(N - 1)
-    lower[1:] = -sigma * a_left[1:] / h2
-    diag = c_new + sigma * (a_left + a_right) / h2
-    upper = -sigma * a_right / h2
-    corner = -sigma * alpha * face[0] / h2
-
     a1, aN = face[0], face[-1]
-    b1 = -sigma * 2.0 * beta * a1 / h2
-    bNm1 = -sigma * 2.0 * aN / h2
-    bN = (c_new * (1.0 + alpha * beta)
-          + sigma * 2.0 * aN / h2
-          + sigma * 2.0 * beta * a1 * alpha / h2)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        lower[1:] = -sigma * a_left[1:] / h2
+        diag = c_new + sigma * (a_left + a_right) / h2
+        upper = -sigma * a_right / h2
+        corner = -sigma * alpha * face[0] / h2
+        b1 = -sigma * 2.0 * beta * a1 / h2
+        bNm1 = -sigma * 2.0 * aN / h2
+        bN = (c_new * (1.0 + alpha * beta)
+              + sigma * 2.0 * aN / h2
+              + sigma * 2.0 * beta * a1 * alpha / h2)
+    if not np.isfinite(np.concatenate(
+            (lower, diag, upper, [corner, b1, bNm1, bN]))).all():
+        raise DomainError(f"the step operator overflows for alpha={alpha}, "
+                          f"beta={beta}, sigma={sigma} on {N} intervals")
     return StepOperator(lower=lower, diag=diag, upper=upper, corner=corner,
                         last_row=(b1, bNm1, bN))
 
 
 def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
-              x: np.ndarray, n: int, yn: np.ndarray,
+              source: NodeSampler, n: int, yn: np.ndarray,
               load: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
 
-    ``x`` holds the space nodes of ``grid``, computed once by the caller.
+    ``source`` samples ``problem.f`` on the nodes of ``grid``; a march
+    builds it once, so separable data cost only their time factors.
 
     Interior rows carry f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n
     - load_i, where ``load`` is the memory load at every node; the flux row
@@ -323,7 +325,7 @@ def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
     h, beta = grid.h, problem.beta
     h2 = h * h
     t_sigma = (n + sigma) * grid.tau
-    phi = sample_space_time(problem.f, x, t_sigma)
+    phi = source.at(t_sigma)
     a_left = face[:-1]
     a_right = face[1:]
     rhs = np.empty(grid.N)
@@ -365,18 +367,13 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
         face = face_coefficients(problem, grid)
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     operator = _step_operator(problem, grid, params.sigma, face, c_new)
+    source = NodeSampler(problem.f, grid.x)
     return operator.with_rhs(
-        _step_rhs(problem, grid, params.sigma, face, grid.x, n, Y[n], load))
+        _step_rhs(problem, grid, params.sigma, face, source, n, Y[n], load))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
-    """Solve the step system in O(N) by superposition.
-
-    The interior block T (rows 1..N-1 over columns y_1..y_{N-1}) is
-    factored by banded LU and solved twice: u = T^{-1} rhs and
-    v = T^{-1} g, where g collects the border couplings to y_N.  The
-    flux row then closes a single scalar equation for y_N, and the
-    interior follows as u - y_N*v.
+    """Solve the step system in O(N) by superposition (see StepOperator).
 
     Raises
     ------
@@ -429,12 +426,14 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
 
     Level 0 samples ``problem.u0`` on the grid (or takes ``y0`` verbatim
     when supplied, as the stability experiments do with random data).
-    The step matrix is built and factored once; each later level costs
-    its right-hand side, the memory load and one banded solve, with y_0
-    recovered from the value coupling, and is written in place into the
-    level array.  A level that is non-finite or exceeds ``BLOWUP_LIMIT``
-    in max norm stops the march and is recorded in the outcome instead
-    of raising.
+    The step matrix is built and factored once, before the first load
+    (an overflowing matrix raises DomainError, a singular one
+    SingularSystemError); each later level costs its right-hand side, the
+    memory load and one banded solve, with y_0 recovered from the value
+    coupling, and is written in place into the level array.  A level
+    that is non-finite (also after an overflow) or exceeds
+    ``BLOWUP_LIMIT`` in max norm stops the march and is recorded in the
+    outcome instead of raising.
     """
     face = face_coefficients(problem, grid)
     x = grid.x
@@ -454,18 +453,24 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     sigma = params.sigma
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     operator = _step_operator(problem, grid, sigma, face, memory.c_new)
-    for n in range(grid.Nt):
-        yn, level = Y[n], Y[n + 1]
-        rhs = _step_rhs(problem, grid, sigma, face, x, n, yn, memory.load(yn))
-        level[1:] = operator.solve(rhs)
-        level[0] = problem.alpha * level[-1]
-        if residuals is not None:
-            residuals.append(step_residual(operator.with_rhs(rhs), level[1:]))
-        top = float(np.max(np.abs(level)))
-        if not top <= BLOWUP_LIMIT:     # also true for inf and NaN
-            blow = BlowUp(level=n + 1, norm=np.inf if np.isnan(top) else top)
-            break
-        memory.push(level, yn)
+    operator._factors           # factor and check the closure before any load
+    source = NodeSampler(problem.f, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(grid.Nt):
+            yn, level = Y[n], Y[n + 1]
+            rhs = _step_rhs(problem, grid, sigma, face, source, n, yn,
+                            memory.load(yn))
+            level[1:] = operator.solve(rhs)
+            level[0] = problem.alpha * level[-1]
+            if residuals is not None:
+                residuals.append(step_residual(operator.with_rhs(rhs),
+                                               level[1:]))
+            top = float(np.max(np.abs(level)))
+            if not top <= BLOWUP_LIMIT:     # also true for inf and NaN
+                blow = BlowUp(level=n + 1,
+                              norm=np.inf if np.isnan(top) else top)
+                break
+            memory.push(level, yn)
 
     levels = Y[:blow.level + 1] if blow else Y
     return SolveOutcome(history=levels, blow_up=blow,

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +25,10 @@ from fracheat.cli import (
     StabilityReport,
     _error_history,
 )
-from fracheat.core import Grid
+from fracheat.core import MAX_NODES, Grid, SchemeParams
 from fracheat.norms import UndefinedNormError, sigma_threshold
 from fracheat.prng import splitmix64, uniform_symmetric
-from fracheat.stepper import SolveOutcome
+from fracheat.stepper import SolveOutcome, march
 
 QUICK = dict(gamma=0.5, alpha=2.0, beta=5.0, levels=(5, 10, 20))
 
@@ -132,6 +134,55 @@ def test_error_history_maps_non_finite_levels_to_inf():
                               Grid(N=4, Nt=3))
     assert full == [0.0, math.inf, math.inf, math.inf]
     assert mx == [0.0, math.inf, math.inf, 1e200]
+
+
+def per_level_errors(outcome, problem, grid):
+    """Error norms one level at a time: the reference for the blocked loop."""
+    x, h = grid.x, grid.h
+    full, mx = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, y in enumerate(outcome.history):
+            z = y - np.asarray(problem.exact(x, n * grid.tau), dtype=float)
+            full.append(float(np.sqrt(0.5 * h * (z[0] ** 2 + z[-1] ** 2)
+                                      + h * np.sum(z[1:-1] ** 2))))
+            mx.append(float(np.max(np.abs(z))))
+    return ([math.inf if math.isnan(e) else e for e in full],
+            [math.inf if math.isnan(e) else e for e in mx])
+
+
+def unstable_history_with_non_finite_rows():
+    problem = CATALOG["mms-cubic"](alpha=0.1, beta=10.0, gamma=0.4)
+    grid = Grid.balanced(80, 0.4)
+    outcome = march(problem, grid, SchemeParams(1.0))
+    assert outcome.blow_up is not None
+    levels = outcome.history.copy()
+    levels[3, 5] = math.inf
+    levels[7] = math.nan
+    levels[10, 2] = 1e200           # its square overflows
+    levels[11, 4] = -math.inf
+    return problem, grid, SolveOutcome(history=levels)
+
+
+@pytest.mark.parametrize("case", ["601-levels", "wide-grid", "callback-exact",
+                                  "unstable-non-finite"])
+def test_blocked_error_history_matches_the_per_level_loop(case):
+    if case == "unstable-non-finite":
+        problem, grid, outcome = unstable_history_with_non_finite_rows()
+    else:
+        problem = CATALOG["mms-cubic"](alpha=3.0, beta=2.0, gamma=0.5)
+        # 601 = 2*256 + 89 levels; 601 nodes give blocks of 109 levels.
+        if case == "wide-grid":
+            grid = Grid(N=600, Nt=250)
+        else:
+            grid = Grid(N=20, Nt=600)
+        if case == "callback-exact":
+            exact = problem.exact
+            problem = dataclasses.replace(problem,
+                                          exact=lambda x, t: exact(x, t))
+        outcome = march(problem, grid, SchemeParams(1.0))
+    full, mx = _error_history(outcome, problem, grid)
+    assert (full, mx) == per_level_errors(outcome, problem, grid)
+    assert len(full) == len(outcome.history)
 
 
 def test_config_validation_messages():
@@ -373,17 +424,49 @@ def test_stability_failure_renders_fail_line():
      "--nt", "20"],
     ["stability", "--alpha", "1e-160", "--beta", "1e-160", "--n", "8",
      "--nt", "20"],
+    ["solve", "--n", "100000000000000000000", "--nt", "5"],
+    ["stability", "--n", str(MAX_NODES + 1)],
+    ["convergence", "--levels", f"4,{MAX_NODES + 1}"],
+    ["solve", "--format", "table"],
+    ["solve", "--seed", "9"],
+    ["convergence", "--seed", "3"],
+    ["caputo-order", "--alpha", "5", "--sigma", "0.3", "--fail-on-blowup"],
+    ["stability", "--fail-on-blowup", "--format", "table"],
+    ["caputo-order", "--gamma", "0.3"],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
         "caputo-taus-repeated", "fixed-tau-tiny", "balanced-t-huge",
         "solve-nt-huge", "coupling-product-overflows",
         "singular-closure", "nan-closure-pivot", "stability-product-overflows",
-        "stability-weights-overflow"])
+        "stability-weights-overflow", "solve-n-huge", "stability-n-over-limit",
+        "levels-over-limit", "solve-format", "solve-seed", "convergence-seed",
+        "caputo-order-scheme-options", "stability-study-options",
+        "caputo-order-gamma-prefix"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert "error: " in err.splitlines()[-1] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "1e154", "--beta", "1e154", "--n", "8", "--nt", "20"],
+    ["solve", "--problem", "zero", "--alpha", "1e154", "--beta", "1e154",
+     "--sigma", "0", "--n", "8", "--nt", "20"],
+    ["stability", "--alpha", "1e154", "--beta", "1e154", "--n", "8",
+     "--nt", "20"],
+    ["solve", "--n", "100000000000000000000", "--nt", "5"],
+], ids=["overflowing-operator", "overflowing-operator-sigma-0",
+        "stability-overflowing-operator", "huge-node-count"])
+def test_refused_extremes_print_only_the_error_line(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert exit_code(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_tiny_coupling_product_still_solves(capsys):
@@ -402,8 +485,17 @@ def test_tiny_coupling_product_still_solves(capsys):
     ("solve", {"problem": 3}),
     ("solve", {"gama": 0.5}),
     ("solve", {"history": True}),
+    ("solve", {"format": "table"}),
+    ("solve", {"seed": 9}),
+    ("convergence", {"seed": 3}),
+    ("caputo-order", {"alpha": 5.0}),
+    ("caputo-order", {"sigma": 0.3}),
+    ("stability", {"format": "table"}),
 ], ids=["gamma-text", "n-fraction", "tau-text", "levels-fraction",
-        "out-bool", "problem-number", "unknown-key", "switch-key"])
+        "out-bool", "problem-number", "unknown-key", "switch-key",
+        "solve-format-key", "solve-seed-key", "convergence-seed-key",
+        "caputo-order-alpha-key", "caputo-order-sigma-key",
+        "stability-format-key"])
 def test_bad_config_values_exit_2_with_a_message(command, cfg, tmp_path,
                                                  capsys):
     path = tmp_path / "bad.json"
@@ -462,21 +554,23 @@ _WRONG = {
     "list": _ALWAYS_WRONG | st.lists(st.booleans() | st.none(), min_size=1,
                                      max_size=2),
 }
-_COMMON = {"gamma": "float", "alpha": "float", "beta": "float",
-           "sigma": "float", "T": "float", "out": "text", "format": "text",
-           "seed": "int"}
+_COMMON = {"T": "float", "out": "text"}
+_SCHEME = {**_COMMON, "gamma": "float", "alpha": "float", "beta": "float",
+           "sigma": "float"}
 # Subcommand -> (flags fixing a tiny mesh, kind of every config key).
 _COMMANDS = {
     "solve": (["--n", "4", "--nt", "3", "--t", "1"],
-              {**_COMMON, "problem": "text", "n": "int", "nt": "int"}),
+              {**_SCHEME, "problem": "text", "n": "int", "nt": "int"}),
     "convergence": (["--levels", "4,6", "--coupling", "balanced", "--t", "1"],
-                    {**_COMMON, "problem": "text", "levels": "ints",
-                     "coupling": "text", "tau": "float", "norms": "list"}),
+                    {**_SCHEME, "problem": "text", "levels": "ints",
+                     "coupling": "text", "tau": "float", "norms": "list",
+                     "format": "text"}),
     "caputo-order": (["--gammas", "0.5", "--taus", "0.5,0.25", "--t", "1"],
                      {**_COMMON, "gammas": "list", "taus": "list",
                       "function": "text"}),
     "stability": (["--n", "4", "--nt", "3", "--t", "1"],
-                  {**_COMMON, "sigma": "sigma", "n": "int", "nt": "int"}),
+                  {**_SCHEME, "sigma": "sigma", "n": "int", "nt": "int",
+                   "seed": "int"}),
 }
 
 
@@ -496,24 +590,24 @@ def test_wrong_typed_config_values_never_raise(data):
     assert code in (0, 1, 2, 3)
 
 
-# Random command lines: each subcommand's flags (but not --out and
+# Random command lines: each subcommand's own flags (but not --out and
 # --config) with values that probe the edges of every option type.  The
 # flags that fix the mesh and the time span come last and win, so every
 # example stays small.
 _VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "1e154", "0.5",
            "threshold", "zero", "fixed", "table", "max", "abc")
 _SWITCHES = ("--history", "--fail-on-blowup")
-_FLAGS = ("--gamma", "--alpha", "--beta", "--sigma", "--format", "--seed")
+_FLAGS = ("--gamma", "--alpha", "--beta", "--sigma")
 _TINY_SOLVE = ["--n", "4", "--nt", "5", "--t", "1"]
 _ARGV = {
-    "solve": (_FLAGS + ("--problem", "--n", "--nt"), _TINY_SOLVE),
+    "solve": (_FLAGS + ("--problem", "--n", "--nt") + _SWITCHES, _TINY_SOLVE),
     "convergence": (_FLAGS + ("--problem", "--levels", "--coupling", "--tau",
-                              "--norms"),
+                              "--norms", "--format", "--fail-on-blowup"),
                     ["--levels", "4,8", "--coupling", "balanced",
                      "--t", "1"]),
-    "caputo-order": (_FLAGS + ("--gammas", "--taus", "--function"),
+    "caputo-order": (("--gammas", "--taus", "--function"),
                      ["--taus", "0.5,0.25", "--t", "1"]),
-    "stability": (_FLAGS + ("--n", "--nt"), _TINY_SOLVE),
+    "stability": (_FLAGS + ("--n", "--nt", "--seed"), _TINY_SOLVE),
 }
 
 
@@ -522,7 +616,7 @@ def command_lines(draw):
     command = draw(st.sampled_from(sorted(_ARGV)))
     flags, tiny = _ARGV[command]
     argv = [command]
-    for flag in draw(st.lists(st.sampled_from(flags + _SWITCHES),
+    for flag in draw(st.lists(st.sampled_from(flags),
                               max_size=4)):
         argv.append(flag)
         if flag not in _SWITCHES:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracheat.core import (
+    MAX_NODES,
     MAX_STEPS,
     BoundsViolationError,
     DomainError,
@@ -67,6 +68,21 @@ def test_balanced_grid_rejects_bad_mesh_input(N, T):
 def test_grids_refuse_more_than_max_steps(build):
     with pytest.raises(DomainError, match="limit"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid(N=MAX_NODES + 1, Nt=3),
+    lambda: Grid(N=10**20, Nt=5),
+    lambda: Grid.with_step(10**20, 0.5),
+    lambda: Grid.balanced(MAX_NODES + 1, 0.5),
+], ids=["N", "N-huge", "with-step", "balanced"])
+def test_grids_refuse_more_than_max_nodes(build):
+    with pytest.raises(DomainError, match="space intervals exceed the limit"):
+        build()
+
+
+def test_grid_accepts_max_nodes():
+    assert Grid(N=MAX_NODES, Nt=1).N == MAX_NODES
 
 
 def test_grid_with_step_rounds_the_step_count_up():

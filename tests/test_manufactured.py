@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fracheat.core import DomainError, Grid, SchemeParams
+from fracheat.cli import _error_history
+from fracheat.core import DomainError, Grid, NodeSampler, SchemeParams
 from fracheat.fractional import caputo_oracle
 from fracheat.manufactured import (
     CATALOG,
@@ -14,6 +17,7 @@ from fracheat.manufactured import (
     caputo_time_profile,
     space_profile,
     space_profile_d1,
+    space_profile_d2,
     time_profile,
     time_profile_d1,
     verify_compatibility,
@@ -119,3 +123,76 @@ def test_catalog_exposes_named_builders():
     zero = CATALOG["zero"](alpha=1.0, beta=1.0, gamma=0.5, T=1.0)
     assert zero.exact(0.5, 0.5) == 0.0
     assert build_zero().mu(0.3) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# separable data against the closed-form callbacks
+# ---------------------------------------------------------------------------
+
+def callback_source(alpha, gamma):
+    """The manufactured source as one plain callback, in closed form."""
+    def f(x, t):
+        return (space_profile(alpha, x) * caputo_time_profile(gamma, t)
+                - np.exp(x) * (space_profile_d1(alpha, x)
+                               + space_profile_d2(alpha, x))
+                * time_profile(t))
+    return f
+
+
+def callback_exact(alpha):
+    return lambda x, t: space_profile(alpha, x) * time_profile(t)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(alpha=st.floats(0.01, 300.0) | st.floats(-300.0, -0.01),
+       gamma=st.floats(0.05, 0.95), N=st.integers(2, 300),
+       times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+       node=st.integers(0, 300))
+def test_separable_data_sample_as_their_callbacks_bit_for_bit(
+        alpha, gamma, N, times, node):
+    problem = build_manufactured(alpha, alpha, gamma)
+    x = Grid(N=N, Nt=1).x
+    xi = float(x[node % x.size])
+    for data, callback in ((problem.f, callback_source(alpha, gamma)),
+                           (problem.exact, callback_exact(alpha))):
+        sampler = NodeSampler(data, x)
+        rows = sampler.rows(times)
+        for j, t in enumerate(times):
+            want = callback(x, t)
+            assert same_bits(sampler.at(t), want)
+            assert same_bits(rows[j], want)
+            assert same_bits(data(x, t), want)
+            assert same_bits(data(xi, t), callback(xi, t))
+
+
+def test_data_without_terms_sample_to_one_shared_zero_array():
+    zero = build_zero()
+    sampler = NodeSampler(zero.f, Grid(N=6, Nt=1).x)
+    first = sampler.at(0.1)
+    assert first is sampler.at(0.7) and not first.any()
+    assert same_bits(sampler.rows([0.1, 0.2]), np.zeros((2, 7)))
+    assert same_bits(zero.f(np.linspace(0.0, 1.0, 4), 0.3), np.zeros(4))
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, sigma, grid", [
+    (3.0, 2.0, 0.5, 1.0, Grid.balanced(20, 0.5)),
+    (0.7, 0.1, 0.5, 0.3, Grid(N=30, Nt=50)),
+    (2.0, 5.0, 0.8, 0.6, Grid(N=16, Nt=150)),
+    (0.1, 10.0, 0.4, 1.0, Grid.balanced(80, 0.4)),
+], ids=["implicit", "sigma-0.3", "sigma-0.6", "blow-up"])
+def test_march_on_separable_data_matches_plain_callbacks(alpha, beta, gamma,
+                                                         sigma, grid):
+    problem = build_manufactured(alpha, beta, gamma)
+    plain = dataclasses.replace(problem, f=callback_source(alpha, gamma),
+                                exact=callback_exact(alpha))
+    params = SchemeParams(sigma)
+    terms, callbacks = march(problem, grid, params), march(plain, grid, params)
+    assert terms.history.tobytes() == callbacks.history.tobytes()
+    assert terms.blow_up == callbacks.blow_up
+    assert (terms.blow_up is not None) == (alpha == 0.1)
+    assert (_error_history(terms, problem, grid)
+            == _error_history(callbacks, plain, grid))

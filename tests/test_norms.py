@@ -215,3 +215,19 @@ def test_convergence_order_examples():
         convergence_order(0.0, 1.0, 0.2, 0.1)
     with pytest.raises(DomainError):
         convergence_order(1.0, 0.5, 0.1, 0.2)
+
+
+def test_norms_of_a_level_array_equal_each_level_bit_for_bit():
+    rng = np.random.default_rng(3)
+    levels = (rng.standard_normal((37, 321))
+              * 10.0 ** rng.integers(-8, 8, (37, 1)))
+    levels[5, 7] = math.inf
+    levels[9, 0] = math.nan
+    h = 1.0 / 320
+    full, mx = norm_trapezoid(levels, h), norm_max(levels)
+    assert full.shape == mx.shape == (37,)
+    assert full.tobytes() == np.array(
+        [norm_trapezoid(y, h) for y in levels]).tobytes()
+    assert mx.tobytes() == np.array([norm_max(y) for y in levels]).tobytes()
+    assert isinstance(norm_trapezoid(levels[0], h), float)
+    assert isinstance(norm_max(levels[0]), float)

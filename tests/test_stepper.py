@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from fracheat.core import (
     DimensionError,
+    DomainError,
     Grid,
     Problem,
     SchemeParams,
@@ -245,6 +246,23 @@ def test_nan_level_stops_the_march_with_an_infinite_norm():
     assert outcome.blow_up.level == 6 and outcome.blow_up.norm == math.inf
     assert np.isnan(outcome.history[-1]).any()
     assert np.all(outcome.history[:-1] == 0.0)
+
+
+@pytest.mark.parametrize("alpha, beta, sigma", [(1e154, 1e154, 1.0),
+                                               (1e154, 1e154, 0.0),
+                                               (1e-154, 1e307, 1.0)])
+def test_overflowing_operator_is_refused_before_any_step(alpha, beta, sigma):
+    problem = build_zero(alpha=alpha, beta=beta, gamma=0.5)
+    with pytest.raises(DomainError, match="step operator overflows"):
+        march(problem, Grid(N=8, Nt=20), SchemeParams(sigma))
+
+
+def test_overflowing_step_is_a_blow_up_not_a_warning():
+    # The operator is finite, but y_0 = alpha*y_N overflows at level 1.
+    problem = build_manufactured(1e154, 1e-154, 0.5)
+    outcome = march(problem, Grid(N=4, Nt=5), SchemeParams(0.0))
+    assert outcome.blow_up is not None
+    assert outcome.blow_up.level == 1 and outcome.blow_up.norm == math.inf
 
 
 def test_tiny_scaled_system_is_not_singular():
