@@ -39,15 +39,9 @@ from .core import (DomainError, Grid, NodeSampler, Problem, SchemeParams,
                    check_steps, face_coefficients)
 from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
 from .manufactured import CATALOG
-from .norms import (
-    UndefinedNormError,
-    convergence_order,
-    energy_norm,  # noqa: F401  (looked up here by benchmarks/spans.py)
-    energy_weights,
-    norm_max,
-    norm_trapezoid,
-    sigma_threshold,
-)
+from .norms import (UndefinedNormError, convergence_order, energy_weights,
+                    norm_max, norm_trapezoid, sigma_threshold)
+from .norms import energy_norm  # noqa: F401  (looked up by benchmarks/spans.py)
 from .prng import uniform_symmetric
 from .stepper import SingularSystemError, SolveOutcome, march
 

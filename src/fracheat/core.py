@@ -28,6 +28,7 @@ __all__ = [
     "BoundsViolationError",
     "MAX_NODES",
     "MAX_STEPS",
+    "MAX_LEVEL_ENTRIES",
     "check_gamma",
     "check_steps",
     "Grid",
@@ -58,6 +59,9 @@ class BoundsViolationError(ValueError):
 # gamma=0.8, takes about 151,000 steps), and low enough that a longer or
 # wider march is refused before its levels are allocated.
 MAX_STEPS = MAX_NODES = 10**6
+# Most entries (N+1)*(Nt+1) of a grid's level array (2 GiB of float64),
+# above the 193 million of that study.
+MAX_LEVEL_ENTRIES = 2**28
 
 
 def check_gamma(gamma: float) -> None:
@@ -84,6 +88,7 @@ class Grid:
         ``h = 1/N``.
     Nt : int
         Number of time steps (1 <= Nt <= MAX_STEPS); step ``tau = T/Nt``.
+        At most MAX_LEVEL_ENTRIES entries ``(N+1)*(Nt+1)`` in all.
     T : float
         Final time, positive and finite.
     """
@@ -103,6 +108,9 @@ class Grid:
             raise DomainError(f"{self.N} space intervals exceed the limit of "
                               f"{MAX_NODES}")
         check_steps(self.Nt)
+        if (self.N + 1) * (self.Nt + 1) > MAX_LEVEL_ENTRIES:
+            raise DomainError(f"{self.N + 1}*{self.Nt + 1} level entries "
+                              f"exceed the limit of {MAX_LEVEL_ENTRIES}")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise DomainError(f"final time must be positive and finite, "
                               f"got T={self.T}")

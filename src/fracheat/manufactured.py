@@ -116,30 +116,31 @@ class CompatibilityReport:
     max_flux_residual: float
 
 
-def verify_compatibility(problem: Problem, grid: Grid,
-                         samples: int = 50, seed: int = 20260810,
-                         pde_tol: float = 1e-8,
-                         bc_tol: float = 1e-12) -> CompatibilityReport:
+# Points, seed and tolerances of verify_compatibility.
+_SAMPLES, _SEED, _PDE_TOL, _BC_TOL = 50, 20260810, 1e-8, 1e-12
+
+
+def verify_compatibility(problem: Problem, grid: Grid) -> CompatibilityReport:
     """Numerically re-check the identities defining a manufactured problem.
 
-    At ``samples`` random (x, t) points the memory term of the exact
+    At _SAMPLES random (x, t) points the memory term of the exact
     solution is evaluated by quadrature and compared against the source
     plus diffusion term; both boundary couplings are checked at the same
-    times.  Final time is taken from ``grid``.  Tolerances apply relative
-    to the magnitude of the identity's terms (so they are absolute for
-    order-one data but do not demand sub-ulp cancellation when alpha or
-    beta reach the hundreds).
+    times.  Final time is taken from ``grid``.  The tolerances apply
+    relative to the magnitude of the identity's terms (so they are
+    absolute for order-one data but do not demand sub-ulp cancellation
+    when alpha or beta reach the hundreds).
 
     Raises
     ------
     CompatibilityError
         Naming the first identity whose residual exceeds its tolerance.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     alpha, beta, gamma = problem.alpha, problem.beta, problem.gamma
-    xs = rng.uniform(0.0, 1.0, samples)
+    xs = rng.uniform(0.0, 1.0, _SAMPLES)
     # Keep t away from 0 where the memory term of the check itself vanishes.
-    ts = rng.uniform(0.01 * grid.T, grid.T, samples)
+    ts = rng.uniform(0.01 * grid.T, grid.T, _SAMPLES)
 
     max_pde = 0.0
     for x, t in zip(xs, ts):
@@ -151,9 +152,9 @@ def verify_compatibility(problem: Problem, grid: Grid,
         scale = max(1.0, abs(mem), abs(diffusion))
         res = abs(mem - diffusion - problem.f(x, t)) / scale
         max_pde = max(max_pde, res)
-        if res > pde_tol:
+        if res > _PDE_TOL:
             raise CompatibilityError(
-                f"pde-residual {res:.3e} > {pde_tol:.1e} at x={x}, t={t}"
+                f"pde-residual {res:.3e} > {_PDE_TOL:.1e} at x={x}, t={t}"
             )
 
     max_value = 0.0
@@ -168,16 +169,16 @@ def verify_compatibility(problem: Problem, grid: Grid,
                 / max(1.0, abs(out_flux), abs(in_flux), abs(problem.mu(t))))
         max_value = max(max_value, value)
         max_flux = max(max_flux, flux)
-        if value > bc_tol:
+        if value > _BC_TOL:
             raise CompatibilityError(
-                f"value-coupling residual {value:.3e} > {bc_tol:.1e} at t={t}"
+                f"value-coupling residual {value:.3e} > {_BC_TOL:.1e} at t={t}"
             )
-        if flux > bc_tol:
+        if flux > _BC_TOL:
             raise CompatibilityError(
-                f"flux-coupling residual {flux:.3e} > {bc_tol:.1e} at t={t}"
+                f"flux-coupling residual {flux:.3e} > {_BC_TOL:.1e} at t={t}"
             )
 
-    return CompatibilityReport(samples=samples,
+    return CompatibilityReport(samples=_SAMPLES,
                                max_pde_residual=max_pde,
                                max_value_residual=max_value,
                                max_flux_residual=max_flux)

@@ -1,9 +1,9 @@
 """Discrete norms, the energy norm of the stability estimate, and orders.
 
-Three mesh norms are used by the study harness: the interior L2 norm
-(endpoints excluded), the trapezoid-weighted full-grid L2 norm used for
-error tables, and the max norm.  The energy norm adds to the interior L2
-norm a weighted interior term and a weighted left-endpoint term; it is
+Two mesh norms are used by the study harness: the trapezoid-weighted
+full-grid L2 norm used for error tables, and the max norm.  The energy
+norm adds to the interior L2 norm (endpoints excluded) a weighted
+interior term and a weighted left-endpoint term; it is
 the quantity that the scheme keeps nonincreasing for homogeneous data
 when sigma is at or above the stability threshold.
 
@@ -29,7 +29,6 @@ __all__ = [
     "NormCase",
     "EnergyWeights",
     "energy_weights",
-    "norm_interior",
     "norm_trapezoid",
     "norm_max",
     "energy_norm",
@@ -45,12 +44,6 @@ class UndefinedNormError(ValueError):
 class NormCase(enum.Enum):
     DIRECT = "direct"
     REFLECTED = "reflected"
-
-
-def norm_interior(y, h: float) -> float:
-    """Discrete L2 norm over interior nodes: sqrt(sum_{i=1}^{N-1} y_i**2 * h)."""
-    v = np.asarray(y, dtype=float)
-    return float(np.sqrt(h * np.sum(v[1:-1] ** 2)))
 
 
 def norm_trapezoid(y, h: float) -> float | np.ndarray:

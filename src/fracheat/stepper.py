@@ -8,16 +8,16 @@ touches columns 1, N-1 and N.  It is solved in O(N) by superposition:
 banded LAPACK factors the tridiagonal interior block, and a scalar
 closure of the flux row gives y_N.
 
-The scheme has constant coefficients in time, so what depends only on x
-is done once per march: :class:`StepOperator` builds and factors the
-matrix, :class:`L1Memory` takes its L1 weights from one evaluation and
-sums the memory exactly, blocked over levels, and a
-:class:`~fracheat.core.NodeSampler` holds the source on the nodes, so
-separable data (:class:`~fracheat.core.Separable`) have their space
-factors sampled once and each step evaluates only the time factors.  A
-step then costs its right-hand side, the memory load and one banded
-back-substitution, and writes its level in place into one
-``(Nt+1, N+1)`` array.
+The scheme has constant coefficients in time, so a march derives its
+:class:`Step` once (:func:`build_step`): the matrix of the new level
+(:class:`StepOperator`, factored on first use), the explicit part of
+the same operator on the old level, and the source on the nodes
+(:class:`~fracheat.core.NodeSampler`, which samples the space factors
+of :class:`~fracheat.core.Separable` data once).  :class:`L1Memory`
+takes its L1 weights from one evaluation and sums the memory exactly,
+blocked over levels.  A step then applies the record to its right-hand
+side, adds the memory load, does one banded back-substitution and
+writes its level in place into one ``(Nt+1, N+1)`` array.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array; a dense LU solve of the same system
@@ -29,23 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
-from .core import (
-    DimensionError,
-    DomainError,
-    Grid,
-    NodeSampler,
-    Problem,
-    SchemeParams,
-    face_coefficients,
-    sample_space,
-    sample_space_time,  # noqa: F401  (looked up here by benchmarks/spans.py)
-)
+from .core import (DimensionError, DomainError, Grid, NodeSampler, Problem,
+                   SchemeParams, face_coefficients, sample_space)
+from .core import sample_space_time  # noqa: F401  (looked up by benchmarks/spans.py)
 from .fractional import l1_weights, split_implicit
 
 __all__ = [
@@ -53,11 +45,13 @@ __all__ = [
     "SingularSystemError",
     "StepOperator",
     "StepSystem",
+    "Step",
     "L1Memory",
     "BlowUp",
     "SolveOutcome",
     "BLOWUP_LIMIT",
     "assemble_step",
+    "build_step",
     "solve_bordered",
     "solve_dense_oracle",
     "step_residual",
@@ -276,86 +270,106 @@ class L1Memory:
         self._count += 1
 
 
-def _step_operator(problem: Problem, grid: Grid, sigma: float,
-                   face: np.ndarray, c_new: float) -> StepOperator:
-    """Matrix of a step; ``c_new`` weighs the new level in the memory term.
+@dataclass(frozen=True)
+class Step:
+    """What every step of a march shares, built once by :func:`build_step`.
 
-    Interior rows encode c_new*y_i - sigma*(a*y_xbar)_{x,i}; the flux row
-    encodes beta*D(y)_0 + D(y)_N + (2/h)*sigma*(a_N*y_xbar_N - beta*a_1*y_x_0)
-    with y_0 = alpha*y_N.
+    The scheme's spatial operator, the conservative second difference
+    (a*y_xbar)_x with the flux row, weighs the new level by sigma, in
+    ``operator``, and the old level by ``explicit`` = 1-sigma, through
+    the face coefficients ``a_left`` (a_i of rows i = 1..N-1), ``a_mid``
+    (a_i + a_{i+1}) and ``a_right`` (a_{i+1}), ``h2`` = h*h and the flux
+    weights ``flux_N`` = (1-sigma)*2*a_N/h^2 and ``flux_1`` =
+    (1-sigma)*2*beta*a_1/h^2.  ``source`` samples f on the nodes, so
+    separable data cost only their time factors.
     """
-    N, h = grid.N, grid.h
-    alpha, beta = problem.alpha, problem.beta
+
+    operator: StepOperator
+    a_left: np.ndarray
+    a_mid: np.ndarray
+    a_right: np.ndarray
+    h2: float
+    explicit: float
+    two_by_h: float
+    flux_N: float
+    flux_1: float
+    beta: float
+    mu: Callable
+    tau: float
+    sigma: float
+    source: NodeSampler
+
+
+def build_step(problem: Problem, grid: Grid, sigma: float,
+               c_new: float) -> Step:
+    """The step of a march; ``c_new`` weighs the new level in the memory term.
+
+    Matrix interior rows encode c_new*y_i - sigma*(a*y_xbar)_{x,i}; the
+    flux row encodes beta*D(y)_0 + D(y)_N + (2/h)*sigma*(a_N*y_xbar_N -
+    beta*a_1*y_x_0) with y_0 = alpha*y_N.  An overflowing matrix raises
+    DomainError.
+    """
+    face = face_coefficients(problem, grid)
+    N, h, alpha, beta = grid.N, grid.h, problem.alpha, problem.beta
     h2 = h * h
-    a_left = face[:-1]            # a_i   for rows i = 1..N-1
-    a_right = face[1:]            # a_i+1
+    a_left, a_right, a1, aN = face[:-1], face[1:], face[0], face[-1]
+    a_mid = a_left + a_right
     lower = np.zeros(N - 1)
-    a1, aN = face[0], face[-1]
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         lower[1:] = -sigma * a_left[1:] / h2
-        diag = c_new + sigma * (a_left + a_right) / h2
+        diag = c_new + sigma * a_mid / h2
         upper = -sigma * a_right / h2
-        corner = -sigma * alpha * face[0] / h2
+        corner = -sigma * alpha * a1 / h2
         b1 = -sigma * 2.0 * beta * a1 / h2
         bNm1 = -sigma * 2.0 * aN / h2
         bN = (c_new * (1.0 + alpha * beta)
               + sigma * 2.0 * aN / h2
               + sigma * 2.0 * beta * a1 * alpha / h2)
+        flux_N = (1.0 - sigma) * 2.0 * aN / h2
+        flux_1 = (1.0 - sigma) * 2.0 * beta * a1 / h2
     if not np.isfinite(np.concatenate(
             (lower, diag, upper, [corner, b1, bNm1, bN]))).all():
         raise DomainError(f"the step operator overflows for alpha={alpha}, "
                           f"beta={beta}, sigma={sigma} on {N} intervals")
-    return StepOperator(lower=lower, diag=diag, upper=upper, corner=corner,
-                        last_row=(b1, bNm1, bN))
+    operator = StepOperator(lower=lower, diag=diag, upper=upper,
+                            corner=corner, last_row=(b1, bNm1, bN))
+    return Step(operator=operator, a_left=a_left, a_mid=a_mid,
+                a_right=a_right, h2=h2, explicit=1.0 - sigma,
+                two_by_h=2.0 / h, flux_N=flux_N, flux_1=flux_1, beta=beta,
+                mu=problem.mu, tau=grid.tau, sigma=sigma,
+                source=NodeSampler(problem.f, grid.x))
 
 
-def _step_rhs(problem: Problem, grid: Grid, sigma: float, face: np.ndarray,
-              source: NodeSampler, n: int, yn: np.ndarray,
+def _step_rhs(step: Step, n: int, yn: np.ndarray,
               load: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
-
-    ``source`` samples ``problem.f`` on the nodes of ``grid``; a march
-    builds it once, so separable data cost only their time factors.
 
     Interior rows carry f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n
     - load_i, where ``load`` is the memory load at every node; the flux row
     carries (2/h)*mu + phi_N + beta*phi_0, the memory loads of both
     endpoints and the explicit part of both fluxes.
     """
-    h, beta = grid.h, problem.beta
-    h2 = h * h
-    t_sigma = (n + sigma) * grid.tau
-    phi = source.at(t_sigma)
-    a_left = face[:-1]
-    a_right = face[1:]
-    rhs = np.empty(grid.N)
-    second = (a_right * yn[2:] - (a_left + a_right) * yn[1:-1]
-              + a_left * yn[:-2]) / h2
-    rhs[:-1] = phi[1:-1] - load[1:-1] + (1.0 - sigma) * second
-
-    a1, aN = face[0], face[-1]
-    rhs[-1] = (2.0 / h * problem.mu(t_sigma) + phi[-1] + beta * phi[0]
-               - beta * load[0] - load[-1]
-               - (1.0 - sigma) * 2.0 * aN / h2 * (yn[-1] - yn[-2])
-               + (1.0 - sigma) * 2.0 * beta * a1 / h2 * (yn[1] - yn[0]))
+    t_sigma = (n + step.sigma) * step.tau
+    phi = step.source.at(t_sigma)
+    rhs = np.empty(yn.size - 1)
+    second = (step.a_right * yn[2:] - step.a_mid * yn[1:-1]
+              + step.a_left * yn[:-2]) / step.h2
+    rhs[:-1] = phi[1:-1] - load[1:-1] + step.explicit * second
+    rhs[-1] = (step.two_by_h * step.mu(t_sigma) + phi[-1] + step.beta * phi[0]
+               - step.beta * load[0] - load[-1]
+               - step.flux_N * (yn[-1] - yn[-2])
+               + step.flux_1 * (yn[1] - yn[0]))
     return rhs
 
 
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
-                  levels, face: np.ndarray | None = None) -> StepSystem:
+                  levels) -> StepSystem:
     """Assemble the linear system advancing a level array by one level.
 
     ``levels`` has shape ``(n+1, N+1)``, row s holding level s; the
-    system produces level n+1.  Interior rows encode
-
-        c_new*y_i - sigma*(a*y_xbar)_{x,i} =
-            f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n - load_i
-
-    where (c_new, load) split the discrete Caputo operator at the new
-    level; the last row encodes the flux coupling with the memory terms
-    of both endpoints split the same way.  The memory load is recomputed
-    here from all the levels by :func:`split_implicit`, independently of
-    :class:`L1Memory`.
+    system produces level n+1 and is built as a march builds it, except
+    that the memory split (c_new, load) is recomputed from all the levels
+    by :func:`split_implicit`, independently of :class:`L1Memory`.
     """
     Y = np.asarray(levels, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != grid.N + 1:
@@ -363,23 +377,16 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
             f"levels have shape {Y.shape}, expected (n+1, {grid.N + 1})"
         )
     n = Y.shape[0] - 1
-    if face is None:
-        face = face_coefficients(problem, grid)
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
-    operator = _step_operator(problem, grid, params.sigma, face, c_new)
-    source = NodeSampler(problem.f, grid.x)
-    return operator.with_rhs(
-        _step_rhs(problem, grid, params.sigma, face, source, n, Y[n], load))
+    step = build_step(problem, grid, params.sigma, c_new)
+    return step.operator.with_rhs(_step_rhs(step, n, Y[n], load))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
     """Solve the step system in O(N) by superposition (see StepOperator).
 
-    Raises
-    ------
-    SingularSystemError
-        If the interior block has an exactly zero pivot, or the closure
-        pivot is at roundoff level relative to the terms it is built from.
+    Raises SingularSystemError if the interior block has an exactly zero
+    pivot, or the closure pivot is at roundoff level relative to its terms.
     """
     return system.solve(system.rhs)
 
@@ -426,40 +433,32 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
 
     Level 0 samples ``problem.u0`` on the grid (or takes ``y0`` verbatim
     when supplied, as the stability experiments do with random data).
-    The step matrix is built and factored once, before the first load
-    (an overflowing matrix raises DomainError, a singular one
-    SingularSystemError); each later level costs its right-hand side, the
+    The step is built and its matrix factored before the level array is
+    allocated (an overflowing matrix raises DomainError, a singular one
+    SingularSystemError); each level then costs its right-hand side, the
     memory load and one banded solve, with y_0 recovered from the value
-    coupling, and is written in place into the level array.  A level
-    that is non-finite (also after an overflow) or exceeds
-    ``BLOWUP_LIMIT`` in max norm stops the march and is recorded in the
-    outcome instead of raising.
+    coupling.  A level that is non-finite (also after an overflow) or
+    exceeds ``BLOWUP_LIMIT`` in max norm stops the march and is recorded
+    in the outcome instead of raising.
     """
-    face = face_coefficients(problem, grid)
-    x = grid.x
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
+    step = build_step(problem, grid, params.sigma, memory.c_new)
+    operator = step.operator
+    operator._factors           # factor and check the closure before any load
     Y = np.empty((grid.Nt + 1, grid.N + 1))
     if y0 is None:
-        Y[0] = sample_space(problem.u0, x)
+        Y[0] = sample_space(problem.u0, grid.x)
+    elif np.shape(y0) != (grid.N + 1,):
+        raise DimensionError(f"y0 has shape {np.shape(y0)}, "
+                             f"expected ({grid.N + 1},)")
     else:
-        first = np.asarray(y0, dtype=float)
-        if first.shape != (grid.N + 1,):
-            raise DimensionError(
-                f"y0 has shape {first.shape}, expected ({grid.N + 1},)"
-            )
-        Y[0] = first
+        Y[0] = y0
     residuals: Optional[list[float]] = [] if check_residuals else None
     blow: Optional[BlowUp] = None
-
-    sigma = params.sigma
-    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
-    operator = _step_operator(problem, grid, sigma, face, memory.c_new)
-    operator._factors           # factor and check the closure before any load
-    source = NodeSampler(problem.f, x)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(grid.Nt):
             yn, level = Y[n], Y[n + 1]
-            rhs = _step_rhs(problem, grid, sigma, face, source, n, yn,
-                            memory.load(yn))
+            rhs = _step_rhs(step, n, yn, memory.load(yn))
             level[1:] = operator.solve(rhs)
             level[0] = problem.alpha * level[-1]
             if residuals is not None:

@@ -427,6 +427,9 @@ def test_stability_failure_renders_fail_line():
     ["solve", "--n", "100000000000000000000", "--nt", "5"],
     ["stability", "--n", str(MAX_NODES + 1)],
     ["convergence", "--levels", f"4,{MAX_NODES + 1}"],
+    ["solve", "--n", "1000000", "--nt", "1000000"],
+    ["stability", "--n", "100000", "--nt", "1000000"],
+    ["convergence", "--levels", "20,40,20000"],
     ["solve", "--format", "table"],
     ["solve", "--seed", "9"],
     ["convergence", "--seed", "3"],
@@ -440,7 +443,9 @@ def test_stability_failure_renders_fail_line():
         "solve-nt-huge", "coupling-product-overflows",
         "singular-closure", "nan-closure-pivot", "stability-product-overflows",
         "stability-weights-overflow", "solve-n-huge", "stability-n-over-limit",
-        "levels-over-limit", "solve-format", "solve-seed", "convergence-seed",
+        "levels-over-limit", "solve-levels-over-limit",
+        "stability-levels-over-limit", "convergence-levels-over-limit",
+        "solve-format", "solve-seed", "convergence-seed",
         "caputo-order-scheme-options", "stability-study-options",
         "caputo-order-gamma-prefix"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):

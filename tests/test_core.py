@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracheat.core import (
+    MAX_LEVEL_ENTRIES,
     MAX_NODES,
     MAX_STEPS,
     BoundsViolationError,
@@ -83,6 +84,26 @@ def test_grids_refuse_more_than_max_nodes(build):
 
 def test_grid_accepts_max_nodes():
     assert Grid(N=MAX_NODES, Nt=1).N == MAX_NODES
+
+
+def test_grid_accepts_a_level_array_at_the_entry_limit():
+    # 2**14 * 2**14 entries; building a Grid allocates no level array.
+    side = 2**14
+    assert side * side == MAX_LEVEL_ENTRIES
+    assert Grid(N=side - 1, Nt=side - 1).Nt == side - 1
+    grid = Grid.balanced(1280, 0.8)     # the longest planned study
+    assert (grid.N + 1) * (grid.Nt + 1) <= MAX_LEVEL_ENTRIES
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Grid(N=2**14 - 1, Nt=2**14),
+    lambda: Grid(N=MAX_NODES, Nt=MAX_STEPS),
+    lambda: Grid.with_step(10**5, 1e-6),
+    lambda: Grid.balanced(20000, 0.5),
+], ids=["one-row-past", "both-limits", "with-step", "balanced"])
+def test_grids_refuse_level_arrays_past_the_entry_limit(build):
+    with pytest.raises(DomainError, match="level entries exceed the limit"):
+        build()
 
 
 def test_grid_with_step_rounds_the_step_count_up():

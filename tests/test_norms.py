@@ -11,7 +11,6 @@ from fracheat.norms import (
     convergence_order,
     energy_norm,
     energy_weights,
-    norm_interior,
     norm_max,
     norm_trapezoid,
     sigma_threshold,
@@ -20,21 +19,6 @@ from fracheat.norms import (
 # Value of the stability bound at gamma=0.5, h=1/20, tau=h**(4/3), c2=e,
 # frozen after first computation as a regression constant.
 THRESHOLD_REGRESSION = 0.6291896648792096
-
-
-def test_interior_norm_examples():
-    assert norm_interior(np.zeros(9), 0.125) == 0.0
-    assert norm_interior(np.ones(5), 0.25) == pytest.approx(math.sqrt(0.75),
-                                                            rel=1e-14)
-    # y_i = x_i on N = 100: exact sum h**3 * sum i**2 over interior nodes,
-    # close to sqrt(1/3) up to the missing endpoint contribution.
-    N = 100
-    h = 1.0 / N
-    x = np.arange(N + 1) * h
-    got = norm_interior(x, h)
-    exact_sum = h**3 * (N - 1) * N * (2 * N - 1) / 6.0
-    assert got == pytest.approx(math.sqrt(exact_sum), rel=1e-14)
-    assert abs(got - math.sqrt(1.0 / 3.0)) < 0.005
 
 
 def test_trapezoid_norm_examples():
@@ -54,8 +38,6 @@ def test_norms_scale_linearly():
     y = rng.normal(size=13)
     h = 1.0 / 12
     for a in (2.5, 7.0):
-        assert norm_interior(a * y, h) == pytest.approx(a * norm_interior(y, h),
-                                                        rel=1e-13)
         assert norm_trapezoid(a * y, h) == pytest.approx(a * norm_trapezoid(y, h),
                                                          rel=1e-13)
         assert norm_max(a * y) == pytest.approx(a * norm_max(y), rel=1e-13)
@@ -100,7 +82,8 @@ def test_energy_norm_equal_parameters_drops_weighted_term():
     y = rng.normal(size=11)
     got = energy_norm(y, problem, grid, face)
     gamma1 = (1.5 * 1.5 + 1.0) / (2.0 * 1.5**2)
-    expect = math.sqrt(norm_interior(y, grid.h) ** 2 + gamma1 * y[0] ** 2 * grid.h)
+    expect = math.sqrt(grid.h * np.sum(y[1:-1] ** 2)
+                       + gamma1 * y[0] ** 2 * grid.h)
     assert got == pytest.approx(expect, rel=1e-13)
 
 
@@ -110,7 +93,7 @@ def test_energy_norm_unit_parameters_reduce_to_plain_form():
     face = face_coefficients(problem, grid)
     y = np.linspace(-1.0, 2.0, 8)
     got = energy_norm(y, problem, grid, face)
-    expect = math.sqrt(norm_interior(y, grid.h) ** 2 + y[0] ** 2 * grid.h)
+    expect = math.sqrt(grid.h * np.sum(y[1:-1] ** 2) + y[0] ** 2 * grid.h)
     assert got == pytest.approx(expect, rel=1e-13)
 
 

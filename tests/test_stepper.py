@@ -26,7 +26,9 @@ from fracheat.stepper import (
     L1Memory,
     SingularSystemError,
     StepSystem,
+    _step_rhs,
     assemble_step,
+    build_step,
     march,
     solve_bordered,
     solve_dense_oracle,
@@ -70,6 +72,60 @@ def test_two_cell_first_row_hand_expansion():
     assert system.corner == pytest.approx(-3.0 * face[0] / h2, rel=1e-14)
     expected_rhs = problem.f(grid.x[1], grid.tau) + c_new * levels[0][1]
     assert system.rhs[0] == pytest.approx(expected_rhs, rel=1e-14)
+
+
+def loop_rhs(problem, grid, sigma, n, yn, load):
+    """The right-hand side node by node, in the documented operation order.
+
+    The source is sampled by one vectorised call, as a march samples it;
+    the rest is Python float arithmetic on one node at a time.
+    """
+    face = [float(a) for a in face_coefficients(problem, grid)]
+    h, beta, N = grid.h, problem.beta, grid.N
+    t = (n + sigma) * grid.tau
+    phi = [float(v) for v in problem.f(grid.x, t)]
+    y, q = [float(v) for v in yn], [float(v) for v in load]
+    h2, rhs = h * h, []
+    for i in range(1, N):
+        a_l, a_r = face[i - 1], face[i]
+        second = (a_r * y[i + 1] - (a_l + a_r) * y[i] + a_l * y[i - 1]) / h2
+        rhs.append(phi[i] - q[i] + (1.0 - sigma) * second)
+    rhs.append(2.0 / h * problem.mu(t) + phi[N] + beta * phi[0]
+               - beta * q[0] - q[N]
+               - (1.0 - sigma) * 2.0 * face[-1] / h2 * (y[N] - y[N - 1])
+               + (1.0 - sigma) * 2.0 * beta * face[0] / h2 * (y[1] - y[0]))
+    return np.array(rhs)
+
+
+NEGATIVE_ZERO_SOURCE = Problem(gamma=0.5, alpha=1.0, beta=2.0, k=np.exp,
+                               f=lambda x, t: np.full_like(x, -0.0),
+                               mu=lambda t: 0.0, u0=np.zeros_like,
+                               c1=1.0, c2=math.e)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("problem", [build_manufactured(3.0, 2.0, 0.5),
+                                     build_manufactured(-2.0, -3.0, 0.4),
+                                     NEGATIVE_ZERO_SOURCE],
+                         ids=["alpha-positive", "alpha-negative",
+                              "negative-zero"])
+def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, sigma):
+    grid = Grid(N=12, Nt=10)
+    rng = np.random.default_rng(12)
+    yn = rng.uniform(-1.0, 1.0, grid.N + 1)
+    if problem is NEGATIVE_ZERO_SOURCE:
+        # phi - load is -0.0 at every node; the explicit term, 0.0*second
+        # at sigma=1, must still be added and turn it into +0.0.
+        load = np.zeros(grid.N + 1)
+        yn = np.linspace(0.0, 1.0, grid.N + 1) ** 2
+    else:
+        load = rng.uniform(-1.0, 1.0, grid.N + 1)
+    step = build_step(problem, grid, sigma, c_new=3.7)
+    got = _step_rhs(step, 4, yn, load)
+    assert got.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
+                                     load).tobytes()
+    if problem is NEGATIVE_ZERO_SOURCE and sigma == 1.0:
+        assert not np.signbit(got[:-1]).any()
 
 
 def test_homogeneous_problem_has_zero_rhs():

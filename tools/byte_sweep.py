@@ -1,0 +1,165 @@
+"""Compare the output of two fracheat source trees, byte for byte.
+
+    python3 tools/byte_sweep.py PARENT_SRC CHANGE_SRC
+
+Each argument is a ``src`` directory holding a ``fracheat`` package
+(for example ``src`` of a ``git archive`` of the parent commit, and
+``src`` of the working tree).  A change meant to keep every number the
+program produces is checked in two ways:
+
+* every call below runs once per tree, each in a fresh interpreter with
+  that tree first on ``PYTHONPATH`` and BLAS pinned to one thread, and
+  the exit code, stdout and the bytes of the ``--out`` file must agree.
+  The calls are every command line of the benchmark (``benchmarks/``,
+  seed 1) plus blow-up, table, fixed-coupling, ``--norms max``,
+  reflected-stability, ``--history`` and ``caputo-order`` calls;
+* the SHA-256 hashes of the level arrays of marches must agree, for
+  gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
+  {20, 40, 80, 160} on balanced grids, plus one march that blows up and
+  one of random homogeneous data.
+
+Each difference is printed on its own line; the exit code is 1 if there
+is any difference and 0 if there is none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Calls beyond the benchmark's; "{out}" becomes a file path.
+EXTRA_CALLS = (
+    ("solve", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4", "--n", "80",
+     "--fail-on-blowup"),
+    ("convergence", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
+     "--levels", "20,40,80", "--format", "table"),
+    ("convergence", "--alpha", "3", "--beta", "2", "--levels", "10,20,40",
+     "--format", "table", "--sigma", "0.5"),
+    ("convergence", "--alpha", "2", "--beta", "5", "--coupling", "fixed",
+     "--tau", "0.001", "--levels", "10,20,40"),
+    ("convergence", "--alpha", "0.7", "--beta", "0.1", "--norms", "max",
+     "--levels", "10,20,40", "--out", "{out}"),
+    ("stability", "--alpha", "0.5", "--beta", "0.2", "--sigma", "threshold",
+     "--n", "16", "--nt", "400", "--seed", "7"),
+    ("stability", "--alpha", "2", "--beta", "3", "--sigma", "0.3",
+     "--n", "12", "--nt", "300", "--out", "{out}"),
+    ("solve", "--alpha", "3", "--beta", "2", "--n", "20", "--sigma", "0.3",
+     "--out", "{out}", "--history"),
+    ("solve", "--problem", "zero", "--n", "40", "--nt", "100", "--out",
+     "{out}"),
+    ("caputo-order",),
+    ("caputo-order", "--function", "exp", "--gammas", "0.2,0.7",
+     "--out", "{out}"),
+)
+
+# Prints {key: sha256 of the level array, blow-up level and norm}.
+HASH_SCRIPT = """
+import hashlib, json
+from fracheat.core import Grid, SchemeParams
+from fracheat.manufactured import build_manufactured, build_zero
+from fracheat.prng import uniform_symmetric
+from fracheat.stepper import march
+
+def digest(outcome):
+    h = hashlib.sha256(outcome.history.tobytes())
+    h.update(repr(outcome.blow_up).encode())
+    return h.hexdigest()
+
+out = {}
+for gamma in (0.2, 0.4, 0.5, 0.8):
+    for sigma in (1.0, 0.3, 0.5):
+        for N in (20, 40, 80, 160):
+            outcome = march(build_manufactured(3.0, 2.0, gamma),
+                            Grid.balanced(N, gamma), SchemeParams(sigma))
+            out[f"mms g={gamma} s={sigma} N={N}"] = digest(outcome)
+out["blow-up a=0.1 b=10 g=0.4 N=80"] = digest(march(
+    build_manufactured(0.1, 10.0, 0.4), Grid.balanced(80, 0.4),
+    SchemeParams(1.0)))
+y0 = uniform_symmetric(5, 17)
+y0[0] = 2.0 * y0[-1]
+out["random zero-data N=16 Nt=400 s=0.6"] = digest(march(
+    build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=400), SchemeParams(0.6), y0=y0))
+print(json.dumps(out))
+"""
+
+
+def benchmark_calls(src: Path) -> list[tuple[str, ...]]:
+    """The command lines of every benchmark workload at seed 1."""
+    sys.path[:0] = [str(src), str(ROOT / "benchmarks")]
+    import fracheat.cli
+    import fracheat.core
+    import workloads
+
+    fc = SimpleNamespace(CATALOG=fracheat.cli.CATALOG,
+                         Grid=fracheat.core.Grid,
+                         face_coefficients=fracheat.core.face_coefficients)
+    return [call.argv for workload in workloads.WORKLOADS.values()
+            for op in workload.ops(fc, 1) for call in op.calls]
+
+
+def run(src: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONHASHSEED="0",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def call_result(src: Path, argv: tuple[str, ...]) -> tuple[int, str, bytes]:
+    """Exit code, stdout and ``--out`` bytes of one call in a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.txt"
+        argv = [str(out) if a == "{out}" else a for a in argv]
+        proc = run(src, ["-m", "fracheat", *argv], tmp)
+        return (proc.returncode, proc.stdout,
+                out.read_bytes() if out.exists() else b"")
+
+
+def level_hashes(src: Path) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = run(src, ["-c", HASH_SCRIPT], tmp)
+    if proc.returncode != 0:
+        sys.exit(f"error: level hashes failed under {src}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args()
+    for src in (args.parent_src, args.change_src):
+        if not (src / "fracheat" / "cli.py").is_file():
+            parser.error(f"no fracheat package under {src}")
+
+    differences = 0
+    calls = benchmark_calls(args.change_src) + list(EXTRA_CALLS)
+    for argv in calls:
+        parent = call_result(args.parent_src, argv)
+        change = call_result(args.change_src, argv)
+        for what, a, b in zip(("exit code", "stdout", "--out bytes"),
+                              parent, change):
+            if a != b:
+                differences += 1
+                print(f"DIFF {what}: fracheat {' '.join(argv)}")
+    parent = level_hashes(args.parent_src)
+    change = level_hashes(args.change_src)
+    for key in sorted(parent.keys() | change.keys()):
+        if parent.get(key) != change.get(key):
+            differences += 1
+            print(f"DIFF level hash: {key}")
+    print(f"{len(calls)} calls, {len(parent)} level hashes: "
+          f"{differences} difference(s)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
