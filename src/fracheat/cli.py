@@ -31,7 +31,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +88,7 @@ def _fmt(v: float) -> str:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Configuration of a refinement study."""
+    """Configuration of a refinement study, checked on construction."""
 
     gamma: float
     alpha: float
@@ -102,7 +102,7 @@ class StudyConfig:
     problem: str = "mms-cubic"
     check_residuals: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_problem(self.problem)
         if len(self.levels) < 1 or any(n < 2 for n in self.levels):
             raise UsageError("levels: need mesh sizes with N >= 2")
@@ -147,9 +147,7 @@ class StudyReport:
         error, and next to errors of instability magnitude.
         """
         out: list[dict[str, str]] = []
-        prev: dict[str, Optional[float]] = {"full": None, "max": None}
-        prev_h: Optional[float] = None
-        prev_bad = True
+        prev, prev_h, prev_bad = {}, 0.0, True
         for row in self.rows:
             errs = {"full": row.err_full, "max": row.err_max}
             cell = {
@@ -160,7 +158,7 @@ class StudyReport:
                 "err_max": "", "co_max": "",
             }
             bad = row.blew_up
-            printed: dict[str, Optional[float]] = {"full": None, "max": None}
+            printed: dict[str, float] = {}
             for name in ("full", "max"):
                 e = errs[name]
                 if e is None:
@@ -171,14 +169,10 @@ class StudyReport:
                 bad = bad or not usable
                 if usable:
                     printed[name] = float(text)
-                if (usable and not row.blew_up and not prev_bad
-                        and prev[name] is not None and prev_h is not None):
-                    co = convergence_order(prev[name], float(text),
-                                           prev_h, row.h)
-                    cell[f"co_{name}"] = f"{co:.5e}"
-            prev = printed
-            prev_h = row.h
-            prev_bad = bad
+                if usable and not row.blew_up and not prev_bad:
+                    cell[f"co_{name}"] = _fmt(convergence_order(
+                        prev[name], printed[name], prev_h, row.h))
+            prev, prev_h, prev_bad = printed, row.h, bad
             out.append(cell)
         return out
 
@@ -189,20 +183,24 @@ def _study_grid(N: int, config: StudyConfig) -> Grid:
     return Grid.with_step(N, config.tau, config.T)
 
 
+def _level_blocks(levels: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(first level, block) of at most 256 levels and about 2**16 entries.
+
+    Per-level norms are taken block by block, so their temporaries stay
+    small however long or wide the march; each row still sums alone.
+    """
+    rows = max(1, min(256, 2**16 // levels.shape[1]))
+    for k in range(0, len(levels), rows):
+        yield k, levels[k:k + rows]
+
+
 def _error_history(outcome: SolveOutcome, problem: Problem,
                    grid: Grid) -> tuple[list[float], list[float]]:
-    """Per-level trapezoid and max error norms; NaN maps to inf.
-
-    Taken a block of at most 256 levels and about 2**16 entries at a time,
-    so the temporaries stay small however long or wide the march.
-    """
+    """Per-level trapezoid and max error norms; NaN maps to inf."""
     exact = NodeSampler(problem.exact, grid.x)
-    Y = outcome.history
-    rows = max(1, min(256, 2**16 // Y.shape[1]))
     full, mx = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, len(Y), rows):
-            block = Y[k:k + rows]
+        for k, block in _level_blocks(outcome.history):
             z = block - exact.rows([n * grid.tau
                                     for n in range(k, k + len(block))])
             full += norm_trapezoid(z, grid.h).tolist()
@@ -217,13 +215,9 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     A level that blows up is reported in its row (error printed, order
     omitted) instead of aborting the study.
     """
-    config.validate()
     start = time.perf_counter()
     problem = CATALOG[config.problem](alpha=config.alpha, beta=config.beta,
                                       gamma=config.gamma, T=config.T)
-    if problem.exact is None:
-        raise UsageError(f"problem: {config.problem!r} has no exact "
-                         f"solution to measure errors against")
     params = SchemeParams(config.sigma)
     rows = []
     for grid in [_study_grid(N, config) for N in config.levels]:
@@ -276,28 +270,21 @@ def render_table(report: StudyReport) -> str:
 class SolveResult:
     grid: Grid
     outcome: SolveOutcome
-    err_full_final: Optional[float]
-    err_max_final: Optional[float]
-    err_full_peak: Optional[float]
-    err_max_peak: Optional[float]
+    err_full: list[float]
+    err_max: list[float]
 
 
 def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
               T: float, N: int, Nt: Optional[int],
               sigma: float) -> SolveResult:
-    """One march; error norms are filled in when an exact solution exists."""
+    """One march on the given or the balanced grid, with its errors."""
     _check_problem(problem_name)
     problem = CATALOG[problem_name](alpha=alpha, beta=beta, gamma=gamma, T=T)
-    grid = Grid(N=N, Nt=Nt, T=T) if Nt else Grid.balanced(N, gamma, T)
+    grid = (Grid(N=N, Nt=Nt, T=T) if Nt is not None
+            else Grid.balanced(N, gamma, T))
     outcome = march(problem, grid, SchemeParams(sigma))
-    ef = em = pf = pm = None
-    if problem.exact is not None:
-        full, mx = _error_history(outcome, problem, grid)
-        ef, em = full[-1], mx[-1]
-        pf, pm = max(full), max(mx)
-    return SolveResult(grid=grid, outcome=outcome,
-                       err_full_final=ef, err_max_final=em,
-                       err_full_peak=pf, err_max_peak=pm)
+    full, mx = _error_history(outcome, problem, grid)
+    return SolveResult(grid=grid, outcome=outcome, err_full=full, err_max=mx)
 
 
 def _write_solution(result: SolveResult, path: str, with_history: bool) -> None:
@@ -363,6 +350,10 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
     if function not in ORDER_FUNCTIONS:
         raise UsageError(f"function: unknown id {function!r} "
                          f"(available: {', '.join(sorted(ORDER_FUNCTIONS))})")
+    if not gammas:
+        raise UsageError("gammas: need at least one fractional order")
+    if not taus:
+        raise UsageError("taus: need at least one time step")
     if not 0.0 < t_final < math.inf:
         raise UsageError(f"t: final time must be positive and finite, "
                          f"got {t_final}")
@@ -453,7 +444,8 @@ def run_stability(gamma: float, alpha: float, beta: float,
     u0[0] = alpha * u0[-1]
     outcome = march(problem, grid, SchemeParams(sigma), y0=u0)
     with np.errstate(over="ignore"):    # a norm past the float range is inf
-        norms = tuple(weights.norms(outcome.history, grid.h).tolist())
+        norms = tuple(v for _, block in _level_blocks(outcome.history)
+                      for v in weights.norms(block, grid.h).tolist())
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,
                            norms=norms, passed=passed)
@@ -613,11 +605,14 @@ def _config_argv(options: dict[str, argparse.Action], path: str) -> list[str]:
 
 
 def _emit(text: str, path: Optional[str]) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"out: cannot write {path!r}: {exc}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -644,11 +639,10 @@ def _main_solve(args: argparse.Namespace) -> int:
                        Nt=args.nt, sigma=args.sigma)
     if args.out:
         _write_solution(result, args.out, args.history)
-    if result.err_full_final is not None:
-        print(f"err_full_final={_fmt(result.err_full_final)}")
-        print(f"err_max_final={_fmt(result.err_max_final)}")
-        print(f"err_full_peak={_fmt(result.err_full_peak)}")
-        print(f"err_max_peak={_fmt(result.err_max_peak)}")
+    print(f"err_full_final={_fmt(result.err_full[-1])}")
+    print(f"err_max_final={_fmt(result.err_max[-1])}")
+    print(f"err_full_peak={_fmt(max(result.err_full))}")
+    print(f"err_max_peak={_fmt(max(result.err_max))}")
     if result.outcome.blow_up is not None:
         b = result.outcome.blow_up
         print(f"blow_up_level={b.level}")

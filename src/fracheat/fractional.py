@@ -42,7 +42,7 @@ __all__ = [
 
 
 class OracleFailureError(RuntimeError):
-    """The quadrature oracle could not reach the requested tolerance."""
+    """The quadrature oracle could not reach its accuracy bound."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
@@ -73,9 +73,6 @@ class L1Weights:
         sum_s c[s]*tau = t_{n+1}**(1-gamma) / G(2-gamma).
     """
 
-    n: int
-    gamma: float
-    tau: float
     c: np.ndarray
 
 
@@ -99,7 +96,7 @@ def l1_weights(n: int, gamma: float, tau: float) -> L1Weights:
     inc = _power_increments(n, gamma, tau)
     # inc[j] belongs to increment index s = n - j.
     c = inc[::-1] / (tau * math.gamma(2.0 - gamma))
-    return L1Weights(n=n, gamma=gamma, tau=tau, c=c)
+    return L1Weights(c=c)
 
 
 def discrete_caputo(series, gamma: float, tau: float) -> float:
@@ -142,7 +139,11 @@ def split_implicit(series, gamma: float,
     return c_new, load
 
 
-def caputo_oracle(v, v_prime, t: float, gamma: float, tol: float = 1e-10) -> float:
+# Absolute accuracy that caputo_oracle guarantees, or else raises.
+_ORACLE_TOL = 1e-10
+
+
+def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
     """Continuous Caputo derivative of a smooth function by quadrature.
 
     Evaluates (1/G(1-gamma)) * integral_0^t v'(eta) (t-eta)**(-gamma) deta
@@ -153,13 +154,13 @@ def caputo_oracle(v, v_prime, t: float, gamma: float, tol: float = 1e-10) -> flo
                                   v'(t - s**(1/(1-gamma))) ds.
 
     The transformed integrand is evaluated with adaptive Gauss-Kronrod
-    quadrature to absolute tolerance ``tol``.
+    quadrature to absolute accuracy ``_ORACLE_TOL`` (1e-10).
 
     Raises
     ------
     OracleFailureError
-        If the quadrature error estimate exceeds ``tol``; the achieved
-        accuracy is attached to the exception.
+        If the quadrature error estimate exceeds ``_ORACLE_TOL``; the
+        achieved accuracy is attached to the exception.
     """
     check_gamma(gamma)
     if not t > 0.0:
@@ -171,14 +172,12 @@ def caputo_oracle(v, v_prime, t: float, gamma: float, tol: float = 1e-10) -> flo
         return v_prime(t - s**p)
 
     scale = math.gamma(2.0 - gamma)
-    val, err = quad(integrand, 0.0, s_max, epsabs=tol * scale * 0.1,
+    val, err = quad(integrand, 0.0, s_max, epsabs=_ORACLE_TOL * scale * 0.1,
                     epsrel=1e-13, limit=400)
     achieved = err / scale
-    if achieved > tol:
-        raise OracleFailureError(
-            f"Caputo quadrature reached {achieved:.3e}, wanted {tol:.3e}",
-            achieved=achieved,
-        )
+    if achieved > _ORACLE_TOL:
+        raise OracleFailureError(f"Caputo quadrature reached {achieved:.3e}, "
+                                 f"wanted {_ORACLE_TOL:.3e}", achieved)
     return val / scale
 
 

@@ -16,7 +16,6 @@ parameters (1/alpha, 1/beta) and reversed face coefficients.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ from .core import DomainError, Grid, Problem
 
 __all__ = [
     "UndefinedNormError",
-    "NormCase",
     "EnergyWeights",
     "energy_weights",
     "norm_trapezoid",
@@ -39,11 +37,6 @@ __all__ = [
 
 class UndefinedNormError(ValueError):
     """The energy norm is not defined for mixed-sign (alpha, beta) regimes."""
-
-
-class NormCase(enum.Enum):
-    DIRECT = "direct"
-    REFLECTED = "reflected"
 
 
 def norm_trapezoid(y, h: float) -> float | np.ndarray:
@@ -73,13 +66,15 @@ class EnergyWeights:
     ``p1_sq[i] = sum_{s=i}^{N-1} h / a_{s+1}`` (and ``p1_sq[N] = 0``) is
     the discrete analogue of the integral of 1/k from x_i to 1 for the
     effective (possibly reflected) face coefficients; ``delta1`` and
-    ``gamma1`` are evaluated at the effective parameters.
+    ``gamma1`` are evaluated at the effective parameters.  ``reflected``
+    is true in the regime |beta| <= |alpha| <= 1, whose norm is taken of
+    the reversed level.
     """
 
     p1_sq: np.ndarray
     delta1: float
     gamma1: float
-    case: NormCase
+    reflected: bool
 
     def norms(self, levels, h: float) -> np.ndarray:
         """Energy norm of each row of a level array, in one pass.
@@ -89,13 +84,13 @@ class EnergyWeights:
         the same order as the level would on its own.
         """
         v = np.asarray(levels, dtype=float)
-        if self.case is NormCase.REFLECTED:
+        if self.reflected:
             v = v[..., ::-1]
         return np.sqrt(_energy_sq(v, self, h))
 
 
 def _direct_weights(alpha: float, beta: float, face: np.ndarray, h: float,
-                    case: NormCase) -> EnergyWeights:
+                    reflected: bool) -> EnergyWeights:
     p1_sq = np.zeros(face.size + 1)
     p1_sq[:-1] = h * np.cumsum(1.0 / face[::-1])[::-1]
     delta1 = (beta / alpha - 1.0) / p1_sq[0]
@@ -103,7 +98,8 @@ def _direct_weights(alpha: float, beta: float, face: np.ndarray, h: float,
         gamma1 = (alpha * beta + 1.0) / (2.0 * alpha**2)
     except OverflowError:               # alpha**2 beyond the float range
         gamma1 = math.inf
-    return EnergyWeights(p1_sq=p1_sq, delta1=delta1, gamma1=gamma1, case=case)
+    return EnergyWeights(p1_sq=p1_sq, delta1=delta1, gamma1=gamma1,
+                         reflected=reflected)
 
 
 def energy_weights(problem: Problem, grid: Grid, face: np.ndarray) -> EnergyWeights:
@@ -122,11 +118,11 @@ def energy_weights(problem: Problem, grid: Grid, face: np.ndarray) -> EnergyWeig
     square = a * a - 1.0
     if ratio >= 0.0 and square >= 0.0:
         weights = _direct_weights(a, b, np.asarray(face, float), grid.h,
-                                  NormCase.DIRECT)
+                                  reflected=False)
     elif ratio <= 0.0 and square <= 0.0:
         weights = _direct_weights(1.0 / a, 1.0 / b,
                                   np.asarray(face, float)[::-1], grid.h,
-                                  NormCase.REFLECTED)
+                                  reflected=True)
     else:
         raise UndefinedNormError(
             f"energy norm undefined for alpha={a}, beta={b}: "

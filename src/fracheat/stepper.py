@@ -41,7 +41,6 @@ from .core import sample_space_time  # noqa: F401  (looked up by benchmarks/span
 from .fractional import l1_weights, split_implicit
 
 __all__ = [
-    "AssemblyError",
     "SingularSystemError",
     "StepOperator",
     "StepSystem",
@@ -75,10 +74,6 @@ _BLOCK = 64
 _SPAN = 512
 
 
-class AssemblyError(ValueError):
-    """The assembled system is structurally unusable (zero diagonal)."""
-
-
 class SingularSystemError(RuntimeError):
     """The linear system has no usable pivot."""
 
@@ -102,11 +97,6 @@ class StepOperator:
     upper: np.ndarray
     corner: float
     last_row: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if np.any(self.diag == 0.0):
-            i = int(np.where(self.diag == 0.0)[0][0])
-            raise AssemblyError(f"zero diagonal in interior row {i + 1}")
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -25,8 +25,9 @@ from fracheat.cli import (
     StabilityReport,
     _error_history,
 )
-from fracheat.core import MAX_NODES, Grid, SchemeParams
-from fracheat.norms import UndefinedNormError, sigma_threshold
+from fracheat.core import MAX_NODES, Grid, SchemeParams, face_coefficients
+from fracheat.norms import (UndefinedNormError, energy_weights,
+                            sigma_threshold)
 from fracheat.prng import splitmix64, uniform_symmetric
 from fracheat.stepper import SolveOutcome, march
 
@@ -186,15 +187,13 @@ def test_blocked_error_history_matches_the_per_level_loop(case):
 
 
 def test_config_validation_messages():
+    # A config is checked when it is made, so no invalid one exists.
     with pytest.raises(UsageError, match="levels"):
-        run_convergence(StudyConfig(gamma=0.5, alpha=2.0, beta=5.0,
-                                    levels=(20, 20)))
+        StudyConfig(gamma=0.5, alpha=2.0, beta=5.0, levels=(20, 20))
     with pytest.raises(UsageError, match="problem"):
-        run_convergence(StudyConfig(gamma=0.5, alpha=2.0, beta=5.0,
-                                    problem="missing"))
+        StudyConfig(gamma=0.5, alpha=2.0, beta=5.0, problem="missing")
     with pytest.raises(UsageError, match="tau"):
-        run_convergence(StudyConfig(gamma=0.5, alpha=2.0, beta=5.0,
-                                    coupling="fixed"))
+        StudyConfig(gamma=0.5, alpha=2.0, beta=5.0, coupling="fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +395,21 @@ def test_stability_failure_renders_fail_line():
     assert render_stability(report).strip().endswith("FAIL")
 
 
+@pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (0.5, 0.2)],
+                         ids=["direct", "reflected"])
+def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
+    # At N = 300 a norm block holds 217 levels, so 601 levels span three.
+    N, Nt, seed = 300, 600, 4
+    report = run_stability(0.5, alpha, beta, 1.0, N=N, Nt=Nt, seed=seed)
+    problem = CATALOG["zero"](alpha=alpha, beta=beta, gamma=0.5, T=1.0)
+    grid = Grid(N=N, Nt=Nt)
+    u0 = uniform_symmetric(seed, N + 1)
+    u0[0] = alpha * u0[-1]
+    history = march(problem, grid, SchemeParams(1.0), y0=u0).history
+    weights = energy_weights(problem, grid, face_coefficients(problem, grid))
+    assert report.norms == tuple(weights.norms(history, grid.h).tolist())
+
+
 # ---------------------------------------------------------------------------
 # one typed option path for flags and config files
 # ---------------------------------------------------------------------------
@@ -436,6 +450,9 @@ def test_stability_failure_renders_fail_line():
     ["caputo-order", "--alpha", "5", "--sigma", "0.3", "--fail-on-blowup"],
     ["stability", "--fail-on-blowup", "--format", "table"],
     ["caputo-order", "--gamma", "0.3"],
+    ["solve", "--n", "8", "--nt", "0"],
+    ["caputo-order", "--gammas", ","],
+    ["caputo-order", "--taus", ","],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
@@ -447,7 +464,8 @@ def test_stability_failure_renders_fail_line():
         "stability-levels-over-limit", "convergence-levels-over-limit",
         "solve-format", "solve-seed", "convergence-seed",
         "caputo-order-scheme-options", "stability-study-options",
-        "caputo-order-gamma-prefix"])
+        "caputo-order-gamma-prefix", "solve-nt-zero", "caputo-gammas-empty",
+        "caputo-taus-empty"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
@@ -472,6 +490,22 @@ def test_refused_extremes_print_only_the_error_line(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "8", "--nt", "5"],
+    ["convergence", "--levels", "4,8"],
+    ["caputo-order"],
+    ["stability", "--n", "8", "--nt", "5"],
+], ids=["solve", "convergence", "caputo-order", "stability"])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: out: ")
+    assert not out.parent.exists()
 
 
 def test_tiny_coupling_product_still_solves(capsys):

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracheat.cli import _error_history
-from fracheat.core import DomainError, Grid, NodeSampler, SchemeParams
+from fracheat.core import (DomainError, Grid, NodeSampler, SchemeParams,
+                           sample_space, sample_space_time)
 from fracheat.fractional import caputo_oracle
 from fracheat.manufactured import (
     CATALOG,
@@ -83,7 +84,6 @@ def test_builder_rejects_bad_parameters():
 def test_compatibility_passes_for_reference_configs(alpha, beta, gamma):
     report = verify_compatibility(build_manufactured(alpha, beta, gamma),
                                   Grid(N=20, Nt=10))
-    assert report.samples == 50
     assert report.max_pde_residual <= 1e-8
     assert report.max_value_residual <= 1e-12
     assert report.max_flux_residual <= 1e-12
@@ -114,6 +114,17 @@ def test_degenerate_homogeneous_datum_configuration():
     verify_compatibility(problem, Grid(N=10, Nt=4))
     outcome = march(problem, Grid.balanced(10, 0.5), SchemeParams(1.0))
     assert outcome.blow_up is None
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_catalog_problem_has_an_exact_solution(name):
+    # The command line measures errors of every catalog problem against
+    # its exact solution, which must start from the initial condition.
+    problem = CATALOG[name](alpha=2.0, beta=5.0, gamma=0.5, T=1.0)
+    assert problem.exact is not None
+    x = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(sample_space_time(problem.exact, x, 0.0),
+                       sample_space(problem.u0, x), rtol=1e-15, atol=0.0)
 
 
 def test_catalog_exposes_named_builders():

@@ -6,7 +6,6 @@ import pytest
 from fracheat.core import DomainError, Grid, face_coefficients
 from fracheat.manufactured import build_manufactured, build_zero
 from fracheat.norms import (
-    NormCase,
     UndefinedNormError,
     convergence_order,
     energy_norm,
@@ -48,7 +47,7 @@ def test_energy_weights_profile_shape():
     grid = Grid(N=8, Nt=2)
     face = face_coefficients(problem, grid)
     w = energy_weights(problem, grid, face)
-    assert w.case is NormCase.DIRECT
+    assert not w.reflected
     assert w.p1_sq[-1] == 0.0
     assert np.all(np.diff(w.p1_sq) < 0)  # strictly decreasing toward the end
     assert w.delta1 >= 0.0
@@ -105,7 +104,7 @@ def test_reflected_evaluation_matches_closed_form():
     grid = Grid(N=8, Nt=2)
     face = face_coefficients(problem, grid)
     w = energy_weights(problem, grid, face)
-    assert w.case is NormCase.REFLECTED
+    assert w.reflected
     h = grid.h
     rng = np.random.default_rng(14)
     for _ in range(100):
@@ -134,7 +133,7 @@ def test_row_norms_equal_level_by_level_sums(alpha, beta, N):
     levels = np.random.default_rng(N).uniform(-1, 1, (40, N + 1))
     expected = []
     for y in levels:
-        v = y[::-1] if w.case is NormCase.REFLECTED else y
+        v = y[::-1] if w.reflected else y
         interior = v[1:-1]
         expected.append(math.sqrt(
             h * np.sum(interior**2)

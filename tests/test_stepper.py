@@ -22,7 +22,6 @@ from fracheat.stepper import (
     _BLOCK,
     _SPAN,
     BLOWUP_LIMIT,
-    AssemblyError,
     L1Memory,
     SingularSystemError,
     StepSystem,
@@ -162,11 +161,24 @@ def test_march_rejects_initial_level_of_wrong_length():
             march(build_zero(), grid, SchemeParams(1.0), y0=y0)
 
 
-def test_zero_diagonal_is_rejected():
-    with pytest.raises(AssemblyError):
-        StepSystem(lower=np.zeros(2), diag=np.array([1.0, 0.0]),
-                   upper=np.zeros(2), corner=0.0,
-                   last_row=(0.0, 0.0, 1.0), rhs=np.zeros(3))
+def test_zero_diagonal_entry_is_solved_by_pivoting():
+    # The banded factorisation pivots, so a zero on the diagonal of a
+    # nonsingular interior block is no obstacle.
+    system = StepSystem(lower=np.array([0.0, 1.0, 1.0]),
+                        diag=np.array([0.0, 2.0, 3.0]),
+                        upper=np.array([1.0, 1.0, 0.5]), corner=0.5,
+                        last_row=(-1.0, -1.0, 4.0),
+                        rhs=np.array([1.0, -2.0, 3.0, 0.5]))
+    assert np.allclose(solve_bordered(system), solve_dense_oracle(system),
+                       rtol=1e-14, atol=1e-15)
+
+
+def test_all_zero_interior_row_is_singular():
+    system = StepSystem(lower=np.zeros(2), diag=np.array([1.0, 0.0]),
+                        upper=np.zeros(2), corner=0.0,
+                        last_row=(0.0, 0.0, 1.0), rhs=np.zeros(3))
+    with pytest.raises(SingularSystemError, match="interior row 2"):
+        solve_bordered(system)
 
 
 # ---------------------------------------------------------------------------

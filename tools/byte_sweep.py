@@ -12,7 +12,9 @@ program produces is checked in two ways:
   the exit code, stdout and the bytes of the ``--out`` file must agree.
   The calls are every command line of the benchmark (``benchmarks/``,
   seed 1) plus blow-up, table, fixed-coupling, ``--norms max``,
-  reflected-stability, ``--history`` and ``caputo-order`` calls;
+  reflected-stability, ``--history`` and ``caputo-order`` calls, a
+  stability run wide enough to span several norm blocks, and a table
+  with one norm next to unstable rows;
 * the SHA-256 hashes of the level arrays of marches must agree, for
   gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
   {20, 40, 80, 160} on balanced grids, plus one march that blows up and
@@ -58,6 +60,9 @@ EXTRA_CALLS = (
     ("caputo-order",),
     ("caputo-order", "--function", "exp", "--gammas", "0.2,0.7",
      "--out", "{out}"),
+    ("stability", "--n", "300", "--nt", "600", "--sigma", "threshold"),
+    ("convergence", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
+     "--levels", "20,40,80", "--norms", "full", "--format", "table"),
 )
 
 # Prints {key: sha256 of the level array, blow-up level and norm}.
