@@ -28,10 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -287,19 +288,19 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
     return SolveResult(grid=grid, outcome=outcome, err_full=full, err_max=mx)
 
 
-def _write_solution(result: SolveResult, path: str, with_history: bool) -> None:
-    lines = []
-    if with_history:
-        lines.append("t,x,y")
-        for n, level in enumerate(result.outcome.history):
-            t = n * result.grid.tau
-            for x, y in zip(result.grid.x, level):
-                lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(y)}")
-    else:
-        lines.append("x,y")
-        for x, y in zip(result.grid.x, result.outcome.history[-1]):
-            lines.append(f"{_fmt(x)},{_fmt(y)}")
-    _emit("\n".join(lines) + "\n", path)
+def _write_solution(result: SolveResult, with_history: bool) -> Iterator[str]:
+    """CSV lines of the last level, or of every level with its time."""
+    xs = [_fmt(x) for x in result.grid.x.tolist()]
+    if not with_history:
+        yield "x,y\n"
+        for x, y in zip(xs, result.outcome.history[-1].tolist()):
+            yield f"{x},{_fmt(y)}\n"
+        return
+    yield "t,x,y\n"
+    for n, level in enumerate(result.outcome.history):
+        t = _fmt(n * result.grid.tau)
+        yield "".join([f"{t},{x},{_fmt(y)}\n"
+                       for x, y in zip(xs, level.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +342,11 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
                      function: str, t_final: float = 1.0) -> OrderReport:
     """Error of the discrete operator against the quadrature oracle.
 
-    For each gamma and each tau (distinct values, each dividing t_final
-    into at most MAX_STEPS steps up to roundoff) the test function is sampled
-    on the time grid, the discrete operator is evaluated at t_final, and
-    the difference to the oracle is tabulated together with the observed
-    order between consecutive tau values.
+    For each gamma and each tau (each dividing t_final into a distinct
+    number of at most MAX_STEPS steps, up to roundoff) the test function
+    is sampled on the time grid, the discrete operator is evaluated at
+    t_final, and the difference to the oracle is tabulated together with
+    the observed order between consecutive tau values.
     """
     if function not in ORDER_FUNCTIONS:
         raise UsageError(f"function: unknown id {function!r} "
@@ -357,13 +358,17 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
     if not 0.0 < t_final < math.inf:
         raise UsageError(f"t: final time must be positive and finite, "
                          f"got {t_final}")
+    steps_of: dict[float, int] = {}
     for tau in taus:
         if not 0.0 < tau < math.inf:
             raise UsageError(f"taus: time steps must be positive and "
                              f"finite, got {tau}")
         check_steps(t_final / tau)
-    if len(set(taus)) < len(taus):
-        raise UsageError(f"taus: time steps must be distinct, got {taus}")
+        steps = steps_of[tau] = round(t_final / tau)
+        if steps < 1 or abs(steps * tau - t_final) > 1e-9 * t_final:
+            raise UsageError(f"tau: {tau} does not divide t_final={t_final}")
+    if len(set(steps_of.values())) < len(taus):
+        raise UsageError(f"taus: step counts must be distinct, got {taus}")
     v, v_prime = ORDER_FUNCTIONS[function]
     rows = []
     for gamma in gammas:
@@ -374,10 +379,7 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
                              f"t={t_final} is out of the oracle's reach "
                              f"({exc})") from None
         prev_err = prev_tau = None
-        for tau in sorted(taus, reverse=True):
-            steps = round(t_final / tau)
-            if steps < 1 or abs(steps * tau - t_final) > 1e-9 * t_final:
-                raise UsageError(f"tau: {tau} does not divide t_final={t_final}")
+        for tau, steps in sorted(steps_of.items(), reverse=True):
             series = [v(s * t_final / steps) for s in range(steps + 1)]
             err = abs(discrete_caputo(series, gamma, t_final / steps)
                       - reference)
@@ -604,13 +606,13 @@ def _config_argv(options: dict[str, argparse.Action], path: str) -> list[str]:
     return argv
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(lines: Iterable[str], path: Optional[str]) -> None:
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise UsageError(f"out: cannot write {path!r}: {exc}") from None
 
@@ -626,6 +628,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             at = argv.index(args.command) + 1
             cfg_argv = _config_argv(settable[args.command], args.config)
             args = parser.parse_args(argv[:at] + cfg_argv + argv[at:])
+        # An unwritable --out is refused before any work, creating nothing.
+        if args.out and (os.path.isdir(args.out) or not os.access(
+                os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
+            raise UsageError(f"out: cannot write {args.out!r}: a directory, "
+                             f"or not in a writable directory")
         return _COMMANDS[args.command](args)
     except (UsageError, DomainError, UndefinedNormError,
             SingularSystemError) as exc:
@@ -638,7 +645,7 @@ def _main_solve(args: argparse.Namespace) -> int:
                        beta=args.beta, gamma=args.gamma, T=args.T, N=args.n,
                        Nt=args.nt, sigma=args.sigma)
     if args.out:
-        _write_solution(result, args.out, args.history)
+        _emit(_write_solution(result, args.history), args.out)
     print(f"err_full_final={_fmt(result.err_full[-1])}")
     print(f"err_max_final={_fmt(result.err_max[-1])}")
     print(f"err_full_peak={_fmt(max(result.err_full))}")
@@ -659,7 +666,7 @@ def _main_convergence(args: argparse.Namespace) -> int:
                          norms=args.norms, problem=args.problem)
     report = run_convergence(config)
     text = render_csv(report) if args.format == "csv" else render_table(report)
-    _emit(text, args.out)
+    _emit([text], args.out)
     if args.fail_on_blowup and any(r.blew_up for r in report.rows):
         return 3
     return 0
@@ -668,7 +675,7 @@ def _main_convergence(args: argparse.Namespace) -> int:
 def _main_caputo_order(args: argparse.Namespace) -> int:
     report = run_caputo_order(gammas=args.gammas, taus=args.taus,
                               function=args.function, t_final=args.T)
-    _emit(render_order_report(report), args.out)
+    _emit([render_order_report(report)], args.out)
     return 0
 
 
@@ -676,7 +683,7 @@ def _main_stability(args: argparse.Namespace) -> int:
     report = run_stability(gamma=args.gamma, alpha=args.alpha,
                            beta=args.beta, sigma_spec=args.sigma, N=args.n,
                            Nt=args.nt, T=args.T, seed=args.seed)
-    _emit(render_stability(report), args.out)
+    _emit([render_stability(report)], args.out)
     return 0 if report.passed else 1
 
 

@@ -89,7 +89,8 @@ class StepOperator:
     flux-row coefficients on columns y_1, y_{N-1}, y_N.
 
     The matrix is factored on the first :meth:`solve` and the factors
-    are reused by every later one.
+    are reused by every later one; its dense form (:attr:`dense`), for
+    the oracle and :meth:`residual`, is likewise built once.
     """
 
     lower: np.ndarray
@@ -146,10 +147,26 @@ class StepOperator:
         sol[m] = yN
         return sol
 
-    def with_rhs(self, rhs: np.ndarray) -> "StepSystem":
-        """The step system of this matrix and a right-hand side."""
-        return StepSystem(lower=self.lower, diag=self.diag, upper=self.upper,
-                          corner=self.corner, last_row=self.last_row, rhs=rhs)
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The same matrix as a dense N x N array, built on first use.
+
+        Entries that share a cell are summed: at N=2 the corner meets the
+        upper band, and the flux row's b1 meets b_{N-1}.
+        """
+        m = self.diag.size
+        A = np.zeros((m + 1, m + 1))
+        A[:m, :m] = np.diag(self.diag) + np.diag(self.lower[1:], -1)
+        A[:m, 1:] += np.diag(self.upper)
+        A[0, m] += self.corner
+        np.add.at(A[m], [0, m - 1, m], self.last_row)
+        return A
+
+    def residual(self, rhs: np.ndarray, sol: np.ndarray) -> float:
+        """Max residual of a candidate solution, relative to row scale."""
+        r = self.dense @ sol - rhs
+        scale = np.abs(self.dense) @ np.abs(sol) + np.abs(rhs)
+        return float(np.max(np.abs(r) / np.maximum(scale, 1e-300)))
 
 
 @dataclass(frozen=True)
@@ -369,7 +386,10 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     n = Y.shape[0] - 1
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     step = build_step(problem, grid, params.sigma, c_new)
-    return step.operator.with_rhs(_step_rhs(step, n, Y[n], load))
+    op = step.operator
+    return StepSystem(lower=op.lower, diag=op.diag, upper=op.upper,
+                      corner=op.corner, last_row=op.last_row,
+                      rhs=_step_rhs(step, n, Y[n], load))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -381,40 +401,20 @@ def solve_bordered(system: StepSystem) -> np.ndarray:
     return system.solve(system.rhs)
 
 
-def _dense_matrix(system: StepOperator) -> np.ndarray:
-    N = system.diag.size + 1
-    A = np.zeros((N, N))
-    for j in range(N - 1):
-        if j > 0:
-            A[j, j - 1] += system.lower[j]
-        A[j, j] += system.diag[j]
-        A[j, j + 1] += system.upper[j]
-    A[0, N - 1] += system.corner
-    b1, bNm1, bN = system.last_row
-    A[N - 1, 0] += b1
-    A[N - 1, N - 2] += bNm1
-    A[N - 1, N - 1] += bN
-    return A
-
-
 def solve_dense_oracle(system: StepSystem) -> np.ndarray:
     """Dense LU solve (partial pivoting) of the full step system.
 
     Reference path for :func:`solve_bordered`; O(N^3), tests only.
     """
-    A = _dense_matrix(system)
     try:
-        return np.linalg.solve(A, system.rhs)
+        return np.linalg.solve(system.dense, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
 def step_residual(system: StepSystem, sol: np.ndarray) -> float:
     """Max residual of a candidate solution, relative to row scale."""
-    A = _dense_matrix(system)
-    r = A @ sol - system.rhs
-    scale = np.abs(A) @ np.abs(sol) + np.abs(system.rhs)
-    return float(np.max(np.abs(r) / np.maximum(scale, 1e-300)))
+    return system.residual(system.rhs, sol)
 
 
 def march(problem: Problem, grid: Grid, params: SchemeParams,
@@ -433,8 +433,7 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     """
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     step = build_step(problem, grid, params.sigma, memory.c_new)
-    operator = step.operator
-    operator._factors           # factor and check the closure before any load
+    step.operator._factors      # factor and check the closure before any load
     Y = np.empty((grid.Nt + 1, grid.N + 1))
     if y0 is None:
         Y[0] = sample_space(problem.u0, grid.x)
@@ -449,11 +448,10 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
         for n in range(grid.Nt):
             yn, level = Y[n], Y[n + 1]
             rhs = _step_rhs(step, n, yn, memory.load(yn))
-            level[1:] = operator.solve(rhs)
+            level[1:] = step.operator.solve(rhs)
             level[0] = problem.alpha * level[-1]
             if residuals is not None:
-                residuals.append(step_residual(operator.with_rhs(rhs),
-                                               level[1:]))
+                residuals.append(step.operator.residual(rhs, level[1:]))
             top = float(np.max(np.abs(level)))
             if not top <= BLOWUP_LIMIT:     # also true for inf and NaN
                 blow = BlowUp(level=n + 1,

@@ -425,6 +425,7 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
     ["caputo-order", "--function", "exp", "--t", "800", "--taus", "400"],
     ["caputo-order", "--taus", "1e-300"],
     ["caputo-order", "--gammas", "0.5", "--taus", "0.5,0.5"],
+    ["caputo-order", "--gammas", "0.5", "--taus", "0.1,0.10000000001,0.05"],
     ["convergence", "--coupling", "fixed", "--tau", "1e-300",
      "--levels", "4,8"],
     ["convergence", "--t", "1e300", "--levels", "4,8"],
@@ -456,7 +457,7 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
-        "caputo-taus-repeated", "fixed-tau-tiny", "balanced-t-huge",
+        "caputo-taus-repeated", "caputo-taus-same-steps", "fixed-tau-tiny", "balanced-t-huge",
         "solve-nt-huge", "coupling-product-overflows",
         "singular-closure", "nan-closure-pivot", "stability-product-overflows",
         "stability-weights-overflow", "solve-n-huge", "stability-n-over-limit",
@@ -506,6 +507,27 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: out: ")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_the_march(out, tmp_path,
+                                                     monkeypatch, capsys):
+    def no_march(*args, **kwargs):
+        raise AssertionError("march ran before --out was checked")
+
+    monkeypatch.setattr("fracheat.cli.march", no_march)
+    assert exit_code(["solve", "--n", "640",
+                      "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out: ")
+
+
+def test_usage_error_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier output\n")
+    assert exit_code(["solve", "--n", "8", "--nt", "0",
+                      "--out", str(out)]) == 2
+    assert out.read_text() == "earlier output\n"
 
 
 def test_tiny_coupling_product_still_solves(capsys):

@@ -24,6 +24,7 @@ from fracheat.stepper import (
     BLOWUP_LIMIT,
     L1Memory,
     SingularSystemError,
+    StepOperator,
     StepSystem,
     _step_rhs,
     assemble_step,
@@ -209,6 +210,24 @@ def test_two_cell_reduced_closure():
     sol = solve_bordered(system)
     assert sol == pytest.approx([1.5, 2.0], rel=1e-15)
     assert solve_dense_oracle(system) == pytest.approx([1.5, 2.0], rel=1e-12)
+
+
+def test_dense_form_of_the_smallest_systems():
+    # N=2: one interior row; the corner shares column y_2 with the upper
+    # band, and the flux row's b1 and b_{N-1} share column y_1.
+    two = StepOperator(lower=np.zeros(1), diag=np.array([2.0]),
+                       upper=np.array([-1.0]), corner=-0.5,
+                       last_row=(-0.25, -0.75, 3.0))
+    assert np.array_equal(two.dense, [[2.0, -1.5],
+                                      [-1.0, 3.0]])
+    three = StepOperator(lower=np.array([9.0, -2.0]),
+                         diag=np.array([4.0, 5.0]),
+                         upper=np.array([-1.0, -3.0]), corner=-0.5,
+                         last_row=(-0.25, -0.75, 6.0))
+    assert np.array_equal(three.dense, [[4.0, -1.0, -0.5],
+                                        [-2.0, 5.0, -3.0],
+                                        [-0.25, -0.75, 6.0]])
+    assert three.dense is three.dense
 
 
 def test_dense_oracle_on_upper_triangular_instance():
