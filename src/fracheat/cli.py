@@ -113,6 +113,8 @@ class StudyConfig:
             raise UsageError("coupling: must be 'balanced' or 'fixed'")
         if self.coupling == "fixed" and not (self.tau and self.tau > 0):
             raise UsageError("tau: fixed coupling needs a positive tau")
+        if self.coupling != "fixed" and self.tau is not None:
+            raise UsageError("tau: only fixed coupling takes a tau")
         bad = set(self.norms) - {"full", "max"}
         if bad or not self.norms:
             raise UsageError("norms: subset of {'full', 'max'}, nonempty")
@@ -238,10 +240,8 @@ def run_convergence(config: StudyConfig) -> StudyReport:
 
 
 def render_csv(report: StudyReport) -> str:
-    lines = [CSV_HEADER]
-    for cell in report.cells():
-        lines.append(",".join(cell[k] for k in _COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(cell[k] for k in _COLUMNS) for cell in report.cells()]
+    return "\n".join([CSV_HEADER] + lines) + "\n"
 
 
 def render_table(report: StudyReport) -> str:
@@ -435,10 +435,8 @@ def run_stability(gamma: float, alpha: float, beta: float,
     grid = Grid(N=N, Nt=Nt, T=T)
     face = face_coefficients(problem, grid)
     threshold = sigma_threshold(gamma, grid.h, grid.tau, problem.c2)
-    if sigma_spec == "threshold":
-        sigma = min(max(threshold, 0.0), 1.0)
-    else:
-        sigma = float(sigma_spec)
+    sigma = (min(max(threshold, 0.0), 1.0) if sigma_spec == "threshold"
+             else float(sigma_spec))
 
     # Raises UndefinedNormError before any work is done.
     weights = energy_weights(problem, grid, face)
@@ -629,10 +627,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg_argv = _config_argv(settable[args.command], args.config)
             args = parser.parse_args(argv[:at] + cfg_argv + argv[at:])
         # An unwritable --out is refused before any work, creating nothing.
-        if args.out and (os.path.isdir(args.out) or not os.access(
-                os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
-            raise UsageError(f"out: cannot write {args.out!r}: a directory, "
-                             f"or not in a writable directory")
+        parent = os.path.dirname(os.path.abspath(args.out or "."))
+        if args.out is not None and (not args.out or os.path.isdir(args.out)
+                                     or not os.path.isdir(parent)
+                                     or not os.access(parent, os.W_OK)):
+            raise UsageError(f"out: cannot write {args.out!r}: empty, a "
+                             f"directory, or not in a writable directory")
         return _COMMANDS[args.command](args)
     except (UsageError, DomainError, UndefinedNormError,
             SingularSystemError) as exc:

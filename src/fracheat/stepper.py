@@ -53,7 +53,6 @@ __all__ = [
     "build_step",
     "solve_bordered",
     "solve_dense_oracle",
-    "step_residual",
     "march",
 ]
 
@@ -88,9 +87,9 @@ class StepOperator:
     row produced by eliminating y_0 = alpha*y_N.  ``last_row`` holds the
     flux-row coefficients on columns y_1, y_{N-1}, y_N.
 
-    The matrix is factored on the first :meth:`solve` and the factors
-    are reused by every later one; its dense form (:attr:`dense`), for
-    the oracle and :meth:`residual`, is likewise built once.
+    The bands are the matrix's one form: it is factored on the first
+    :meth:`solve` and the factors are reused by every later one, and
+    ``op @ y`` multiplies by it in O(N).
     """
 
     lower: np.ndarray
@@ -118,9 +117,7 @@ class StepOperator:
             raise SingularSystemError(
                 f"zero pivot in interior row {info} of the banded factorisation"
             )
-        g = np.zeros(m)
-        g[0] += self.corner
-        g[m - 1] += self.upper[m - 1]
+        g = (self @ np.append(np.zeros(m), 1.0))[:m]     # column y_N
         v, _ = lapack.dgbtrs(lu, 1, 1, g, piv)
 
         b1, bNm1, bN = self.last_row
@@ -147,25 +144,33 @@ class StepOperator:
         sol[m] = yN
         return sol
 
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """The same matrix as a dense N x N array, built on first use.
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        """The product A @ y for a vector y of length N, in O(N)."""
+        out = self.diag * y[:-1] + self.upper * y[1:]
+        out[1:] += self.lower[1:] * y[:-2]
+        out[0] += self.corner * y[-1]
+        return np.append(out, np.dot(self.last_row, y[[0, -2, -1]]))
 
-        Entries that share a cell are summed: at N=2 the corner meets the
-        upper band, and the flux row's b1 meets b_{N-1}.
+    @cached_property
+    def _cells(self) -> tuple[StepOperator, StepOperator]:
+        """The matrix with each cell held once, and its entrywise |A|.
+
+        At N=2 the corner shares a cell with the upper band, and b1 one
+        with b_{N-1}: :meth:`residual` sums each pair, as a dense copy
+        does, before it multiplies or takes magnitudes.
         """
-        m = self.diag.size
-        A = np.zeros((m + 1, m + 1))
-        A[:m, :m] = np.diag(self.diag) + np.diag(self.lower[1:], -1)
-        A[:m, 1:] += np.diag(self.upper)
-        A[0, m] += self.corner
-        np.add.at(A[m], [0, m - 1, m], self.last_row)
-        return A
+        upper, corner, (b1, bNm1, bN) = self.upper, self.corner, self.last_row
+        if self.diag.size == 1:
+            upper, corner, b1, bNm1 = upper + corner, 0.0, 0.0, b1 + bNm1
+        cells = (self.lower, self.diag, upper, corner, (b1, bNm1, bN))
+        return (StepOperator(*cells),
+                StepOperator(*(np.abs(c) for c in cells)))
 
     def residual(self, rhs: np.ndarray, sol: np.ndarray) -> float:
         """Max residual of a candidate solution, relative to row scale."""
-        r = self.dense @ sol - rhs
-        scale = np.abs(self.dense) @ np.abs(sol) + np.abs(rhs)
+        cells, magnitude = self._cells
+        r = cells @ sol - rhs
+        scale = magnitude @ np.abs(sol) + np.abs(rhs)
         return float(np.max(np.abs(r) / np.maximum(scale, 1e-300)))
 
 
@@ -386,9 +391,7 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     n = Y.shape[0] - 1
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     step = build_step(problem, grid, params.sigma, c_new)
-    op = step.operator
-    return StepSystem(lower=op.lower, diag=op.diag, upper=op.upper,
-                      corner=op.corner, last_row=op.last_row,
+    return StepSystem(**vars(step.operator),
                       rhs=_step_rhs(step, n, Y[n], load))
 
 
@@ -406,15 +409,11 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
 
     Reference path for :func:`solve_bordered`; O(N^3), tests only.
     """
+    A = np.column_stack([system @ e for e in np.eye(system.rhs.size)])
     try:
-        return np.linalg.solve(system.dense, system.rhs)
+        return np.linalg.solve(A, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
-
-
-def step_residual(system: StepSystem, sol: np.ndarray) -> float:
-    """Max residual of a candidate solution, relative to row scale."""
-    return system.residual(system.rhs, sol)
 
 
 def march(problem: Problem, grid: Grid, params: SchemeParams,

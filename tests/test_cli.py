@@ -194,6 +194,8 @@ def test_config_validation_messages():
         StudyConfig(gamma=0.5, alpha=2.0, beta=5.0, problem="missing")
     with pytest.raises(UsageError, match="tau"):
         StudyConfig(gamma=0.5, alpha=2.0, beta=5.0, coupling="fixed")
+    with pytest.raises(UsageError, match="tau"):
+        StudyConfig(gamma=0.5, alpha=2.0, beta=5.0, tau=0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +456,7 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
     ["solve", "--n", "8", "--nt", "0"],
     ["caputo-order", "--gammas", ","],
     ["caputo-order", "--taus", ","],
+    ["convergence", "--tau", "0.001", "--levels", "10,20"],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
@@ -466,7 +469,7 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
         "solve-format", "solve-seed", "convergence-seed",
         "caputo-order-scheme-options", "stability-study-options",
         "caputo-order-gamma-prefix", "solve-nt-zero", "caputo-gammas-empty",
-        "caputo-taus-empty"])
+        "caputo-taus-empty", "balanced-tau"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
@@ -509,17 +512,21 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("out", ["missing/x.csv", "."],
-                         ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("out", ["missing/x.csv", ".", "file/x.csv", ""],
+                         ids=["missing-directory", "directory",
+                              "file-as-directory", "empty"])
 def test_unwritable_out_is_refused_before_the_march(out, tmp_path,
                                                      monkeypatch, capsys):
     def no_march(*args, **kwargs):
         raise AssertionError("march ran before --out was checked")
 
     monkeypatch.setattr("fracheat.cli.march", no_march)
+    (tmp_path / "file").write_text("a regular file\n")
     assert exit_code(["solve", "--n", "640",
-                      "--out", str(tmp_path / out)]) == 2
-    assert capsys.readouterr().err.startswith("error: out: ")
+                      "--out", str(tmp_path / out) if out else ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and len(err.splitlines()) == 1
+    assert (tmp_path / "file").read_text() == "a regular file\n"
 
 
 def test_usage_error_leaves_an_existing_out_file_alone(tmp_path, capsys):
@@ -552,11 +559,12 @@ def test_tiny_coupling_product_still_solves(capsys):
     ("caputo-order", {"alpha": 5.0}),
     ("caputo-order", {"sigma": 0.3}),
     ("stability", {"format": "table"}),
+    ("convergence", {"tau": 0.001}),
 ], ids=["gamma-text", "n-fraction", "tau-text", "levels-fraction",
         "out-bool", "problem-number", "unknown-key", "switch-key",
         "solve-format-key", "solve-seed-key", "convergence-seed-key",
         "caputo-order-alpha-key", "caputo-order-sigma-key",
-        "stability-format-key"])
+        "stability-format-key", "balanced-tau-key"])
 def test_bad_config_values_exit_2_with_a_message(command, cfg, tmp_path,
                                                  capsys):
     path = tmp_path / "bad.json"

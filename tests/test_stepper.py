@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from fracheat.stepper import (
     march,
     solve_bordered,
     solve_dense_oracle,
-    step_residual,
 )
 
 
@@ -49,6 +49,26 @@ def random_system(rng, N):
                   rng.uniform(2.5, 4.0)),
         rhs=rng.uniform(-1.0, 1.0, N),
     )
+
+
+def product_columns(op):
+    """The matrix of ``op`` from its product, one unit vector per column."""
+    return np.column_stack([op @ e for e in np.eye(op.diag.size + 1)])
+
+
+def placed_matrix(op):
+    """The matrix of ``op`` placed cell by cell, independently of its product.
+
+    Entries that share a cell are summed: at N=2 the corner meets the
+    upper band, and the flux row's b1 meets b_{N-1}.
+    """
+    m = op.diag.size
+    A = np.zeros((m + 1, m + 1))
+    A[:m, :m] = np.diag(op.diag) + np.diag(op.lower[1:], -1)
+    A[:m, 1:] += np.diag(op.upper)
+    A[0, m] += op.corner
+    np.add.at(A[m], [0, m - 1, m], op.last_row)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +163,7 @@ def test_single_step_residual_is_tiny():
     levels = sample_space(problem.u0, grid.x)[None, :]
     system = assemble_step(problem, grid, SchemeParams(1.0), levels)
     sol = solve_bordered(system)
-    assert step_residual(system, sol) <= 1e-12
+    assert system.residual(system.rhs, sol) <= 1e-12
 
 
 def test_assemble_step_rejects_malformed_level_arrays():
@@ -215,19 +235,19 @@ def test_two_cell_reduced_closure():
 def test_dense_form_of_the_smallest_systems():
     # N=2: one interior row; the corner shares column y_2 with the upper
     # band, and the flux row's b1 and b_{N-1} share column y_1.
+    # The product's columns, one unit vector each, give the matrix.
     two = StepOperator(lower=np.zeros(1), diag=np.array([2.0]),
                        upper=np.array([-1.0]), corner=-0.5,
                        last_row=(-0.25, -0.75, 3.0))
-    assert np.array_equal(two.dense, [[2.0, -1.5],
-                                      [-1.0, 3.0]])
+    assert np.array_equal(product_columns(two), [[2.0, -1.5],
+                                                 [-1.0, 3.0]])
     three = StepOperator(lower=np.array([9.0, -2.0]),
                          diag=np.array([4.0, 5.0]),
                          upper=np.array([-1.0, -3.0]), corner=-0.5,
                          last_row=(-0.25, -0.75, 6.0))
-    assert np.array_equal(three.dense, [[4.0, -1.0, -0.5],
-                                        [-2.0, 5.0, -3.0],
-                                        [-0.25, -0.75, 6.0]])
-    assert three.dense is three.dense
+    assert np.array_equal(product_columns(three), [[4.0, -1.0, -0.5],
+                                                   [-2.0, 5.0, -3.0],
+                                                   [-0.25, -0.75, 6.0]])
 
 
 def test_dense_oracle_on_upper_triangular_instance():
@@ -256,7 +276,7 @@ def test_bordered_matches_dense_oracle_on_random_systems():
         dense = solve_dense_oracle(system)
         scale = max(float(np.max(np.abs(dense))), 1e-30)
         assert np.max(np.abs(fast - dense)) / scale <= 1e-11
-        assert step_residual(system, fast) <= 1e-12
+        assert system.residual(system.rhs, fast) <= 1e-12
 
 
 @st.composite
@@ -286,6 +306,53 @@ def test_bordered_matches_dense_oracle_property(system):
     dense = solve_dense_oracle(system)
     scale = max(float(np.max(np.abs(dense))), 1e-30)
     assert np.max(np.abs(fast - dense)) / scale <= 1e-11
+
+
+@st.composite
+def residual_cases(draw):
+    """Operators with N in [2, 12], entries of both signs, and a (rhs, sol)."""
+    N = draw(st.integers(2, 12))
+    entry = st.floats(-4.0, 4.0)
+
+    def array(n):
+        return draw(hnp.arrays(float, n, elements=entry))
+
+    lower = np.zeros(N - 1)
+    lower[1:] = array(N - 2)
+    op = StepOperator(lower=lower, diag=array(N - 1), upper=array(N - 1),
+                      corner=draw(entry),
+                      last_row=(draw(entry), draw(entry), draw(entry)))
+    return op, array(N), array(N)
+
+
+@given(residual_cases())
+def test_residual_matches_the_dense_formula(case):
+    # The residual is already relative to the row scale.  The banded and
+    # the dense product sum a row's terms in different orders, which
+    # moves it by a few ulps of that scale: 1e-15 bounds the difference.
+    op, rhs, sol = case
+    A = placed_matrix(op)
+    assert np.array_equal(product_columns(op), A)
+    scale = np.abs(A) @ np.abs(sol) + np.abs(rhs)
+    want = float(np.max(np.abs(A @ sol - rhs) / np.maximum(scale, 1e-300)))
+    assert abs(op.residual(rhs, sol) - want) <= 1e-15
+
+
+def test_residual_sums_shared_cells_before_their_magnitude():
+    # N=2 with mixed signs: the corner and the upper band share cell
+    # (1, 2), and b1 and b_{N-1} share cell (2, 1).  The row scale takes
+    # |-1.0 + 0.75| and |0.5 - 0.25|, not the sums of the magnitudes.
+    op = StepOperator(lower=np.zeros(1), diag=np.array([2.0]),
+                      upper=np.array([-1.0]), corner=0.75,
+                      last_row=(0.5, -0.25, 3.0))
+    sol, rhs = np.array([1.0, 1.0]), np.array([0.0, 0.0])
+    # rows: 2 - 0.25 = 1.75 over 2.25, and 0.25 + 3 = 3.25 over 3.25
+    assert op.residual(rhs, sol) == 1.0
+    sol = np.array([1.0, -1.0])
+    # rows: 2 + 0.25 over 2.25, and 0.25 - 3 over 3.25
+    assert op.residual(rhs, sol) == pytest.approx(1.0, rel=1e-15)
+    rhs = np.array([2.25, 0.0])
+    assert op.residual(rhs, sol) == pytest.approx(2.75 / 3.25, rel=1e-15)
 
 
 def test_singular_closure_is_reported():
@@ -522,6 +589,21 @@ def test_march_residuals_stay_small():
     assert outcome.per_step_residuals is not None
     assert len(outcome.per_step_residuals) == grid.Nt
     assert max(outcome.per_step_residuals) <= 1e-11
+
+
+def test_residual_checked_march_stays_in_linear_memory():
+    # A dense N x N copy of the matrix would take 128 MB here.
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    grid = Grid(N=4000, Nt=2)
+    tracemalloc.start()
+    try:
+        outcome = march(problem, grid, SchemeParams(1.0),
+                        check_residuals=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(outcome.per_step_residuals) <= 1e-11
+    assert peak < 8e6
 
 
 def test_march_reproduces_reference_error_magnitude():
