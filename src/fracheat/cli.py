@@ -37,14 +37,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (DomainError, Grid, NodeSampler, Problem, SchemeParams,
-                   check_steps, face_coefficients)
+                   check_steps, check_time, face_coefficients)
 from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
 from .manufactured import CATALOG
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .norms import energy_norm  # noqa: F401  (looked up by benchmarks/spans.py)
 from .prng import uniform_symmetric
-from .stepper import SingularSystemError, SolveOutcome, march
+from .stepper import SingularSystemError, SolveOutcome, block_levels, march
 
 __all__ = [
     "UsageError",
@@ -187,12 +187,12 @@ def _study_grid(N: int, config: StudyConfig) -> Grid:
 
 
 def _level_blocks(levels: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first level, block) of at most 256 levels and about 2**16 entries.
+    """(first level, block) of :func:`~fracheat.stepper.block_levels` levels.
 
     Per-level norms are taken block by block, so their temporaries stay
     small however long or wide the march; each row still sums alone.
     """
-    rows = max(1, min(256, 2**16 // levels.shape[1]))
+    rows = block_levels(levels.shape[1])
     for k in range(0, len(levels), rows):
         yield k, levels[k:k + rows]
 
@@ -342,8 +342,9 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
                      function: str, t_final: float = 1.0) -> OrderReport:
     """Error of the discrete operator against the quadrature oracle.
 
-    For each gamma and each tau (each dividing t_final into a distinct
-    number of at most MAX_STEPS steps, up to roundoff) the test function
+    For each gamma (no two alike) and each tau (each dividing t_final into
+    a distinct number of at most MAX_STEPS steps, up to roundoff; t_final
+    and each tau normal floats, see ``core.check_time``) the test function
     is sampled on the time grid, the discrete operator is evaluated at
     t_final, and the difference to the oracle is tabulated together with
     the observed order between consecutive tau values.
@@ -353,16 +354,14 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
                          f"(available: {', '.join(sorted(ORDER_FUNCTIONS))})")
     if not gammas:
         raise UsageError("gammas: need at least one fractional order")
+    if len(set(gammas)) < len(gammas):
+        raise UsageError(f"gammas: must be distinct, got {gammas}")
     if not taus:
         raise UsageError("taus: need at least one time step")
-    if not 0.0 < t_final < math.inf:
-        raise UsageError(f"t: final time must be positive and finite, "
-                         f"got {t_final}")
+    check_time("t: final time", t_final)
     steps_of: dict[float, int] = {}
     for tau in taus:
-        if not 0.0 < tau < math.inf:
-            raise UsageError(f"taus: time steps must be positive and "
-                             f"finite, got {tau}")
+        check_time("taus: time step", tau)
         check_steps(t_final / tau)
         steps = steps_of[tau] = round(t_final / tau)
         if steps < 1 or abs(steps * tau - t_final) > 1e-9 * t_final:
@@ -385,7 +384,7 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
                       - reference)
             order = None
             if prev_err is not None and err > 0.0 and prev_err > 0.0:
-                order = math.log(prev_err / err) / math.log(prev_tau / tau)
+                order = convergence_order(prev_err, err, prev_tau, tau)
             rows.append(OrderRow(gamma=gamma, tau=t_final / steps,
                                  error=err, order=order))
             prev_err, prev_tau = err, tau

@@ -31,6 +31,7 @@ __all__ = [
     "MAX_LEVEL_ENTRIES",
     "check_gamma",
     "check_steps",
+    "check_time",
     "Grid",
     "NodeSampler",
     "Problem",
@@ -77,6 +78,17 @@ def check_steps(steps: float) -> None:
                           f"{MAX_STEPS}")
 
 
+def check_time(name: str, value: float) -> None:
+    """Reject a time or time step that is not positive, finite and normal.
+
+    A subnormal value (below ``np.finfo(float).tiny``) has lost digits
+    already, so the grid and the weights built from it mean nothing.
+    """
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise DomainError(f"{name} must be positive, finite and at least "
+                          f"{np.finfo(float).tiny}, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform space-time mesh on [0, 1] x [0, T].
@@ -90,7 +102,7 @@ class Grid:
         Number of time steps (1 <= Nt <= MAX_STEPS); step ``tau = T/Nt``.
         At most MAX_LEVEL_ENTRIES entries ``(N+1)*(Nt+1)`` in all.
     T : float
-        Final time, positive and finite.
+        Final time, positive and finite; T and tau are normal floats.
     """
 
     N: int
@@ -111,9 +123,8 @@ class Grid:
         if (self.N + 1) * (self.Nt + 1) > MAX_LEVEL_ENTRIES:
             raise DomainError(f"{self.N + 1}*{self.Nt + 1} level entries "
                               f"exceed the limit of {MAX_LEVEL_ENTRIES}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise DomainError(f"final time must be positive and finite, "
-                              f"got T={self.T}")
+        check_time("final time T", self.T)
+        check_time("time step tau", self.tau)
 
     @property
     def h(self) -> float:
@@ -267,12 +278,12 @@ class Separable:
 
 
 class NodeSampler:
-    """A function of (x, t) on fixed nodes, at one time or a block of times.
+    """A function of (x, t) on fixed nodes, a block of times at a time.
 
     A :class:`Separable` has its space factors sampled once, here; each
     time then costs one multiply and one add per term, with the time
-    factor a Python scalar, as in a pointwise call, and data without
-    terms give one shared zero array.  Other callbacks go through
+    factor evaluated at one Python scalar, as in a pointwise call, and
+    data without terms give zeros.  Other callbacks go through
     :func:`sample_space_time` at every time.
     """
 
@@ -280,18 +291,12 @@ class NodeSampler:
         self._func, self._x = func, x
         self._factors = ([(sample_space(s, x), q) for s, q in func.terms]
                          if isinstance(func, Separable) else None)
-        self._zero = np.zeros_like(x, dtype=float)
-
-    def at(self, t: float) -> np.ndarray:
-        """Values at time t."""
-        if self._factors is None:
-            return sample_space_time(self._func, self._x, t)
-        return _term_sum((s * q(t) for s, q in self._factors), self._zero)
 
     def rows(self, times) -> np.ndarray:
         """Values at several times, row j holding time ``times[j]``."""
         if self._factors is None:
-            return np.array([self.at(t) for t in times])
+            return np.array([sample_space_time(self._func, self._x, t)
+                             for t in times])
         return _term_sum((s * np.array([q(t) for t in times])[:, None]
                           for s, q in self._factors),
                          np.zeros((len(times), self._x.size)))

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .core import DimensionError, DomainError, check_gamma
+from .core import DimensionError, DomainError, check_gamma, check_time
 
 __all__ = [
     "OracleFailureError",
@@ -86,13 +85,12 @@ def l1_weights(n: int, gamma: float, tau: float) -> L1Weights:
     gamma : float
         Fractional order, in (0, 1).
     tau : float
-        Time step, positive.
+        Time step, positive, finite and normal (see ``core.check_time``).
     """
     if n < 0:
         raise DomainError(f"time index must be nonnegative, got {n}")
     check_gamma(gamma)
-    if not tau > 0.0:
-        raise DomainError(f"time step must be positive, got {tau}")
+    check_time("time step", tau)
     inc = _power_increments(n, gamma, tau)
     # inc[j] belongs to increment index s = n - j.
     c = inc[::-1] / (tau * math.gamma(2.0 - gamma))
@@ -162,9 +160,12 @@ def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
         If the quadrature error estimate exceeds ``_ORACLE_TOL``; the
         achieved accuracy is attached to the exception.
     """
+    # Imported here: scipy.integrate takes about a third of a second and
+    # 24 MB to load, and no march or study needs it.
+    from scipy.integrate import quad
+
     check_gamma(gamma)
-    if not t > 0.0:
-        raise DomainError(f"oracle needs t > 0, got t={t}")
+    check_time("oracle time t", t)
     p = 1.0 / (1.0 - gamma)
     s_max = t ** (1.0 - gamma)
 

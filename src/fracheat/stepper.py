@@ -10,14 +10,15 @@ closure of the flux row gives y_N.
 
 The scheme has constant coefficients in time, so a march derives its
 :class:`Step` once (:func:`build_step`): the matrix of the new level
-(:class:`StepOperator`, factored on first use), the explicit part of
-the same operator on the old level, and the source on the nodes
-(:class:`~fracheat.core.NodeSampler`, which samples the space factors
-of :class:`~fracheat.core.Separable` data once).  :class:`L1Memory`
-takes its L1 weights from one evaluation and sums the memory exactly,
-blocked over levels.  A step then applies the record to its right-hand
-side, adds the memory load, does one banded back-substitution and
-writes its level in place into one ``(Nt+1, N+1)`` array.
+(:class:`StepOperator`, factored on first use), the explicit part of the
+same operator on the old level, and the source on the nodes
+(:class:`~fracheat.core.NodeSampler`, which samples the space factors of
+:class:`~fracheat.core.Separable` data once).  The march samples f and
+mu a block of levels at a time, and :class:`L1Memory` takes its L1
+weights from one evaluation and sums the memory exactly, blocked over
+levels.  A step then applies the record to its right-hand side, adds the
+memory load, does one banded back-substitution and writes its level in
+place into one ``(Nt+1, N+1)`` array.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array; a dense LU solve of the same system
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +51,7 @@ __all__ = [
     "SolveOutcome",
     "BLOWUP_LIMIT",
     "assemble_step",
+    "block_levels",
     "build_step",
     "solve_bordered",
     "solve_dense_oracle",
@@ -71,6 +73,11 @@ _CLOSURE_ULPS = 64.0
 # fit a 2 MB L2 cache together, and the copied slice does not grow with Nt.
 _BLOCK = 64
 _SPAN = 512
+
+
+def block_levels(width: int) -> int:
+    """Levels per block of ``width``-entry levels: <= 256, ~2**16 entries."""
+    return max(1, min(256, 2**16 // width))
 
 
 class SingularSystemError(RuntimeError):
@@ -293,7 +300,7 @@ class Step:
     (a_i + a_{i+1}) and ``a_right`` (a_{i+1}), ``h2`` = h*h and the flux
     weights ``flux_N`` = (1-sigma)*2*a_N/h^2 and ``flux_1`` =
     (1-sigma)*2*beta*a_1/h^2.  ``source`` samples f on the nodes, so
-    separable data cost only their time factors.
+    separable data cost only their time factors; the march samples it.
     """
 
     operator: StepOperator
@@ -306,9 +313,6 @@ class Step:
     flux_N: float
     flux_1: float
     beta: float
-    mu: Callable
-    tau: float
-    sigma: float
     source: NodeSampler
 
 
@@ -348,26 +352,23 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
     return Step(operator=operator, a_left=a_left, a_mid=a_mid,
                 a_right=a_right, h2=h2, explicit=1.0 - sigma,
                 two_by_h=2.0 / h, flux_N=flux_N, flux_1=flux_1, beta=beta,
-                mu=problem.mu, tau=grid.tau, sigma=sigma,
                 source=NodeSampler(problem.f, grid.x))
 
 
-def _step_rhs(step: Step, n: int, yn: np.ndarray,
-              load: np.ndarray) -> np.ndarray:
+def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
+              phi: np.ndarray, mu: float) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
 
-    Interior rows carry f(x_i, t_n + sigma*tau) + (1-sigma)*(a*y_xbar)_{x,i}^n
-    - load_i, where ``load`` is the memory load at every node; the flux row
-    carries (2/h)*mu + phi_N + beta*phi_0, the memory loads of both
-    endpoints and the explicit part of both fluxes.
+    Interior rows carry phi_i + (1-sigma)*(a*y_xbar)_{x,i}^n - load_i, with
+    phi = f(x, t_n + sigma*tau) and the memory ``load`` at every node; the
+    flux row carries (2/h)*mu(t_n + sigma*tau) + phi_N + beta*phi_0, the
+    memory loads of both endpoints and the explicit part of both fluxes.
     """
-    t_sigma = (n + step.sigma) * step.tau
-    phi = step.source.at(t_sigma)
     rhs = np.empty(yn.size - 1)
     second = (step.a_right * yn[2:] - step.a_mid * yn[1:-1]
               + step.a_left * yn[:-2]) / step.h2
     rhs[:-1] = phi[1:-1] - load[1:-1] + step.explicit * second
-    rhs[-1] = (step.two_by_h * step.mu(t_sigma) + phi[-1] + step.beta * phi[0]
+    rhs[-1] = (step.two_by_h * mu + phi[-1] + step.beta * phi[0]
                - step.beta * load[0] - load[-1]
                - step.flux_N * (yn[-1] - yn[-2])
                + step.flux_1 * (yn[1] - yn[0]))
@@ -391,8 +392,9 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     n = Y.shape[0] - 1
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     step = build_step(problem, grid, params.sigma, c_new)
-    return StepSystem(**vars(step.operator),
-                      rhs=_step_rhs(step, n, Y[n], load))
+    t = (n + params.sigma) * grid.tau
+    return StepSystem(**vars(step.operator), rhs=_step_rhs(
+        step, Y[n], load, step.source.rows([t])[0], problem.mu(t)))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -443,10 +445,14 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
         Y[0] = y0
     residuals: Optional[list[float]] = [] if check_residuals else None
     blow: Optional[BlowUp] = None
+    rows, sigma, tau = block_levels(grid.N + 1), params.sigma, grid.tau
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(grid.Nt):
-            yn, level = Y[n], Y[n + 1]
-            rhs = _step_rhs(step, n, yn, memory.load(yn))
+            if n % rows == 0:       # f and mu at t_k + sigma*tau for the block
+                times = [(k + sigma) * tau for k in range(n, grid.Nt)[:rows]]
+                phi, mu = step.source.rows(times), list(map(problem.mu, times))
+            yn, level, j = Y[n], Y[n + 1], n % rows
+            rhs = _step_rhs(step, yn, memory.load(yn), phi[j], mu[j])
             level[1:] = step.operator.solve(rhs)
             level[0] = problem.alpha * level[-1]
             if residuals is not None:

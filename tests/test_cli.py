@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fracheat
 from fracheat.cli import (
     CATALOG,
     CSV_HEADER,
@@ -231,6 +235,30 @@ def test_solve_prints_error_norms(capsys):
     assert "err_full_final=" in captured
     peak = float(captured.split("err_full_peak=")[1].split("\n")[0])
     assert peak == pytest.approx(2.19544e-2, rel=0.05)
+
+
+def test_solve_reports_a_blow_up_and_fails_on_it_when_asked(capsys):
+    argv = ["solve", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
+            "--n", "80"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "blow_up_level=202" in lines
+    assert [line for line in lines if line.startswith("blow_up_norm=")]
+    assert main(argv + ["--fail-on-blowup"]) == 3
+
+
+def test_cli_solve_does_not_load_the_quadrature_oracle():
+    # scipy.integrate is for caputo-order and the compatibility check only.
+    code = ("import sys\n"
+            "from fracheat.cli import main\n"
+            "assert main(['solve', '--n', '8', '--nt', '4']) == 0\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+    src = str(Path(fracheat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_problem_lists_catalog(capsys):
@@ -457,6 +485,14 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
     ["caputo-order", "--gammas", ","],
     ["caputo-order", "--taus", ","],
     ["convergence", "--tau", "0.001", "--levels", "10,20"],
+    ["convergence", "--levels", "4,8", "--t", "1e-320"],
+    ["stability", "--n", "4", "--nt", "3", "--t", "1e-320"],
+    ["solve", "--n", "4", "--nt", "1000", "--t", "1e-305"],
+    ["caputo-order", "--t", "1e-310", "--taus", "1e-310"],
+    ["caputo-order", "--gammas", "0.5,0.5", "--taus", "0.1,0.05"],
+    ["convergence", "--levels", "1"],
+    ["convergence", "--levels", "4,8", "--norms", "full,avg"],
+    ["caputo-order", "--taus", "0.3"],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
@@ -469,7 +505,10 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
         "solve-format", "solve-seed", "convergence-seed",
         "caputo-order-scheme-options", "stability-study-options",
         "caputo-order-gamma-prefix", "solve-nt-zero", "caputo-gammas-empty",
-        "caputo-taus-empty", "balanced-tau"])
+        "caputo-taus-empty", "balanced-tau", "convergence-t-subnormal",
+        "stability-t-subnormal", "solve-tau-subnormal",
+        "caputo-t-subnormal", "caputo-gammas-repeated", "levels-below-2",
+        "norms-unknown", "caputo-tau-not-dividing"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err

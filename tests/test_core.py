@@ -12,6 +12,7 @@ from fracheat.core import (
     Grid,
     Problem,
     SchemeParams,
+    check_time,
     face_coefficients,
     sample_space,
 )
@@ -40,11 +41,20 @@ def test_grid_rejects_degenerate_meshes():
     dict(N=2.5, Nt=3), dict(N=4.0, Nt=3), dict(N=4, Nt=3.5),
     dict(N=True, Nt=3), dict(N=4, Nt=True), dict(N="4", Nt=3),
     dict(N=4, Nt=3, T=math.inf), dict(N=4, Nt=3, T=math.nan),
+    dict(N=4, Nt=3, T=1e-320), dict(N=4, Nt=1000, T=1e-305),
 ], ids=["N-frac", "N-float", "Nt-frac", "N-bool", "Nt-bool", "N-str",
-        "T-inf", "T-nan"])
+        "T-inf", "T-nan", "T-subnormal", "tau-subnormal"])
 def test_grid_accepts_only_integer_counts_and_finite_time(kwargs):
     with pytest.raises(DomainError):
         Grid(**kwargs)
+
+
+def test_smallest_normal_time_and_step_are_accepted():
+    tiny = np.finfo(float).tiny
+    check_time("t", tiny)
+    assert Grid(N=4, Nt=1, T=tiny).tau == tiny
+    with pytest.raises(DomainError, match="time step tau"):
+        Grid(N=4, Nt=2, T=tiny)
 
 
 def test_grid_accepts_numpy_integers():

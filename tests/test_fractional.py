@@ -55,6 +55,12 @@ def test_weights_reject_bad_order():
         l1_weights(-1, 0.5, 0.1)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, 1e-310, math.inf, math.nan])
+def test_weights_reject_a_step_that_is_not_a_normal_positive_float(tau):
+    with pytest.raises(DomainError, match="time step"):
+        l1_weights(3, 0.5, tau)
+
+
 def test_history_coefficient_positivity():
     # -t_{k+1}^{1-g} + 2 t_k^{1-g} - t_{k-1}^{1-g} > 0 backs the decay proof.
     for gamma in (0.1, 0.5, 0.9):
@@ -184,8 +190,9 @@ def test_oracle_reports_unreachable_tolerance():
 
 
 def test_oracle_requires_positive_time():
-    with pytest.raises(DomainError):
-        caputo_oracle(lambda s: s, lambda s: 1.0, 0.0, 0.5)
+    for t in (0.0, 1e-310, math.inf):
+        with pytest.raises(DomainError):
+            caputo_oracle(lambda s: s, lambda s: 1.0, t, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from fracheat.stepper import (
     StepSystem,
     _step_rhs,
     assemble_step,
+    block_levels,
     build_step,
     march,
     solve_bordered,
@@ -141,7 +142,8 @@ def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, sigma):
     else:
         load = rng.uniform(-1.0, 1.0, grid.N + 1)
     step = build_step(problem, grid, sigma, c_new=3.7)
-    got = _step_rhs(step, 4, yn, load)
+    t = (4 + sigma) * grid.tau
+    got = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t))
     assert got.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
                                      load).tobytes()
     if problem is NEGATIVE_ZERO_SOURCE and sigma == 1.0:
@@ -457,8 +459,10 @@ def replay_against_oracle(problem, grid, params, outcome):
 
 @pytest.mark.parametrize("grid", [Grid.balanced(20, 0.5), Grid(N=2, Nt=12),
                                   Grid(N=3, Nt=12),
-                                  Grid(N=12, Nt=3 * _BLOCK + 5)],
-                         ids=["N20", "N2", "N3", "three-blocks"])
+                                  Grid(N=12, Nt=3 * _BLOCK + 5),
+                                  Grid(N=12, Nt=300)],
+                         ids=["N20", "N2", "N3", "three-blocks",
+                              "two-data-blocks"])
 def test_factored_march_matches_per_step_oracle(grid):
     problem = build_manufactured(3.0, 2.0, 0.5)
     params = SchemeParams(1.0)
@@ -604,6 +608,27 @@ def test_residual_checked_march_stays_in_linear_memory():
         tracemalloc.stop()
     assert max(outcome.per_step_residuals) <= 1e-11
     assert peak < 8e6
+
+
+def test_data_blocks_hold_at_most_256_levels_and_about_2_16_entries():
+    # A level of 2**16 entries or more is sampled one level at a time.
+    assert [block_levels(w) for w in (200_001, 2**16, 321, 17)] == [1, 1,
+                                                                    204, 256]
+
+
+def test_wide_march_samples_its_data_in_small_blocks():
+    # The levels and the memory's increments take 12.8 MB each; a block of
+    # 64 levels of f, with its temporaries, would add about 30 MB.
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    grid = Grid(N=20_000, Nt=80)
+    tracemalloc.start()
+    try:
+        outcome = march(problem, grid, SchemeParams(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.blow_up is None
+    assert peak < 34e6
 
 
 def test_march_reproduces_reference_error_magnitude():
