@@ -18,7 +18,10 @@ mu a block of levels at a time, and :class:`L1Memory` takes its L1
 weights from one evaluation and sums the memory exactly, blocked over
 levels.  A step then applies the record to its right-hand side, adds the
 memory load, does one banded back-substitution and writes its level in
-place into one ``(Nt+1, N+1)`` array.
+place into one ``(Nt+1, N+1)`` array.  The march owns its per-step
+buffers (the load goes into the row of the level being produced, the
+right-hand side into one buffer per march), and it checks for blow-up
+once per data block, dropping any levels it computed past one.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array; a dense LU solve of the same system
@@ -139,15 +142,20 @@ class StepOperator:
             )
         return lu, piv, v, float(denom)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the system for one right-hand side of length N."""
+    def solve(self, rhs: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve the system for one right-hand side of length N.
+
+        The solution is written into ``out`` when it is given (a new
+        array otherwise); ``rhs`` is left as it is.
+        """
         lu, piv, v, denom = self._factors
         m = v.size
-        u, _ = lapack.dgbtrs(lu, 1, 1, rhs[:m], piv)
+        sol = np.empty(m + 1) if out is None else out
+        u, _ = lapack.dgbtrs(lu, 1, 1, rhs[:m], piv)    # a copy of rhs[:m]
         b1, bNm1, _ = self.last_row
-        yN = (rhs[m] - b1 * u[0] - bNm1 * u[m - 1]) / denom
-        sol = np.empty(m + 1)
-        sol[:m] = u - yN * v
+        yN = (rhs.item(m) - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
+        np.subtract(u, yN * v, sol[:m])
         sol[m] = yN
         return sol
 
@@ -232,17 +240,23 @@ class L1Memory:
     those increments.  W is a Toeplitz slice of the weights: its rows
     overlap in memory, and BLAS takes no such view without a slow
     fallback, so W is copied C-contiguous once per block, ``_SPAN``
-    columns at a time.  Each step then adds only its *near* part, the
-    at most ``_BLOCK - 1`` increments since n0.  The history of
-    increments is thus streamed from memory once per block instead of
-    once per level.  The first block has no far part, so marches of at most
-    ``_BLOCK`` steps sum exactly as one contraction per level does;
-    later loads differ from it by rounding only.
+    columns at a time, from a window view of the weights built once.
+    Each step then adds only its *near* part, the at most ``_BLOCK - 1``
+    increments since n0.  The history of increments is thus streamed
+    from memory once per block instead of once per level.  The first
+    block has no far part, so marches of at most ``_BLOCK`` steps sum
+    exactly as one contraction per level does; later loads differ from
+    it by rounding only.
     """
 
     def __init__(self, gamma: float, tau: float, Nt: int, width: int):
         self._c = l1_weights(Nt - 1, gamma, tau).c
         self.c_new = float(self._c[-1])
+        # Row i is c[i:i + _SPAN].  The zero padding gives the last, shorter
+        # span of a block its rows too; it reads only their first columns,
+        # which lie inside c[:-1].
+        self._windows = sliding_window_view(
+            np.append(self._c[:-1], np.zeros(_SPAN)), _SPAN)
         self._inc = np.empty((Nt, width))
         self._far = np.empty((0, width))
         self._count = 0
@@ -251,18 +265,26 @@ class L1Memory:
         """The L1 weights of level n+1, equal to ``l1_weights(n, ...).c``."""
         return self._c[self._c.size - 1 - n:]
 
-    def load(self, yn: np.ndarray) -> np.ndarray:
-        """Memory load of the next level, given the newest level y^n."""
+    def load(self, yn: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Memory load of the next level, given the newest level y^n.
+
+        The load is written into ``out`` when it is given (a new array
+        otherwise).  The increment row of the next :meth:`push` serves as
+        scratch.
+        """
         n = self._count
         if n == 0:
-            return -self.c_new * yn
+            return np.multiply(-self.c_new, yn, out)
         j = n % _BLOCK
         if j == 0:
             self._far = self._far_loads(n)
-        total = self.weights(j)[:-1] @ self._inc[n - j:n]
+        # self._c[-1 - j:-1] is weights(j)[:-1], the near weights
+        total = np.matmul(self._c[-1 - j:-1], self._inc[n - j:n], out)
         if n >= _BLOCK:
             total += self._far[j]
-        return total - self.c_new * yn
+        return np.subtract(total, np.multiply(self.c_new, yn, self._inc[n]),
+                           total)
 
     def _far_loads(self, n0: int) -> np.ndarray:
         """Far parts of the loads of the block starting at level n0.
@@ -278,8 +300,8 @@ class L1Memory:
         far = np.zeros((rows, self._inc.shape[1]))
         for k in range(0, n0, _SPAN):
             m = min(_SPAN, n0 - k)
-            windows = sliding_window_view(self._c[:last], m)
-            W = np.ascontiguousarray(windows[top + k:top + k + rows][::-1])
+            W = np.ascontiguousarray(
+                self._windows[top + k:top + k + rows, :m][::-1])
             far += W @ self._inc[k:k + m]
         return far
 
@@ -356,22 +378,31 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
 
 
 def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
-              phi: np.ndarray, mu: float) -> np.ndarray:
+              phi: np.ndarray, mu: float,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
 
     Interior rows carry phi_i + (1-sigma)*(a*y_xbar)_{x,i}^n - load_i, with
     phi = f(x, t_n + sigma*tau) and the memory ``load`` at every node; the
     flux row carries (2/h)*mu(t_n + sigma*tau) + phi_N + beta*phi_0, the
     memory loads of both endpoints and the explicit part of both fluxes.
+    It is written into ``out`` (length N) when that is given.
+
+    The interior is evaluated as ((a_r*y_{i+1} - a_m*y_i) + a_l*y_{i-1})
+    / h^2, then (phi_i - load_i) + (1-sigma)*that, one operation at a time.
     """
-    rhs = np.empty(yn.size - 1)
-    second = (step.a_right * yn[2:] - step.a_mid * yn[1:-1]
-              + step.a_left * yn[:-2]) / step.h2
-    rhs[:-1] = phi[1:-1] - load[1:-1] + step.explicit * second
-    rhs[-1] = (step.two_by_h * mu + phi[-1] + step.beta * phi[0]
-               - step.beta * load[0] - load[-1]
-               - step.flux_N * (yn[-1] - yn[-2])
-               + step.flux_1 * (yn[1] - yn[0]))
+    rhs = np.empty(yn.size - 1) if out is None else out
+    inner, tmp = rhs[:-1], np.empty(yn.size - 2)
+    np.multiply(step.a_right, yn[2:], inner)
+    np.subtract(inner, np.multiply(step.a_mid, yn[1:-1], tmp), inner)
+    np.add(inner, np.multiply(step.a_left, yn[:-2], tmp), inner)
+    np.divide(inner, step.h2, inner)
+    np.multiply(step.explicit, inner, inner)
+    np.add(np.subtract(phi[1:-1], load[1:-1], tmp), inner, inner)
+    rhs[-1] = (step.two_by_h * mu + phi.item(-1) + step.beta * phi.item(0)
+               - step.beta * load.item(0) - load.item(-1)
+               - step.flux_N * (yn.item(-1) - yn.item(-2))
+               + step.flux_1 * (yn.item(1) - yn.item(0)))
     return rhs
 
 
@@ -428,9 +459,18 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     allocated (an overflowing matrix raises DomainError, a singular one
     SingularSystemError); each level then costs its right-hand side, the
     memory load and one banded solve, with y_0 recovered from the value
-    coupling.  A level that is non-finite (also after an overflow) or
-    exceeds ``BLOWUP_LIMIT`` in max norm stops the march and is recorded
-    in the outcome instead of raising.
+    coupling.  These fill buffers the march allocates once: the load is
+    written into the row of the new level, which the solve then
+    overwrites, and the right-hand side into one N-entry buffer that the
+    residual check reads after the solve.
+
+    A level that is non-finite (also after an overflow) or exceeds
+    ``BLOWUP_LIMIT`` in max norm stops the march and is recorded in the
+    outcome instead of raising.  The check reads the levels of a data
+    block (``block_levels``) at once after the block is computed; the
+    first bad level is reported, and the levels computed past it and
+    their residuals are dropped, so the outcome is the one a check after
+    every level gives.
     """
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     step = build_step(problem, grid, params.sigma, memory.c_new)
@@ -446,24 +486,43 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     residuals: Optional[list[float]] = [] if check_residuals else None
     blow: Optional[BlowUp] = None
     rows, sigma, tau = block_levels(grid.N + 1), params.sigma, grid.tau
+    alpha, solve, rhs = problem.alpha, step.operator.solve, np.empty(grid.N)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(grid.Nt):
-            if n % rows == 0:       # f and mu at t_k + sigma*tau for the block
-                times = [(k + sigma) * tau for k in range(n, grid.Nt)[:rows]]
-                phi, mu = step.source.rows(times), list(map(problem.mu, times))
-            yn, level, j = Y[n], Y[n + 1], n % rows
-            rhs = _step_rhs(step, yn, memory.load(yn), phi[j], mu[j])
-            level[1:] = step.operator.solve(rhs)
-            level[0] = problem.alpha * level[-1]
-            if residuals is not None:
-                residuals.append(step.operator.residual(rhs, level[1:]))
-            top = float(np.max(np.abs(level)))
-            if not top <= BLOWUP_LIMIT:     # also true for inf and NaN
-                blow = BlowUp(level=n + 1,
-                              norm=np.inf if np.isnan(top) else top)
+        for n0 in range(0, grid.Nt, rows):
+            # f and mu at t_n + sigma*tau for the levels of the block
+            times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
+            phi, mu = step.source.rows(times), list(map(problem.mu, times))
+            for j, n in enumerate(range(n0, n0 + len(times))):
+                yn, level = Y[n], Y[n + 1]
+                # the load goes into the level row, which the solve overwrites
+                _step_rhs(step, yn, memory.load(yn, level), phi[j], mu[j],
+                          rhs)
+                solve(rhs, level[1:])
+                level[0] = alpha * level.item(-1)
+                if residuals is not None:
+                    residuals.append(step.operator.residual(rhs, level[1:]))
+                memory.push(level, yn)
+            blow = _first_blow_up(Y[n0 + 1:n0 + 1 + len(times)], n0 + 1)
+            if blow is not None:
                 break
-            memory.push(level, yn)
 
-    levels = Y[:blow.level + 1] if blow else Y
-    return SolveOutcome(history=levels, blow_up=blow,
-                        per_step_residuals=residuals)
+    if blow is not None:        # drop what the block computed past it
+        Y = Y[:blow.level + 1]
+        if residuals is not None:
+            del residuals[blow.level:]
+    return SolveOutcome(history=Y, blow_up=blow, per_step_residuals=residuals)
+
+
+def _first_blow_up(levels: np.ndarray, first: int) -> Optional[BlowUp]:
+    """The first of consecutive ``levels`` (level ``first`` on) that blows up.
+
+    A level blows up when it is non-finite (its norm is then inf) or its
+    max norm exceeds ``BLOWUP_LIMIT``.
+    """
+    top = np.maximum(levels.max(axis=1), -levels.min(axis=1))
+    bad = ~(top <= BLOWUP_LIMIT)        # also true for NaN
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    norm = float(top[i])
+    return BlowUp(level=first + i, norm=np.inf if np.isnan(norm) else norm)

@@ -148,6 +148,11 @@ def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, sigma):
                                      load).tobytes()
     if problem is NEGATIVE_ZERO_SOURCE and sigma == 1.0:
         assert not np.signbit(got[:-1]).any()
+    # A march has the right-hand side written into its own buffer.
+    buf = np.full(grid.N, np.nan)
+    into = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t),
+                     out=buf)
+    assert into is buf and buf.tobytes() == got.tobytes()
 
 
 def test_homogeneous_problem_has_zero_rhs():
@@ -310,6 +315,18 @@ def test_bordered_matches_dense_oracle_property(system):
     assert np.max(np.abs(fast - dense)) / scale <= 1e-11
 
 
+@given(bordered_systems())
+def test_solve_into_a_buffer_matches_and_keeps_the_rhs(system):
+    # The march solves into its new level and then reads the rhs again
+    # for the residual, so the rhs must come back as it went in.
+    rhs = system.rhs.copy()
+    fresh = system.solve(rhs)
+    buf = np.full(rhs.size, np.nan)
+    assert system.solve(rhs, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    assert rhs.tobytes() == system.rhs.tobytes()
+
+
 @st.composite
 def residual_cases(draw):
     """Operators with N in [2, 12], entries of both signs, and a (rhs, sol)."""
@@ -443,7 +460,7 @@ def replay_against_oracle(problem, grid, params, outcome):
 
     Each level is recomputed from the march's own earlier levels and must
     match to 1e-12 relative to its max norm.  Returns the first level
-    whose oracle value exceeds the blow-up limit, or None.
+    whose oracle value exceeds the blow-up limit or is not finite, or None.
     """
     Y = outcome.history
     for n in range(len(Y) - 1):
@@ -451,7 +468,7 @@ def replay_against_oracle(problem, grid, params, outcome):
         sol = solve_dense_oracle(system)
         level = np.concatenate(([problem.alpha * sol[-1]], sol))
         top = float(np.max(np.abs(level)))
-        if top > BLOWUP_LIMIT:
+        if not top <= BLOWUP_LIMIT:     # also true for NaN
             return n + 1
         assert np.max(np.abs(level - Y[n + 1])) <= 1e-12 * top, n
     return None
@@ -496,6 +513,40 @@ def test_factored_march_blows_up_at_the_oracle_level():
                                  outcome) == outcome.blow_up.level
 
 
+def source_turning(value, level, grid):
+    """Zero data whose source turns to ``value`` at level ``level``.
+
+    The switch lies between the data times of levels ``level - 1`` and
+    ``level`` of a march at sigma=1.
+    """
+    start = (level - 0.5) * grid.tau
+    return Problem(gamma=0.5, alpha=1.0, beta=1.0, k=np.ones_like,
+                   f=lambda x, t: np.full_like(x, value if t > start else 0.0),
+                   mu=lambda t: 0.0, u0=np.zeros_like, c1=1.0, c2=1.0)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("first", 1e200), ("last", 1e200), ("first", math.nan),
+    ("second-first", 1e200), ("second-last", math.nan)])
+def test_block_guard_stops_where_a_per_level_guard_does(where, value):
+    # The guard reads a block of levels at once; the march still reports
+    # the first bad level, its norm and nothing it computed after it.
+    rows = block_levels(5)
+    grid = Grid(N=4, Nt=3 * rows)
+    level = {"first": 1, "last": rows, "second-first": rows + 1,
+             "second-last": 2 * rows}[where]
+    problem, params = source_turning(value, level, grid), SchemeParams(1.0)
+    outcome = march(problem, grid, params, check_residuals=True)
+    blow = outcome.blow_up
+    assert blow is not None and blow.level == level
+    assert len(outcome.history) == level + 1
+    assert len(outcome.per_step_residuals) == level
+    top = float(np.max(np.abs(outcome.history[-1])))
+    assert blow.norm == (math.inf if math.isnan(top) else top) > BLOWUP_LIMIT
+    assert np.all(np.abs(outcome.history[:-1]) <= BLOWUP_LIMIT)
+    assert replay_against_oracle(problem, grid, params, outcome) == level
+
+
 def test_cached_memory_weights_are_contiguous_tails():
     gamma, tau, Nt = 0.3, 0.01, 40
     memory = L1Memory(gamma, tau, Nt, width=5)
@@ -510,7 +561,8 @@ def blocked_load_error(gamma, tau, Nt, width, seed):
 
     Random levels are pushed one by one; at every level the load must
     equal ``weights(n)[:-1] @ inc[:n] - c_new*y^n`` to 1e-13 relative to
-    the sum of the magnitudes of its terms.
+    the sum of the magnitudes of its terms, and a load written into a
+    caller's buffer must equal the returned one bit for bit.
     """
     rng = np.random.default_rng(seed)
     memory = L1Memory(gamma, tau, Nt, width)
@@ -521,8 +573,11 @@ def blocked_load_error(gamma, tau, Nt, width, seed):
         w = memory.weights(n)[:-1]
         expected = w @ inc[:n] - memory.c_new * y
         scale = np.abs(w) @ np.abs(inc[:n]) + memory.c_new * np.abs(y)
-        worst = max(worst, float(np.max(np.abs(memory.load(y) - expected)
-                                        / scale)))
+        got = memory.load(y)
+        buf = np.full(width, np.nan)
+        assert memory.load(y, out=buf) is buf
+        assert buf.tobytes() == got.tobytes()
+        worst = max(worst, float(np.max(np.abs(got - expected) / scale)))
         new = y + rng.uniform(-1.0, 1.0, width)
         inc[n] = new - y
         memory.push(new, y)

@@ -17,8 +17,10 @@ program produces is checked in two ways:
   with one norm next to unstable rows;
 * the SHA-256 hashes of the level arrays of marches must agree, for
   gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
-  {20, 40, 80, 160} on balanced grids, plus one march that blows up and
-  one of random homogeneous data.
+  {20, 40, 80, 160} on balanced grids, plus two marches that blow up
+  (one in its first block of 256 levels, one after it) and one of random
+  homogeneous data.  The hash also covers the blow-up record and, for
+  the blow-ups and one march that finishes, the per-step residuals.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.
@@ -65,9 +67,11 @@ EXTRA_CALLS = (
      "--levels", "20,40,80", "--norms", "full", "--format", "table"),
 )
 
-# Prints {key: sha256 of the level array, blow-up level and norm}.
+# Prints {key: sha256 of the level array, blow-up level and norm, and
+# residuals}.
 HASH_SCRIPT = """
 import hashlib, json
+import numpy as np
 from fracheat.core import Grid, SchemeParams
 from fracheat.manufactured import build_manufactured, build_zero
 from fracheat.prng import uniform_symmetric
@@ -76,6 +80,8 @@ from fracheat.stepper import march
 def digest(outcome):
     h = hashlib.sha256(outcome.history.tobytes())
     h.update(repr(outcome.blow_up).encode())
+    if outcome.per_step_residuals is not None:
+        h.update(np.array(outcome.per_step_residuals).tobytes())
     return h.hexdigest()
 
 out = {}
@@ -87,7 +93,13 @@ for gamma in (0.2, 0.4, 0.5, 0.8):
             out[f"mms g={gamma} s={sigma} N={N}"] = digest(outcome)
 out["blow-up a=0.1 b=10 g=0.4 N=80"] = digest(march(
     build_manufactured(0.1, 10.0, 0.4), Grid.balanced(80, 0.4),
-    SchemeParams(1.0)))
+    SchemeParams(1.0), check_residuals=True))
+out["blow-up past level 256 a=0.1 b=10 g=0.3 N=200"] = digest(march(
+    build_manufactured(0.1, 10.0, 0.3), Grid.balanced(200, 0.3),
+    SchemeParams(1.0), check_residuals=True))
+out["residuals g=0.5 s=0.5 N=40"] = digest(march(
+    build_manufactured(3.0, 2.0, 0.5), Grid.balanced(40, 0.5),
+    SchemeParams(0.5), check_residuals=True))
 y0 = uniform_symmetric(5, 17)
 y0[0] = 2.0 * y0[-1]
 out["random zero-data N=16 Nt=400 s=0.6"] = digest(march(
