@@ -160,8 +160,9 @@ def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
         If the quadrature error estimate exceeds ``_ORACLE_TOL``; the
         achieved accuracy is attached to the exception.
     """
-    # Imported here: scipy.integrate takes about a third of a second and
-    # 24 MB to load, and no march or study needs it.
+    # Imported here: scipy.integrate, with the scipy.linalg package it
+    # pulls in, takes about 0.6 s and 47 MB to load, and no march or
+    # study needs it.
     from scipy.integrate import quad
 
     check_gamma(gamma)

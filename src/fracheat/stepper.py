@@ -6,7 +6,8 @@ over y_1..y_N is tridiagonal except for a corner coefficient on y_N in
 the first row and the last row (the discretised flux coupling), which
 touches columns 1, N-1 and N.  It is solved in O(N) by superposition:
 banded LAPACK factors the tridiagonal interior block, and a scalar
-closure of the flux row gives y_N.
+closure of the flux row gives y_N.  The two LAPACK routines come from
+scipy's extension module, loaded without the ``scipy.linalg`` package.
 
 The scheme has constant coefficients in time, so a march derives its
 :class:`Step` once (:func:`build_step`): the matrix of the new level
@@ -31,18 +32,54 @@ relative residual of every step.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
 
 from .core import (DimensionError, DomainError, Grid, NodeSampler, Problem,
                    SchemeParams, face_coefficients, sample_space)
 from .core import sample_space_time  # noqa: F401  (looked up by benchmarks/spans.py)
 from .fractional import l1_weights, split_implicit
+
+
+def _load_lapack() -> ModuleType:
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded on its own.
+
+    ``scipy.linalg.lapack`` re-exports these wrappers, but importing it
+    runs the ``scipy.linalg`` package first, which pulls in numpy.testing,
+    numpy.f2py and numpy.random and costs more than an N=320 march.  The
+    extension file is loaded under its real name instead, so a later
+    ``import scipy.linalg`` finds it in ``sys.modules`` and exports the
+    very same function objects (the package then lacks a ``_flapack``
+    attribute; scipy reaches the module only through ``from`` imports).
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    spec = importlib.machinery.FileFinder(str(folder), (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {folder} "
+                          f"(scipy {scipy.__version__})", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
 
 __all__ = [
     "SingularSystemError",
@@ -292,17 +329,21 @@ class L1Memory:
         Row j is ``weights(n0 + j)[:n0] @ inc[:n0]``, for the levels of
         the block that the march can reach.  The weight slice is copied
         ``_SPAN`` increments at a time, so the copy stays small however
-        long the march is.
+        long the march is.  Each span's product goes into the increment
+        rows of the block, which no level has pushed yet, and is added
+        into zeros: starting from the product would keep a -0.0 that
+        ``0.0 + p`` turns into +0.0.
         """
         last = self._c.size - 1
         rows = min(_BLOCK, last + 1 - n0)
         top = last - n0 + 1 - rows
         far = np.zeros((rows, self._inc.shape[1]))
+        product = self._inc[n0:n0 + rows]
         for k in range(0, n0, _SPAN):
             m = min(_SPAN, n0 - k)
             W = np.ascontiguousarray(
                 self._windows[top + k:top + k + rows, :m][::-1])
-            far += W @ self._inc[k:k + m]
+            far += np.matmul(W, self._inc[k:k + m], out=product)
         return far
 
     def push(self, new: np.ndarray, old: np.ndarray) -> None:

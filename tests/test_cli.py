@@ -1,9 +1,6 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,7 +10,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import fracheat
 from fracheat.cli import (
     CATALOG,
     CSV_HEADER,
@@ -247,17 +243,17 @@ def test_solve_reports_a_blow_up_and_fails_on_it_when_asked(capsys):
     assert main(argv + ["--fail-on-blowup"]) == 3
 
 
-def test_cli_solve_does_not_load_the_quadrature_oracle():
-    # scipy.integrate is for caputo-order and the compatibility check only.
+def test_cli_solve_does_not_load_the_quadrature_oracle(run_fresh):
+    # scipy.integrate is for caputo-order and the compatibility check only,
+    # and a march loads scipy's LAPACK extension without scipy.linalg.
     code = ("import sys\n"
             "from fracheat.cli import main\n"
             "assert main(['solve', '--n', '8', '--nt', '4']) == 0\n"
-            "assert 'scipy.integrate' not in sys.modules\n")
-    src = str(Path(fracheat.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+            "assert main(['convergence', '--levels', '4,8']) == 0\n"
+            "assert main(['stability', '--n', '8', '--nt', '4']) == 0\n"
+            "loaded = {'scipy.integrate', 'scipy.linalg'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    done = run_fresh(code)
     assert done.returncode == 0, done.stderr
 
 
