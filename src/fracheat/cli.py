@@ -44,7 +44,7 @@ from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .norms import energy_norm  # noqa: F401  (looked up by benchmarks/spans.py)
 from .prng import uniform_symmetric
-from .stepper import SingularSystemError, SolveOutcome, block_levels, march
+from .stepper import SingularSystemError, SolveOutcome, march
 
 __all__ = [
     "UsageError",
@@ -186,24 +186,13 @@ def _study_grid(N: int, config: StudyConfig) -> Grid:
     return Grid.with_step(N, config.tau, config.T)
 
 
-def _level_blocks(levels: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(first level, block) of :func:`~fracheat.stepper.block_levels` levels.
-
-    Per-level norms are taken block by block, so their temporaries stay
-    small however long or wide the march; each row still sums alone.
-    """
-    rows = block_levels(levels.shape[1])
-    for k in range(0, len(levels), rows):
-        yield k, levels[k:k + rows]
-
-
 def _error_history(outcome: SolveOutcome, problem: Problem,
                    grid: Grid) -> tuple[list[float], list[float]]:
     """Per-level trapezoid and max error norms; NaN maps to inf."""
     exact = NodeSampler(problem.exact, grid.x)
     full, mx = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, block in _level_blocks(outcome.history):
+        for k, block in outcome.blocks():
             z = block - exact.rows([n * grid.tau
                                     for n in range(k, k + len(block))])
             full += norm_trapezoid(z, grid.h).tolist()
@@ -297,10 +286,10 @@ def _write_solution(result: SolveResult, with_history: bool) -> Iterator[str]:
             yield f"{x},{_fmt(y)}\n"
         return
     yield "t,x,y\n"
-    for n, level in enumerate(result.outcome.history):
-        t = _fmt(n * result.grid.tau)
-        yield "".join([f"{t},{x},{_fmt(y)}\n"
-                       for x, y in zip(xs, level.tolist())])
+    for k, block in result.outcome.blocks():
+        for n, level in enumerate(block.tolist(), k):
+            t = _fmt(n * result.grid.tau)
+            yield "".join([f"{t},{x},{_fmt(y)}\n" for x, y in zip(xs, level)])
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +432,7 @@ def run_stability(gamma: float, alpha: float, beta: float,
     u0[0] = alpha * u0[-1]
     outcome = march(problem, grid, SchemeParams(sigma), y0=u0)
     with np.errstate(over="ignore"):    # a norm past the float range is inf
-        norms = tuple(v for _, block in _level_blocks(outcome.history)
+        norms = tuple(v for _, block in outcome.blocks()
                       for v in weights.norms(block, grid.h).tolist())
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,

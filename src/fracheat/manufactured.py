@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Problem, Separable
+from .core import DomainError, Grid, Problem, Separable, check_time
 from .fractional import caputo_oracle
 
 __all__ = [
@@ -100,10 +100,20 @@ def build_manufactured(alpha: float, beta: float, gamma: float,
     def mu(t):
         return mu_factor * time_profile(t)
 
-    return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=np.exp, f=Separable(((S, DQ), (minus_E, time_profile))),
-                   mu=mu, u0=S, c1=1.0, c2=math.e,
-                   exact=Separable(((S, time_profile),)))
+    problem = Problem(gamma=gamma, alpha=alpha, beta=beta, k=np.exp,
+                      f=Separable(((S, DQ), (minus_E, time_profile))),
+                      mu=mu, u0=S, c1=1.0, c2=math.e,
+                      exact=Separable(((S, time_profile),)))
+    # The time factors grow like T**3, which overflows above T = 5.6e102.
+    # Such a T is refused before any march, checked a few ulps past T,
+    # where the time n*tau of the last level may round to.
+    check_time("final time T", T)
+    t = np.array([T * (1.0 + 2.0**-50)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite([q(t) for q in (time_profile, DQ, mu)]).all():
+            raise DomainError(f"the time factors or mu overflow at the final "
+                              f"time T={T} (alpha={alpha}, beta={beta})")
+    return problem
 
 
 @dataclass(frozen=True)

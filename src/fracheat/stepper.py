@@ -14,20 +14,21 @@ The scheme has constant coefficients in time, so a march derives its
 (:class:`StepOperator`, factored on first use), the explicit part of the
 same operator on the old level, and the source on the nodes
 (:class:`~fracheat.core.NodeSampler`, which samples the space factors of
-:class:`~fracheat.core.Separable` data once).  The march samples f and
-mu a block of levels at a time, and :class:`L1Memory` takes its L1
-weights from one evaluation and sums the memory exactly, blocked over
-levels.  A step then applies the record to its right-hand side, adds the
-memory load, does one banded back-substitution and writes its level in
-place into one ``(Nt+1, N+1)`` array.  The march owns its per-step
-buffers (the load goes into the row of the level being produced, the
-right-hand side into one buffer per march), and it checks for blow-up
-once per data block, dropping any levels it computed past one.
+:class:`~fracheat.core.Separable` data once).  The march samples f and mu a
+block of levels at a time (:func:`block_levels`, the blocks in which
+:meth:`SolveOutcome.blocks` hands the levels to their readers), and
+:class:`L1Memory` takes its L1 weights from one evaluation and sums the
+memory exactly, blocked over levels.  A step then applies the record to its
+right-hand side, adds the memory load, does one banded back-substitution and
+writes its level in place into one ``(Nt+1, N+1)`` array.  The march owns
+its per-step buffers (the load goes into the row of the level being
+produced, the right-hand side into one buffer per march), and it checks for
+blow-up once per data block, dropping any levels it computed past one.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
-memory term from a level array; a dense LU solve of the same system
-is kept as a test oracle, and the march can optionally record the
-relative residual of every step.
+memory term from a level array into buffers of its own; a dense LU solve
+of the same system is kept as a test oracle, and the march can
+optionally record the relative residual of every step.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import ModuleType
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -179,22 +180,19 @@ class StepOperator:
             )
         return lu, piv, v, float(denom)
 
-    def solve(self, rhs: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve the system for one right-hand side of length N.
 
-        The solution is written into ``out`` when it is given (a new
-        array otherwise); ``rhs`` is left as it is.
+        The solution is written into ``out``; ``rhs`` is left as it is.
         """
         lu, piv, v, denom = self._factors
         m = v.size
-        sol = np.empty(m + 1) if out is None else out
         u, _ = lapack.dgbtrs(lu, 1, 1, rhs[:m], piv)    # a copy of rhs[:m]
         b1, bNm1, _ = self.last_row
         yN = (rhs.item(m) - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
-        np.subtract(u, yN * v, sol[:m])
-        sol[m] = yN
-        return sol
+        np.subtract(u, yN * v, out[:m])
+        out[m] = yN
+        return out
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         """The product A @ y for a vector y of length N, in O(N)."""
@@ -256,6 +254,16 @@ class SolveOutcome:
     blow_up: Optional[BlowUp] = None
     per_step_residuals: Optional[list[float]] = None
 
+    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first level, block) views of ``history``, ``block_levels`` rows.
+
+        Per-level norms are taken block by block, so their temporaries stay
+        small however long or wide the march; each row still sums alone.
+        """
+        rows = block_levels(self.history.shape[1])
+        for k in range(0, len(self.history), rows):
+            yield k, self.history[k:k + rows]
+
 
 class L1Memory:
     """Discrete Caputo memory of a march with ``Nt`` steps.
@@ -298,17 +306,10 @@ class L1Memory:
         self._far = np.empty((0, width))
         self._count = 0
 
-    def weights(self, n: int) -> np.ndarray:
-        """The L1 weights of level n+1, equal to ``l1_weights(n, ...).c``."""
-        return self._c[self._c.size - 1 - n:]
-
-    def load(self, yn: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
+    def load(self, yn: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Memory load of the next level, given the newest level y^n.
 
-        The load is written into ``out`` when it is given (a new array
-        otherwise).  The increment row of the next :meth:`push` serves as
-        scratch.
+        It is written into ``out``; the next push's increment row is scratch.
         """
         n = self._count
         if n == 0:
@@ -316,7 +317,7 @@ class L1Memory:
         j = n % _BLOCK
         if j == 0:
             self._far = self._far_loads(n)
-        # self._c[-1 - j:-1] is weights(j)[:-1], the near weights
+        # self._c[-1 - j:-1] is l1_weights(j, ...).c[:-1], the near weights
         total = np.matmul(self._c[-1 - j:-1], self._inc[n - j:n], out)
         if n >= _BLOCK:
             total += self._far[j]
@@ -326,13 +327,13 @@ class L1Memory:
     def _far_loads(self, n0: int) -> np.ndarray:
         """Far parts of the loads of the block starting at level n0.
 
-        Row j is ``weights(n0 + j)[:n0] @ inc[:n0]``, for the levels of
-        the block that the march can reach.  The weight slice is copied
-        ``_SPAN`` increments at a time, so the copy stays small however
-        long the march is.  Each span's product goes into the increment
-        rows of the block, which no level has pushed yet, and is added
-        into zeros: starting from the product would keep a -0.0 that
-        ``0.0 + p`` turns into +0.0.
+        Row j is ``l1_weights(n0 + j, ...).c[:n0] @ inc[:n0]``, for the
+        levels of the block that the march can reach.  The weight slice is
+        copied ``_SPAN`` increments at a time, so the copy stays small
+        however long the march is.  Each span's product goes into the
+        increment rows of the block, which no level has pushed yet, and
+        is added into zeros: starting from the product would keep a -0.0
+        that ``0.0 + p`` turns into +0.0.
         """
         last = self._c.size - 1
         rows = min(_BLOCK, last + 1 - n0)
@@ -419,32 +420,30 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
 
 
 def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
-              phi: np.ndarray, mu: float,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+              phi: np.ndarray, mu: float, out: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
 
     Interior rows carry phi_i + (1-sigma)*(a*y_xbar)_{x,i}^n - load_i, with
     phi = f(x, t_n + sigma*tau) and the memory ``load`` at every node; the
     flux row carries (2/h)*mu(t_n + sigma*tau) + phi_N + beta*phi_0, the
     memory loads of both endpoints and the explicit part of both fluxes.
-    It is written into ``out`` (length N) when that is given.
+    It is written into ``out`` (length N) and returned.
 
     The interior is evaluated as ((a_r*y_{i+1} - a_m*y_i) + a_l*y_{i-1})
     / h^2, then (phi_i - load_i) + (1-sigma)*that, one operation at a time.
     """
-    rhs = np.empty(yn.size - 1) if out is None else out
-    inner, tmp = rhs[:-1], np.empty(yn.size - 2)
+    inner, tmp = out[:-1], np.empty(yn.size - 2)
     np.multiply(step.a_right, yn[2:], inner)
     np.subtract(inner, np.multiply(step.a_mid, yn[1:-1], tmp), inner)
     np.add(inner, np.multiply(step.a_left, yn[:-2], tmp), inner)
     np.divide(inner, step.h2, inner)
     np.multiply(step.explicit, inner, inner)
     np.add(np.subtract(phi[1:-1], load[1:-1], tmp), inner, inner)
-    rhs[-1] = (step.two_by_h * mu + phi.item(-1) + step.beta * phi.item(0)
+    out[-1] = (step.two_by_h * mu + phi.item(-1) + step.beta * phi.item(0)
                - step.beta * load.item(0) - load.item(-1)
                - step.flux_N * (yn.item(-1) - yn.item(-2))
                + step.flux_1 * (yn.item(1) - yn.item(0)))
-    return rhs
+    return out
 
 
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
@@ -466,7 +465,8 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     step = build_step(problem, grid, params.sigma, c_new)
     t = (n + params.sigma) * grid.tau
     return StepSystem(**vars(step.operator), rhs=_step_rhs(
-        step, Y[n], load, step.source.rows([t])[0], problem.mu(t)))
+        step, Y[n], load, step.source.rows([t])[0], problem.mu(t),
+        np.empty(grid.N)))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -475,7 +475,7 @@ def solve_bordered(system: StepSystem) -> np.ndarray:
     Raises SingularSystemError if the interior block has an exactly zero
     pivot, or the closure pivot is at roundoff level relative to its terms.
     """
-    return system.solve(system.rhs)
+    return system.solve(system.rhs, np.empty(system.rhs.size))
 
 
 def solve_dense_oracle(system: StepSystem) -> np.ndarray:

@@ -532,6 +532,21 @@ def test_refused_extremes_print_only_the_error_line(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "--t", "1e110", "--n", "2", "--nt", "2", "--sigma", "0"],
+    ["convergence", "--t", "1e110", "--levels", "2", "--coupling", "fixed",
+     "--tau", "5e109", "--sigma", "0"],
+], ids=["solve", "convergence"])
+def test_a_final_time_past_the_time_factors_range_exits_2(argv, capsys):
+    # t**3 overflows above t = 5.6e102; the builder refuses T before the
+    # march, so the march never samples the time factors there.
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "T=1e+110" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "--n", "8", "--nt", "5"],
     ["convergence", "--levels", "4,8"],
     ["caputo-order"],
@@ -736,5 +751,6 @@ def command_lines(draw):
           *_TINY_SOLVE])
 @example(["solve", "--alpha", "1e300", "--beta", "1e154", "--sigma", "0",
           *_TINY_SOLVE])
+@example(["solve", "--t", "1e110", "--n", "2", "--nt", "2", "--sigma", "0"])
 def test_random_argv_ends_with_a_documented_exit_code(argv):
     assert exit_code(argv) in (0, 1, 2, 3)

@@ -79,6 +79,29 @@ def test_builder_rejects_bad_parameters():
         build_manufactured(1.0, 1.0, 1.2)
 
 
+# The largest T whose time factors and mu, for alpha=0.5 and beta=0.1,
+# stay finite a few ulps past T; t**3 overflows from about 5.6438e102 on.
+_LARGEST_T = 5.643803094122356e+102
+
+
+@pytest.mark.parametrize("T", [1e110, math.nextafter(_LARGEST_T, math.inf),
+                               -1e110, math.inf, math.nan])
+def test_builder_refuses_a_final_time_its_time_factors_cannot_reach(T):
+    with pytest.raises(DomainError, match="T"):
+        build_manufactured(0.5, 0.1, 0.5, T=T)
+
+
+def test_largest_final_time_marches_to_its_last_level():
+    # With Nt=305, Nt*(T/Nt) rounds past T; the error norms of the last
+    # level still evaluate the time factors there.
+    problem = build_manufactured(0.5, 0.1, 0.5, T=_LARGEST_T)
+    grid = Grid(N=2, Nt=305, T=_LARGEST_T)
+    assert grid.Nt * grid.tau > grid.T
+    outcome = march(problem, grid, SchemeParams(0.0))
+    full, mx = _error_history(outcome, problem, grid)
+    assert len(full) == len(mx) == len(outcome.history)
+
+
 @pytest.mark.parametrize("alpha,beta,gamma", [(3.0, 2.0, 0.5),
                                               (0.7, 0.1, 0.5)])
 def test_compatibility_passes_for_reference_configs(alpha, beta, gamma):

@@ -23,8 +23,10 @@ from fracheat.stepper import (
     _BLOCK,
     _SPAN,
     BLOWUP_LIMIT,
+    BlowUp,
     L1Memory,
     SingularSystemError,
+    SolveOutcome,
     StepOperator,
     StepSystem,
     _step_rhs,
@@ -143,16 +145,15 @@ def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, sigma):
         load = rng.uniform(-1.0, 1.0, grid.N + 1)
     step = build_step(problem, grid, sigma, c_new=3.7)
     t = (4 + sigma) * grid.tau
-    got = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t))
-    assert got.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
+    # The right-hand side is written into the caller's buffer, which
+    # starts as NaN so that an entry left unwritten shows.
+    buf = np.full(grid.N, np.nan)
+    got = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t), buf)
+    assert got is buf
+    assert buf.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
                                      load).tobytes()
     if problem is NEGATIVE_ZERO_SOURCE and sigma == 1.0:
-        assert not np.signbit(got[:-1]).any()
-    # A march has the right-hand side written into its own buffer.
-    buf = np.full(grid.N, np.nan)
-    into = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t),
-                     out=buf)
-    assert into is buf and buf.tobytes() == got.tobytes()
+        assert not np.signbit(buf[:-1]).any()
 
 
 def test_homogeneous_problem_has_zero_rhs():
@@ -318,13 +319,16 @@ def test_bordered_matches_dense_oracle_property(system):
 @given(bordered_systems())
 def test_solve_into_a_buffer_matches_and_keeps_the_rhs(system):
     # The march solves into its new level and then reads the rhs again
-    # for the residual, so the rhs must come back as it went in.
+    # for the residual, so the rhs must come back as it went in.  The
+    # buffer starts as NaN, so an entry left unwritten shows.
     rhs = system.rhs.copy()
-    fresh = system.solve(rhs)
     buf = np.full(rhs.size, np.nan)
-    assert system.solve(rhs, out=buf) is buf
-    assert buf.tobytes() == fresh.tobytes()
+    assert system.solve(rhs, buf) is buf
     assert rhs.tobytes() == system.rhs.tobytes()
+    assert buf.tobytes() == solve_bordered(system).tobytes()
+    dense = solve_dense_oracle(system)
+    scale = max(float(np.max(np.abs(dense))), 1e-30)
+    assert np.max(np.abs(buf - dense)) / scale <= 1e-11
 
 
 @st.composite
@@ -547,22 +551,43 @@ def test_block_guard_stops_where_a_per_level_guard_does(where, value):
     assert replay_against_oracle(problem, grid, params, outcome) == level
 
 
-def test_cached_memory_weights_are_contiguous_tails():
-    gamma, tau, Nt = 0.3, 0.01, 40
-    memory = L1Memory(gamma, tau, Nt, width=5)
-    for n in (0, 1, 17, Nt - 1):
-        w = memory.weights(n)
-        assert w.flags.c_contiguous
-        assert np.array_equal(w, l1_weights(n, gamma, tau).c)
+def test_cached_memory_weights_are_contiguous_tails(monkeypatch):
+    # Every weight array the load multiplies by is C-contiguous: a
+    # reversed view makes the product about 30 times slower.  The near
+    # weights of level n+1 are ``l1_weights(n % _BLOCK, ...).c[:-1]``; the
+    # far weights, at the first level of each later block, are copied.
+    gamma, tau, Nt, width = 0.3, 0.01, 2 * _BLOCK + 5, 5
+    memory = L1Memory(gamma, tau, Nt, width)
+    seen, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        seen.append((a.flags.c_contiguous, a.ndim, a.copy()))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    y, buf = np.zeros(width), np.empty(width)
+    for n in range(Nt):
+        del seen[:]
+        memory.load(y, buf)
+        assert len(seen) >= (n > 0)
+        assert all(contiguous for contiguous, _, _ in seen)
+        near = [w for _, ndim, w in seen if ndim == 1]
+        j = n % _BLOCK
+        if n > 0:
+            assert np.array_equal(near, [l1_weights(j, gamma, tau).c[:-1]])
+        far = [w for _, ndim, w in seen if ndim == 2]
+        assert len(far) == (n >= _BLOCK and j == 0)
+        memory.push(y + 1.0, y)
+        y = y + 1.0
 
 
 def blocked_load_error(gamma, tau, Nt, width, seed):
     """Worst error of L1Memory.load against the unblocked contraction.
 
-    Random levels are pushed one by one; at every level the load must
-    equal ``weights(n)[:-1] @ inc[:n] - c_new*y^n`` to 1e-13 relative to
-    the sum of the magnitudes of its terms, and a load written into a
-    caller's buffer must equal the returned one bit for bit.
+    Random levels are pushed one by one; at every level the load, written
+    into a caller's buffer, must equal ``c[:-1] @ inc[:n] - c_new*y^n``
+    with ``c = l1_weights(n, gamma, tau).c``, the independent weights, to
+    1e-13 relative to the sum of the magnitudes of its terms.
     """
     rng = np.random.default_rng(seed)
     memory = L1Memory(gamma, tau, Nt, width)
@@ -570,13 +595,14 @@ def blocked_load_error(gamma, tau, Nt, width, seed):
     y = rng.uniform(-1.0, 1.0, width)
     worst = 0.0
     for n in range(Nt):
-        w = memory.weights(n)[:-1]
+        c = l1_weights(n, gamma, tau).c
+        assert c[-1] == memory.c_new
+        w = c[:-1]
         expected = w @ inc[:n] - memory.c_new * y
         scale = np.abs(w) @ np.abs(inc[:n]) + memory.c_new * np.abs(y)
-        got = memory.load(y)
         buf = np.full(width, np.nan)
-        assert memory.load(y, out=buf) is buf
-        assert buf.tobytes() == got.tobytes()
+        got = memory.load(y, buf)
+        assert got is buf
         worst = max(worst, float(np.max(np.abs(got - expected) / scale)))
         new = y + rng.uniform(-1.0, 1.0, width)
         inc[n] = new - y
@@ -705,6 +731,32 @@ def test_data_blocks_hold_at_most_256_levels_and_about_2_16_entries():
     # A level of 2**16 entries or more is sampled one level at a time.
     assert [block_levels(w) for w in (200_001, 2**16, 321, 17)] == [1, 1,
                                                                     204, 256]
+
+
+@given(st.one_of(st.integers(1, 400), st.just(2**16 + 1)),
+       st.integers(1, 700), st.booleans(), st.data())
+def test_outcome_blocks_partition_the_history(width, levels, blown, data):
+    # A march fills a (Nt+1, width) array; a blow-up keeps its first rows.
+    if width > 2**16:
+        levels = min(levels, 5)
+    full = np.arange(levels * width, dtype=float).reshape(levels, width)
+    kept = data.draw(st.integers(1, levels)) if blown else levels
+    history = full[:kept]
+    if blown:
+        history[-1] = math.inf
+    outcome = SolveOutcome(history=history, blow_up=BlowUp(
+        level=kept - 1, norm=math.inf) if blown else None)
+    expected_first = 0
+    for first, block in outcome.blocks():
+        assert first == expected_first
+        assert 1 <= len(block) <= block_levels(width)
+        assert np.shares_memory(block, history) and block.base is not None
+        assert block.ctypes.data == history[first].ctypes.data
+        assert np.array_equal(block, history[first:first + len(block)])
+        expected_first += len(block)
+    assert expected_first == len(history)
+    assert np.array_equal(
+        np.concatenate([b for _, b in outcome.blocks()]), history)
 
 
 def test_wide_march_samples_its_data_in_small_blocks():
