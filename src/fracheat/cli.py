@@ -26,6 +26,7 @@ not of its option's JSON type (number, text, or list), is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,7 +43,6 @@ from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
 from .manufactured import CATALOG
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
-from .norms import energy_norm  # noqa: F401  (looked up by benchmarks/spans.py)
 from .prng import uniform_symmetric
 from .stepper import SingularSystemError, SolveOutcome, march
 
@@ -484,6 +484,7 @@ _TEXT_TYPES = (None, _ints, _floats, _names, _sigma_spec)
 _LIST_TYPES = (_ints, _floats, _names)
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser,
                              dict[str, dict[str, argparse.Action]]]:
     """The parser, and per subcommand the options a config file may set.
@@ -502,11 +503,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     def command(name: str, summary: str, scheme: bool = True,
                 alpha: float = 1.0, beta: float = 1.0, sigma_type=float):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        options = settable[name] = {}
 
         def option(*flags, **kwargs) -> None:
             action = p.add_argument(*flags, **kwargs)
-            options[action.dest] = action
+            settable.setdefault(name, {})[action.dest] = action
 
         p.add_argument("--config", help="JSON file with option defaults")
         if scheme:

@@ -174,8 +174,10 @@ def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
         return v_prime(t - s**p)
 
     scale = math.gamma(2.0 - gamma)
+    # full_output silences quad's IntegrationWarning, which would only repeat
+    # the error raised below; unlike a warnings filter it is thread-safe.
     val, err = quad(integrand, 0.0, s_max, epsabs=_ORACLE_TOL * scale * 0.1,
-                    epsrel=1e-13, limit=400)
+                    epsrel=1e-13, limit=400, full_output=1)[:2]
     achieved = err / scale
     if achieved > _ORACLE_TOL:
         raise OracleFailureError(f"Caputo quadrature reached {achieved:.3e}, "

@@ -18,14 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import DomainError
+
 __all__ = ["splitmix64", "uniform_symmetric"]
 
 _MASK = (1 << 64) - 1
 
 
 def splitmix64(seed: int, count: int) -> list[int]:
-    """First ``count`` raw 64-bit outputs of splitmix64 for ``seed``."""
-    state = seed & _MASK
+    """First ``count`` raw 64-bit outputs of splitmix64 for ``seed``.
+
+    A seed outside [0, 2**64) would alias its residue, so it is refused.
+    """
+    if not 0 <= seed <= _MASK:
+        raise DomainError(f"seed: must be in [0, 2**64), got {seed}")
+    state = seed
     out = []
     for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & _MASK

@@ -47,7 +47,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DimensionError, DomainError, Grid, NodeSampler, Problem,
                    SchemeParams, face_coefficients, sample_space)
-from .core import sample_space_time  # noqa: F401  (looked up by benchmarks/spans.py)
 from .fractional import l1_weights, split_implicit
 
 

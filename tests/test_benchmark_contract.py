@@ -1,12 +1,12 @@
 """Names the benchmark under ``benchmarks/`` looks up in the package.
 
 The benchmark's tracer wraps functions by the name their caller uses
-(``benchmarks/spans.py``) and its workloads build problems through the
-catalog (``benchmarks/workloads.py``).  A refactor that drops or renames
-one of these names blinds a traced layer or breaks the benchmark's
-set-up, so the names are pinned here.  The per-step calls of a march
-(the memory load and push, the right-hand side and the factored solve)
-are pinned too, as the layers a tracer of the march wraps.
+(``LAYERS`` in ``benchmarks/spans.py``), and its worker imports the
+command line, the catalog, ``Grid`` and ``face_coefficients`` to build
+the workloads (``benchmarks/worker.py``).  A refactor that drops or
+renames one of these names blinds a traced layer or breaks the
+benchmark's set-up, so exactly these names are pinned here, the
+catalog's by the last test.
 """
 
 import importlib
@@ -19,30 +19,17 @@ from fracheat.core import Problem
 LOOKED_UP = {
     "fracheat.cli": ("main", "run_solve", "run_convergence", "run_stability",
                      "march", "uniform_symmetric", "face_coefficients",
-                     "energy_norm", "norm_trapezoid", "norm_max"),
+                     "norm_trapezoid", "norm_max"),
     "fracheat.stepper": ("assemble_step", "solve_bordered", "l1_weights",
-                         "sample_space", "sample_space_time",
-                         "face_coefficients", "_step_rhs"),
+                         "sample_space", "face_coefficients"),
     "fracheat.core": ("Grid", "face_coefficients", "sample_space"),
 }
-
-# Methods a march calls every step, which a tracer wraps on the class.
-METHODS = {"fracheat.stepper": (("L1Memory", "load"), ("L1Memory", "push"),
-                                ("StepOperator", "solve"))}
 
 
 @pytest.mark.parametrize("module, name", [
     (module, name) for module, names in LOOKED_UP.items() for name in names])
 def test_benchmark_names_are_callable(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
-
-
-@pytest.mark.parametrize("module, owner, name", [
-    (module, owner, name) for module, pairs in METHODS.items()
-    for owner, name in pairs])
-def test_step_methods_are_callable(module, owner, name):
-    cls = getattr(importlib.import_module(module), owner, None)
-    assert callable(getattr(cls, name, None))
 
 
 def test_catalog_is_a_dict_of_builders_taking_benchmark_keywords():

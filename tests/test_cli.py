@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -25,7 +26,8 @@ from fracheat.cli import (
     StabilityReport,
     _error_history,
 )
-from fracheat.core import MAX_NODES, Grid, SchemeParams, face_coefficients
+from fracheat.core import (MAX_NODES, DomainError, Grid, SchemeParams,
+                           face_coefficients)
 from fracheat.norms import (UndefinedNormError, energy_weights,
                             sigma_threshold)
 from fracheat.prng import splitmix64, uniform_symmetric
@@ -50,6 +52,20 @@ def test_splitmix64_reference_vector():
     # First outputs for seed 0 from the reference implementation.
     assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                                 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64, 2**65 + 1])
+def test_uniform_symmetric_refuses_a_seed_outside_64_bits(seed):
+    # Each of these would alias a seed in [0, 2**64) modulo 2**64.
+    with pytest.raises(DomainError, match="seed"):
+        uniform_symmetric(seed, 3)
+
+
+def test_uniform_symmetric_takes_both_ends_of_the_seed_range():
+    assert splitmix64(2**64 - 1, 3) != splitmix64(0, 3)
+    for seed in (0, 2**64 - 1):
+        a = uniform_symmetric(seed, 5)
+        assert a.shape == (5,) and np.all(a >= -1.0) and np.all(a < 1.0)
 
 
 def test_uniform_symmetric_range_and_determinism():
@@ -300,6 +316,35 @@ def test_json_config_with_flag_override(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_later_calls_reuse_the_parser(tmp_path, monkeypatch):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"levels": [4, 8]}))
+    assert main(["convergence", "--levels", "4,8"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["convergence", "--levels", "4,8"]) == 0
+    assert main(["convergence", "--config", str(cfg), "--norms", "max"]) == 0
+    assert exit_code(["solve", "--levels", "4,8"]) == 2
+    assert built == []
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"levels": [4, 8], "norms": ["max"]}))
+    assert main(["convergence", "--config", str(cfg)]) == 0
+    assert exit_code(["convergence", "--levels", "4,x"]) == 2
+    capsys.readouterr()
+    assert main(["convergence", "--alpha", "2", "--beta", "5"]) == 0
+    assert capsys.readouterr().out == render_csv(run_convergence(
+        StudyConfig(gamma=0.5, alpha=2.0, beta=5.0)))
+
+
 # ---------------------------------------------------------------------------
 # operator order command
 # ---------------------------------------------------------------------------
@@ -489,6 +534,8 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
     ["convergence", "--levels", "1"],
     ["convergence", "--levels", "4,8", "--norms", "full,avg"],
     ["caputo-order", "--taus", "0.3"],
+    ["stability", "--seed", "-1"],
+    ["stability", "--seed", str(2**64)],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
@@ -504,7 +551,8 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
         "caputo-taus-empty", "balanced-tau", "convergence-t-subnormal",
         "stability-t-subnormal", "solve-tau-subnormal",
         "caputo-t-subnormal", "caputo-gammas-repeated", "levels-below-2",
-        "norms-unknown", "caputo-tau-not-dividing"])
+        "norms-unknown", "caputo-tau-not-dividing", "stability-seed-negative",
+        "stability-seed-too-large"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
@@ -518,8 +566,10 @@ def test_bad_flags_exit_2_with_a_message(argv, capsys):
     ["stability", "--alpha", "1e154", "--beta", "1e154", "--n", "8",
      "--nt", "20"],
     ["solve", "--n", "100000000000000000000", "--nt", "5"],
+    ["caputo-order", "--function", "exp", "--t", "709", "--taus", "709"],
 ], ids=["overflowing-operator", "overflowing-operator-sigma-0",
-        "stability-overflowing-operator", "huge-node-count"])
+        "stability-overflowing-operator", "huge-node-count",
+        "caputo-inaccurate-quadrature"])
 def test_refused_extremes_print_only_the_error_line(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
