@@ -40,7 +40,7 @@ import numpy as np
 from .core import (DomainError, Grid, NodeSampler, Problem, SchemeParams,
                    check_steps, check_time, face_coefficients)
 from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
-from .manufactured import CATALOG
+from .manufactured import CATALOG, time_profile, time_profile_d1
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .prng import uniform_symmetric
@@ -299,8 +299,7 @@ def _write_solution(result: SolveResult, with_history: bool) -> Iterator[str]:
 # id -> (function, derivative); all smooth on [0, T].
 ORDER_FUNCTIONS = {
     "cubic": (lambda t: t**3, lambda t: 3.0 * t**2),
-    "poly": (lambda t: t**3 - t**2 + t + 1.0,
-             lambda t: 3.0 * t**2 - 2.0 * t + 1.0),
+    "poly": (time_profile, time_profile_d1),
     "exp": (math.exp, math.exp),
     "linear": (lambda t: t, lambda t: 1.0),
 }
@@ -526,7 +525,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     option("--nt", type=int, default=None,
            help="time steps (default: balanced coupling)")
     p_solve.add_argument("--history", action="store_true",
-                         help="write all levels (columns t,x,y)")
+                         help="write all levels to --out (columns t,x,y)")
     p_solve.add_argument("--fail-on-blowup", action="store_true")
 
     p_study, option = command("convergence", "refinement study")
@@ -629,6 +628,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _main_solve(args: argparse.Namespace) -> int:
+    if args.history and args.out is None:
+        raise UsageError("history: writes every level to --out, which is "
+                         "not given")
     result = run_solve(problem_name=args.problem, alpha=args.alpha,
                        beta=args.beta, gamma=args.gamma, T=args.T, N=args.n,
                        Nt=args.nt, sigma=args.sigma)

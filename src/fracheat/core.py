@@ -39,7 +39,6 @@ __all__ = [
     "Separable",
     "face_coefficients",
     "sample_space",
-    "sample_space_time",
 ]
 
 
@@ -234,24 +233,16 @@ class SchemeParams:
 def sample_space(func: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function of x on an array of nodes.
 
-    Same as :func:`sample_space_time` with the time argument ignored.
-    """
-    return sample_space_time(lambda xs, _: func(xs), x, None)
-
-
-def sample_space_time(func: Callable, x: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate f(x, t) on an array of space nodes at one time.
-
     Tries a single vectorised call first and falls back to per-point
     evaluation for callbacks written against plain floats.
     """
     try:
-        out = np.asarray(func(x, t), dtype=float)
+        out = np.asarray(func(x), dtype=float)
         if out.shape == x.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(func(float(xi), t)) for xi in x])
+    return np.array([float(func(float(xi))) for xi in x])
 
 
 def _term_sum(terms, zero):
@@ -284,7 +275,7 @@ class NodeSampler:
     time then costs one multiply and one add per term, with the time
     factor evaluated at one Python scalar, as in a pointwise call, and
     data without terms give zeros.  Other callbacks go through
-    :func:`sample_space_time` at every time.
+    :func:`sample_space` at every time.
     """
 
     def __init__(self, func: Callable, x: np.ndarray):
@@ -295,8 +286,8 @@ class NodeSampler:
     def rows(self, times) -> np.ndarray:
         """Values at several times, row j holding time ``times[j]``."""
         if self._factors is None:
-            return np.array([sample_space_time(self._func, self._x, t)
-                             for t in times])
+            return np.array([sample_space(lambda xs: self._func(xs, t),
+                                          self._x) for t in times])
         return _term_sum((s * np.array([q(t) for t in times])[:, None]
                           for s, q in self._factors),
                          np.zeros((len(times), self._x.size)))

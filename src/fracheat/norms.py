@@ -86,7 +86,11 @@ class EnergyWeights:
         v = np.asarray(levels, dtype=float)
         if self.reflected:
             v = v[..., ::-1]
-        return np.sqrt(_energy_sq(v, self, h))
+        interior = v[..., 1:-1]
+        return np.sqrt(h * np.sum(interior**2, axis=-1)
+                       + self.delta1 * h
+                       * np.sum(self.p1_sq[1:-1] * interior**2, axis=-1)
+                       + self.gamma1 * v[..., 0] ** 2 * h)
 
 
 def _direct_weights(alpha: float, beta: float, face: np.ndarray, h: float,
@@ -132,14 +136,6 @@ def energy_weights(problem: Problem, grid: Grid, face: np.ndarray) -> EnergyWeig
         raise DomainError(f"energy norm weights are not finite for "
                           f"alpha={a}, beta={b}")
     return weights
-
-
-def _energy_sq(y: np.ndarray, w: EnergyWeights, h: float) -> np.ndarray:
-    """Squared energy norm along the last axis of ``y``."""
-    interior = y[..., 1:-1]
-    return (h * np.sum(interior**2, axis=-1)
-            + w.delta1 * h * np.sum(w.p1_sq[1:-1] * interior**2, axis=-1)
-            + w.gamma1 * y[..., 0] ** 2 * h)
 
 
 def energy_norm(y, problem: Problem, grid: Grid, face: np.ndarray) -> float:

@@ -48,6 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (DimensionError, DomainError, Grid, NodeSampler, Problem,
                    SchemeParams, face_coefficients, sample_space)
 from .fractional import l1_weights, split_implicit
+from .norms import norm_max
 
 
 def _load_lapack() -> ModuleType:
@@ -559,7 +560,7 @@ def _first_blow_up(levels: np.ndarray, first: int) -> Optional[BlowUp]:
     A level blows up when it is non-finite (its norm is then inf) or its
     max norm exceeds ``BLOWUP_LIMIT``.
     """
-    top = np.maximum(levels.max(axis=1), -levels.min(axis=1))
+    top = norm_max(levels)
     bad = ~(top <= BLOWUP_LIMIT)        # also true for NaN
     if not bad.any():
         return None

@@ -567,9 +567,10 @@ def test_bad_flags_exit_2_with_a_message(argv, capsys):
      "--nt", "20"],
     ["solve", "--n", "100000000000000000000", "--nt", "5"],
     ["caputo-order", "--function", "exp", "--t", "709", "--taus", "709"],
+    ["solve", "--n", "4", "--nt", "3", "--history"],
 ], ids=["overflowing-operator", "overflowing-operator-sigma-0",
         "stability-overflowing-operator", "huge-node-count",
-        "caputo-inaccurate-quadrature"])
+        "caputo-inaccurate-quadrature", "solve-history-without-out"])
 def test_refused_extremes_print_only_the_error_line(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

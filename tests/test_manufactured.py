@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fracheat.cli import _error_history
 from fracheat.core import (DomainError, Grid, NodeSampler, SchemeParams,
-                           sample_space, sample_space_time)
+                           sample_space)
 from fracheat.fractional import caputo_oracle
 from fracheat.manufactured import (
     CATALOG,
@@ -146,7 +146,7 @@ def test_every_catalog_problem_has_an_exact_solution(name):
     problem = CATALOG[name](alpha=2.0, beta=5.0, gamma=0.5, T=1.0)
     assert problem.exact is not None
     x = np.linspace(0.0, 1.0, 11)
-    assert np.allclose(sample_space_time(problem.exact, x, 0.0),
+    assert np.allclose(sample_space(lambda xs: problem.exact(xs, 0.0), x),
                        sample_space(problem.u0, x), rtol=1e-15, atol=0.0)
 
 
@@ -208,6 +208,24 @@ def test_data_without_terms_sample_to_one_shared_zero_array():
     assert same_bits(sampler.rows([0.1, 0.2]), np.zeros((2, 7)))
     assert same_bits(sampler.rows([0.7]), np.zeros((1, 7)))
     assert same_bits(zero.f(np.linspace(0.0, 1.0, 4), 0.3), np.zeros(4))
+
+
+def test_plain_callbacks_sample_as_the_per_point_loop_bit_for_bit():
+    def scalar_only(x, t):
+        if np.ndim(x):
+            raise TypeError("no arrays here")
+        return math.sin(3.0 * x) * (1.0 + t)
+
+    def vectorised(x, t):
+        return x * x * (1.0 + t) - 2.0 * x
+
+    x, times = Grid(N=12, Nt=1).x, [0.0, 0.35, 1.0]
+    for func in (vectorised, scalar_only, lambda x, t: 0.0):
+        rows = NodeSampler(func, x).rows(times)
+        for j, t in enumerate(times):
+            assert same_bits(rows[j], [float(func(float(xi), t)) for xi in x])
+    assert same_bits(NodeSampler(vectorised, x).rows(times),
+                     [vectorised(x, t) for t in times])
 
 
 @pytest.mark.parametrize("alpha, beta, gamma, sigma, grid", [

@@ -12,15 +12,18 @@ program produces is checked in two ways:
   the exit code, stdout and the bytes of the ``--out`` file must agree.
   The calls are every command line of the benchmark (``benchmarks/``,
   seed 1) plus blow-up, table, fixed-coupling, ``--norms max``,
-  reflected-stability, ``--history`` and ``caputo-order`` calls, a
-  stability run wide enough to span several norm blocks, and a table
-  with one norm next to unstable rows;
+  reflected-stability, ``--history`` and ``caputo-order`` calls (for
+  the functions cubic, exp, poly and linear), a stability run wide
+  enough to span several norm blocks, and a table with one norm next to
+  unstable rows: 29 calls in all;
 * the SHA-256 hashes of the level arrays of marches must agree, for
   gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
   {20, 40, 80, 160} on balanced grids, plus two marches that blow up
-  (one in its first block of 256 levels, one after it) and one of random
-  homogeneous data.  The hash also covers the blow-up record and, for
-  the blow-ups and one march that finishes, the per-step residuals.
+  (one in its first block of 256 levels, one after it), one of random
+  homogeneous data and one of plain-callback data whose source takes
+  plain floats only, so it is sampled point by point: 53 marches in all.
+  The hash also covers the blow-up record and, for the blow-ups and one
+  march that finishes, the per-step residuals.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.
@@ -62,6 +65,8 @@ EXTRA_CALLS = (
     ("caputo-order",),
     ("caputo-order", "--function", "exp", "--gammas", "0.2,0.7",
      "--out", "{out}"),
+    ("caputo-order", "--function", "poly"),
+    ("caputo-order", "--function", "linear", "--gammas", "0.4,0.6"),
     ("stability", "--n", "300", "--nt", "600", "--sigma", "threshold"),
     ("convergence", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
      "--levels", "20,40,80", "--norms", "full", "--format", "table"),
@@ -70,9 +75,9 @@ EXTRA_CALLS = (
 # Prints {key: sha256 of the level array, blow-up level and norm, and
 # residuals}.
 HASH_SCRIPT = """
-import hashlib, json
+import hashlib, json, math
 import numpy as np
-from fracheat.core import Grid, SchemeParams
+from fracheat.core import Grid, Problem, SchemeParams
 from fracheat.manufactured import build_manufactured, build_zero
 from fracheat.prng import uniform_symmetric
 from fracheat.stepper import march
@@ -104,6 +109,12 @@ y0 = uniform_symmetric(5, 17)
 y0[0] = 2.0 * y0[-1]
 out["random zero-data N=16 Nt=400 s=0.6"] = digest(march(
     build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=400), SchemeParams(0.6), y0=y0))
+# plain callbacks, f scalar-only: the march samples it point by point
+out["plain callbacks N=24 Nt=300 s=0.7"] = digest(march(Problem(
+    gamma=0.6, alpha=2.0, beta=3.0, k=np.exp,
+    f=lambda x, t: math.sin(3.0 * x) * (1.0 + t), mu=lambda t: math.cos(t),
+    u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
+    Grid(N=24, Nt=300), SchemeParams(0.7)))
 print(json.dumps(out))
 """
 
