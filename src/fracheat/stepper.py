@@ -363,8 +363,10 @@ class Step:
     the face coefficients ``a_left`` (a_i of rows i = 1..N-1), ``a_mid``
     (a_i + a_{i+1}) and ``a_right`` (a_{i+1}), ``h2`` = h*h and the flux
     weights ``flux_N`` = (1-sigma)*2*a_N/h^2 and ``flux_1`` =
-    (1-sigma)*2*beta*a_1/h^2.  ``source`` samples f on the nodes, so
-    separable data cost only their time factors; the march samples it.
+    (1-sigma)*2*beta*a_1/h^2.  At sigma = 1 (``explicit`` == 0) the
+    right-hand side reads none of the explicit fields (see
+    :func:`_step_rhs`).  ``source`` samples f on the nodes, so separable
+    data cost only their time factors; the march samples it.
     """
 
     operator: StepOperator
@@ -431,7 +433,15 @@ def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
 
     The interior is evaluated as ((a_r*y_{i+1} - a_m*y_i) + a_l*y_{i-1})
     / h^2, then (phi_i - load_i) + (1-sigma)*that, one operation at a time.
+    At sigma = 1 the scheme has no explicit part, so none is formed: the
+    interior is phi_i - load_i and the flux row ends with its loads.
     """
+    flux = (step.two_by_h * mu + phi.item(-1) + step.beta * phi.item(0)
+            - step.beta * load.item(0) - load.item(-1))
+    if step.explicit == 0.0:
+        np.subtract(phi[1:-1], load[1:-1], out[:-1])
+        out[-1] = flux
+        return out
     inner, tmp = out[:-1], np.empty(yn.size - 2)
     np.multiply(step.a_right, yn[2:], inner)
     np.subtract(inner, np.multiply(step.a_mid, yn[1:-1], tmp), inner)
@@ -439,9 +449,7 @@ def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
     np.divide(inner, step.h2, inner)
     np.multiply(step.explicit, inner, inner)
     np.add(np.subtract(phi[1:-1], load[1:-1], tmp), inner, inner)
-    out[-1] = (step.two_by_h * mu + phi.item(-1) + step.beta * phi.item(0)
-               - step.beta * load.item(0) - load.item(-1)
-               - step.flux_N * (yn.item(-1) - yn.item(-2))
+    out[-1] = (flux - step.flux_N * (yn.item(-1) - yn.item(-2))
                + step.flux_1 * (yn.item(1) - yn.item(0)))
     return out
 
@@ -507,7 +515,8 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm stops the march and is recorded in the
-    outcome instead of raising.  The check reads the levels of a data
+    outcome instead of raising; a bad level 0 is reported before any
+    step, with a one-row history.  The check reads the levels of a data
     block (``block_levels``) at once after the block is computed; the
     first bad level is reported, and the levels computed past it and
     their residuals are dropped, so the outcome is the one a check after
@@ -525,11 +534,13 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     else:
         Y[0] = y0
     residuals: Optional[list[float]] = [] if check_residuals else None
-    blow: Optional[BlowUp] = None
+    blow = _first_blow_up(Y[:1], 0)     # a bad level 0 takes no step
     rows, sigma, tau = block_levels(grid.N + 1), params.sigma, grid.tau
     alpha, solve, rhs = problem.alpha, step.operator.solve, np.empty(grid.N)
     with np.errstate(over="ignore", invalid="ignore"):
         for n0 in range(0, grid.Nt, rows):
+            if blow is not None:
+                break
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
@@ -544,8 +555,6 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
                     residuals.append(step.operator.residual(rhs, level[1:]))
                 memory.push(level, yn)
             blow = _first_blow_up(Y[n0 + 1:n0 + 1 + len(times)], n0 + 1)
-            if blow is not None:
-                break
 
     if blow is not None:        # drop what the block computed past it
         Y = Y[:blow.level + 1]

@@ -101,7 +101,9 @@ def loop_rhs(problem, grid, sigma, n, yn, load):
     """The right-hand side node by node, in the documented operation order.
 
     The source is sampled by one vectorised call, as a march samples it;
-    the rest is Python float arithmetic on one node at a time.
+    the rest is Python float arithmetic on one node at a time.  At
+    sigma = 1 the scheme has no explicit part, and no explicit term is
+    added: adding 0.0*second would turn a -0.0 into +0.0 where second >= 0.
     """
     face = [float(a) for a in face_coefficients(problem, grid)]
     h, beta, N = grid.h, problem.beta, grid.N
@@ -112,11 +114,15 @@ def loop_rhs(problem, grid, sigma, n, yn, load):
     for i in range(1, N):
         a_l, a_r = face[i - 1], face[i]
         second = (a_r * y[i + 1] - (a_l + a_r) * y[i] + a_l * y[i - 1]) / h2
-        rhs.append(phi[i] - q[i] + (1.0 - sigma) * second)
-    rhs.append(2.0 / h * problem.mu(t) + phi[N] + beta * phi[0]
-               - beta * q[0] - q[N]
-               - (1.0 - sigma) * 2.0 * face[-1] / h2 * (y[N] - y[N - 1])
-               + (1.0 - sigma) * 2.0 * beta * face[0] / h2 * (y[1] - y[0]))
+        rhs.append(phi[i] - q[i] if sigma == 1.0
+                   else phi[i] - q[i] + (1.0 - sigma) * second)
+    flux = (2.0 / h * problem.mu(t) + phi[N] + beta * phi[0]
+            - beta * q[0] - q[N])
+    if sigma != 1.0:
+        flux = (flux
+                - (1.0 - sigma) * 2.0 * face[-1] / h2 * (y[N] - y[N - 1])
+                + (1.0 - sigma) * 2.0 * beta * face[0] / h2 * (y[1] - y[0]))
+    rhs.append(flux)
     return np.array(rhs)
 
 
@@ -127,20 +133,22 @@ NEGATIVE_ZERO_SOURCE = Problem(gamma=0.5, alpha=1.0, beta=2.0, k=np.exp,
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("problem", [build_manufactured(3.0, 2.0, 0.5),
-                                     build_manufactured(-2.0, -3.0, 0.4),
-                                     NEGATIVE_ZERO_SOURCE],
-                         ids=["alpha-positive", "alpha-negative",
-                              "negative-zero"])
-def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, sigma):
+@pytest.mark.parametrize("problem, bend", [
+    (build_manufactured(3.0, 2.0, 0.5), None),
+    (build_manufactured(-2.0, -3.0, 0.4), None),
+    (NEGATIVE_ZERO_SOURCE, 1.0), (NEGATIVE_ZERO_SOURCE, -1.0)],
+    ids=["alpha-positive", "alpha-negative", "negative-zero",
+         "negative-zero-concave"])
+def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, bend, sigma):
     grid = Grid(N=12, Nt=10)
     rng = np.random.default_rng(12)
     yn = rng.uniform(-1.0, 1.0, grid.N + 1)
     if problem is NEGATIVE_ZERO_SOURCE:
-        # phi - load is -0.0 at every node; the explicit term, 0.0*second
-        # at sigma=1, must still be added and turn it into +0.0.
+        # phi - load is -0.0 at every node.  The level is convex (second
+        # difference > 0) or concave (< 0): at sigma = 1 a term 0.0*second
+        # would give +0.0 on the first and -0.0 on the second.
         load = np.zeros(grid.N + 1)
-        yn = np.linspace(0.0, 1.0, grid.N + 1) ** 2
+        yn = bend * np.linspace(0.0, 1.0, grid.N + 1) ** 2
     else:
         load = rng.uniform(-1.0, 1.0, grid.N + 1)
     step = build_step(problem, grid, sigma, c_new=3.7)
@@ -153,7 +161,42 @@ def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, sigma):
     assert buf.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
                                      load).tobytes()
     if problem is NEGATIVE_ZERO_SOURCE and sigma == 1.0:
-        assert not np.signbit(buf[:-1]).any()
+        # no explicit term is added, so -0.0 stays -0.0 whatever the bend
+        assert np.signbit(buf[:-1]).all() and not buf[:-1].any()
+
+
+@st.composite
+def step_rhs_cases(draw):
+    """A step with a random level and load.
+
+    The problem is manufactured, alpha and beta of one sign (either), or
+    NEGATIVE_ZERO_SOURCE; sigma is exactly 1 or in [0, 1); some entries
+    of the level and the load are +0.0 or -0.0.
+    """
+    N = draw(st.integers(2, 40))
+    sigma = draw(st.one_of(st.just(1.0),
+                           st.floats(0.0, 1.0, exclude_max=True)))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    problem = draw(st.one_of(
+        st.builds(build_manufactured, st.floats(0.1, 4.0).map(sign.__mul__),
+                  st.floats(0.1, 4.0).map(sign.__mul__),
+                  st.floats(0.1, 0.9)),
+        st.just(NEGATIVE_ZERO_SOURCE)))
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]))
+    yn, load = (draw(hnp.arrays(float, N + 1, elements=entry))
+                for _ in range(2))
+    return problem, Grid(N=N, Nt=10), sigma, yn, load
+
+
+@given(step_rhs_cases())
+def test_step_rhs_matches_a_per_node_loop_property(case):
+    problem, grid, sigma, yn, load = case
+    step = build_step(problem, grid, sigma, c_new=3.7)
+    t = (4 + sigma) * grid.tau
+    got = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t),
+                    np.full(grid.N, np.nan))
+    assert got.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
+                                     load).tobytes()
 
 
 def test_homogeneous_problem_has_zero_rhs():
@@ -425,6 +468,20 @@ def test_nan_level_stops_the_march_with_an_infinite_norm():
     assert np.all(outcome.history[:-1] == 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+def test_a_bad_initial_level_is_reported_at_level_0(value):
+    # Level 0 is checked before the first step, which is then not taken.
+    grid = Grid(N=4, Nt=10)
+    y0 = np.zeros(grid.N + 1)
+    y0[2] = value
+    outcome = march(build_zero(alpha=1.0, beta=1.0, gamma=0.5), grid,
+                    SchemeParams(1.0), y0=y0, check_residuals=True)
+    norm = value if math.isfinite(value) else math.inf
+    assert outcome.blow_up == BlowUp(level=0, norm=norm)
+    assert outcome.history.tobytes() == y0[None].tobytes()
+    assert outcome.per_step_residuals == []
+
+
 @pytest.mark.parametrize("alpha, beta, sigma", [(1e154, 1e154, 1.0),
                                                (1e154, 1e154, 0.0),
                                                (1e-154, 1e307, 1.0)])
@@ -436,10 +493,20 @@ def test_overflowing_operator_is_refused_before_any_step(alpha, beta, sigma):
 
 def test_overflowing_step_is_a_blow_up_not_a_warning():
     # The operator is finite, but y_0 = alpha*y_N overflows at level 1.
+    # Level 0 is zero: the sampled u0 scales with alpha and is past the
+    # limit itself (see the next test).
     problem = build_manufactured(1e154, 1e-154, 0.5)
-    outcome = march(problem, Grid(N=4, Nt=5), SchemeParams(0.0))
+    grid = Grid(N=4, Nt=5)
+    outcome = march(problem, grid, SchemeParams(0.0), y0=np.zeros(grid.N + 1))
     assert outcome.blow_up is not None
     assert outcome.blow_up.level == 1 and outcome.blow_up.norm == math.inf
+
+
+def test_a_sampled_initial_level_past_the_limit_stops_at_level_0():
+    problem = build_manufactured(1e154, 1e-154, 0.5)
+    outcome = march(problem, Grid(N=4, Nt=5), SchemeParams(0.0))
+    assert outcome.blow_up == BlowUp(level=0, norm=1.375e154)
+    assert len(outcome.history) == 1
 
 
 def test_tiny_scaled_system_is_not_singular():

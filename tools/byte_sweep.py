@@ -14,14 +14,17 @@ program produces is checked in two ways:
   seed 1) plus blow-up, table, fixed-coupling, ``--norms max``,
   reflected-stability, ``--history`` and ``caputo-order`` calls (for
   the functions cubic, exp, poly and linear), a stability run wide
-  enough to span several norm blocks, and a table with one norm next to
-  unstable rows: 29 calls in all;
+  enough to span several norm blocks, a table with one norm next to
+  unstable rows and a fully implicit (sigma = 1) stability run of
+  random data: 30 calls in all;
 * the SHA-256 hashes of the level arrays of marches must agree, for
   gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
   {20, 40, 80, 160} on balanced grids, plus two marches that blow up
   (one in its first block of 256 levels, one after it), one of random
-  homogeneous data and one of plain-callback data whose source takes
-  plain floats only, so it is sampled point by point: 53 marches in all.
+  homogeneous data, one of plain-callback data whose source takes
+  plain floats only, so it is sampled point by point, and one at
+  sigma = 1 whose source is -0.0 everywhere on a concave level 0, so
+  right-hand sides meet signed zeros: 54 marches in all.
   The hash also covers the blow-up record and, for the blow-ups and one
   march that finishes, the per-step residuals.
 
@@ -70,6 +73,7 @@ EXTRA_CALLS = (
     ("stability", "--n", "300", "--nt", "600", "--sigma", "threshold"),
     ("convergence", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
      "--levels", "20,40,80", "--norms", "full", "--format", "table"),
+    ("stability", "--sigma", "1", "--n", "16", "--nt", "400", "--seed", "7"),
 )
 
 # Prints {key: sha256 of the level array, blow-up level and norm, and
@@ -115,6 +119,12 @@ out["plain callbacks N=24 Nt=300 s=0.7"] = digest(march(Problem(
     f=lambda x, t: math.sin(3.0 * x) * (1.0 + t), mu=lambda t: math.cos(t),
     u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
     Grid(N=24, Nt=300), SchemeParams(0.7)))
+# sigma = 1 with a -0.0 source on a concave level 0
+out["negative-zero source N=12 Nt=300 s=1"] = digest(march(Problem(
+    gamma=0.5, alpha=1.0, beta=2.0, k=np.exp,
+    f=lambda x, t: np.full_like(x, -0.0), mu=lambda t: 0.0,
+    u0=lambda x: -x**2, c1=1.0, c2=math.e),
+    Grid(N=12, Nt=300), SchemeParams(1.0)))
 print(json.dumps(out))
 """
 
