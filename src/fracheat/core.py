@@ -142,6 +142,7 @@ class Grid:
     def with_step(cls, N: int, tau: float, T: float = 1.0) -> "Grid":
         """Grid of the fewest steps of at most ``tau``: Nt = ceil(T/tau)."""
         cls(N=N, Nt=1, T=T)             # checks N and T before use
+        check_time("tau: time step", tau)
         steps = T / tau
         check_steps(steps)
         return cls(N=N, Nt=int(np.ceil(steps)), T=T)

@@ -275,8 +275,9 @@ class L1Memory:
 
     The weights of every level are tails of one array, computed once and
     kept newest-last and contiguous: a reversed view would make the
-    contraction an order of magnitude slower.  Increments are stored as
-    each level is produced (:meth:`push`).
+    contraction an order of magnitude slower.  :meth:`load` is the one
+    call per step: the loads come in order, n = 0, 1, ..., and each
+    records the increment of the level produced since the previous one.
 
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
@@ -303,17 +304,17 @@ class L1Memory:
         self._windows = sliding_window_view(
             np.append(self._c[:-1], np.zeros(_SPAN)), _SPAN)
         self._inc = np.empty((Nt, width))
-        self._far = np.empty((0, width))
-        self._count = 0
 
-    def load(self, yn: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Memory load of the next level, given the newest level y^n.
+    def load(self, levels: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+        """Memory load of level n+1 from the levels 0..n, into ``out``.
 
-        It is written into ``out``; the next push's increment row is scratch.
+        The increment y^n - y^{n-1} is recorded first, and the row of the
+        next increment is scratch.
         """
-        n = self._count
+        yn = levels[n]
         if n == 0:
             return np.multiply(-self.c_new, yn, out)
+        np.subtract(yn, levels[n - 1], out=self._inc[n - 1])
         j = n % _BLOCK
         if j == 0:
             self._far = self._far_loads(n)
@@ -331,7 +332,7 @@ class L1Memory:
         levels of the block that the march can reach.  The weight slice is
         copied ``_SPAN`` increments at a time, so the copy stays small
         however long the march is.  Each span's product goes into the
-        increment rows of the block, which no level has pushed yet, and
+        increment rows of the block, which no load has recorded yet, and
         is added into zeros: starting from the product would keep a -0.0
         that ``0.0 + p`` turns into +0.0.
         """
@@ -346,11 +347,6 @@ class L1Memory:
                 self._windows[top + k:top + k + rows, :m][::-1])
             far += np.matmul(W, self._inc[k:k + m], out=product)
         return far
-
-    def push(self, new: np.ndarray, old: np.ndarray) -> None:
-        """Record the increment of a newly produced level."""
-        np.subtract(new, old, out=self._inc[self._count])
-        self._count += 1
 
 
 @dataclass(frozen=True)
@@ -507,20 +503,20 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     The step is built and its matrix factored before the level array is
     allocated (an overflowing matrix raises DomainError, a singular one
     SingularSystemError); each level then costs its right-hand side, the
-    memory load and one banded solve, with y_0 recovered from the value
-    coupling.  These fill buffers the march allocates once: the load is
-    written into the row of the new level, which the solve then
-    overwrites, and the right-hand side into one N-entry buffer that the
-    residual check reads after the solve.
+    memory load (one :meth:`L1Memory.load` call per step, in order) and
+    one banded solve, with y_0 recovered from the value coupling.  These
+    fill buffers the march allocates once: the load is written into the
+    row of the new level, which the solve then overwrites, and the
+    right-hand side into one N-entry buffer that the residual check
+    reads after the solve.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm stops the march and is recorded in the
-    outcome instead of raising; a bad level 0 is reported before any
-    step, with a one-row history.  The check reads the levels of a data
-    block (``block_levels``) at once after the block is computed; the
-    first bad level is reported, and the levels computed past it and
-    their residuals are dropped, so the outcome is the one a check after
-    every level gives.
+    outcome; a bad level 0 raises DomainError instead, before any step.
+    The check reads the levels of a data block (``block_levels``) at
+    once after the block is computed; the first bad level is reported,
+    and the levels computed past it and their residuals are dropped, so
+    the outcome is the one a check after every level gives.
     """
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     step = build_step(problem, grid, params.sigma, memory.c_new)
@@ -533,28 +529,30 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
                              f"expected ({grid.N + 1},)")
     else:
         Y[0] = y0
+    blow = _first_blow_up(Y[:1], 0)
+    if blow is not None:
+        raise DomainError(f"initial level: max norm {blow.norm} is not "
+                          f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
-    blow = _first_blow_up(Y[:1], 0)     # a bad level 0 takes no step
     rows, sigma, tau = block_levels(grid.N + 1), params.sigma, grid.tau
     alpha, solve, rhs = problem.alpha, step.operator.solve, np.empty(grid.N)
     with np.errstate(over="ignore", invalid="ignore"):
         for n0 in range(0, grid.Nt, rows):
-            if blow is not None:
-                break
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
             for j, n in enumerate(range(n0, n0 + len(times))):
                 yn, level = Y[n], Y[n + 1]
                 # the load goes into the level row, which the solve overwrites
-                _step_rhs(step, yn, memory.load(yn, level), phi[j], mu[j],
+                _step_rhs(step, yn, memory.load(Y, n, level), phi[j], mu[j],
                           rhs)
                 solve(rhs, level[1:])
                 level[0] = alpha * level.item(-1)
                 if residuals is not None:
                     residuals.append(step.operator.residual(rhs, level[1:]))
-                memory.push(level, yn)
             blow = _first_blow_up(Y[n0 + 1:n0 + 1 + len(times)], n0 + 1)
+            if blow is not None:
+                break
 
     if blow is not None:        # drop what the block computed past it
         Y = Y[:blow.level + 1]

@@ -536,6 +536,13 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
     ["caputo-order", "--taus", "0.3"],
     ["stability", "--seed", "-1"],
     ["stability", "--seed", str(2**64)],
+    ["convergence", "--alpha", "1e154", "--beta", "1e-154", "--levels", "4,8"],
+    ["convergence", "--alpha", "1e154", "--beta", "1e-154", "--levels", "4,8",
+     "--sigma", "0.5"],
+    ["stability", "--alpha", "1e150", "--beta", "1e150", "--n", "4",
+     "--nt", "5"],
+    ["solve", "--alpha", "1e154", "--beta", "1e-154", "--n", "4", "--nt", "4"],
+    ["convergence", "--coupling", "fixed", "--tau", "inf", "--levels", "4,8"],
 ], ids=["solve-sigma-threshold", "stability-sigma-abc", "solve-alpha-inf",
         "levels-not-integers", "caputo-taus-zero", "caputo-taus-nan",
         "caputo-t-inf", "caputo-exp-overflow", "caputo-taus-tiny",
@@ -552,7 +559,10 @@ def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
         "stability-t-subnormal", "solve-tau-subnormal",
         "caputo-t-subnormal", "caputo-gammas-repeated", "levels-below-2",
         "norms-unknown", "caputo-tau-not-dividing", "stability-seed-negative",
-        "stability-seed-too-large"])
+        "stability-seed-too-large", "convergence-initial-level-too-large",
+        "convergence-initial-level-too-large-sigma-half",
+        "stability-initial-level-too-large", "solve-initial-level-too-large",
+        "fixed-tau-inf"])
 def test_bad_flags_exit_2_with_a_message(argv, capsys):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err

@@ -122,6 +122,12 @@ def test_grid_with_step_rounds_the_step_count_up():
     assert Grid.with_step(4, 1.0 / MAX_STEPS).Nt == MAX_STEPS
 
 
+@pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.5, 1e-320])
+def test_grid_with_step_checks_tau_before_counting_steps(tau):
+    with pytest.raises(DomainError, match="tau: time step must be positive"):
+        Grid.with_step(4, tau)
+
+
 def test_balanced_grid_keeps_tau_below_balancing_value():
     for gamma in (0.2, 0.5, 0.8):
         for N in (20, 40, 80):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -470,16 +471,16 @@ def test_nan_level_stops_the_march_with_an_infinite_norm():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
 def test_a_bad_initial_level_is_reported_at_level_0(value):
-    # Level 0 is checked before the first step, which is then not taken.
+    # Level 0 is checked before the first step, which is then not taken:
+    # the march refuses it rather than return an outcome of no steps.
     grid = Grid(N=4, Nt=10)
     y0 = np.zeros(grid.N + 1)
     y0[2] = value
-    outcome = march(build_zero(alpha=1.0, beta=1.0, gamma=0.5), grid,
-                    SchemeParams(1.0), y0=y0, check_residuals=True)
     norm = value if math.isfinite(value) else math.inf
-    assert outcome.blow_up == BlowUp(level=0, norm=norm)
-    assert outcome.history.tobytes() == y0[None].tobytes()
-    assert outcome.per_step_residuals == []
+    message = f"initial level: max norm {norm} is not finite or exceeds 1e+100"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        march(build_zero(alpha=1.0, beta=1.0, gamma=0.5), grid,
+              SchemeParams(1.0), y0=y0, check_residuals=True)
 
 
 @pytest.mark.parametrize("alpha, beta, sigma", [(1e154, 1e154, 1.0),
@@ -504,9 +505,9 @@ def test_overflowing_step_is_a_blow_up_not_a_warning():
 
 def test_a_sampled_initial_level_past_the_limit_stops_at_level_0():
     problem = build_manufactured(1e154, 1e-154, 0.5)
-    outcome = march(problem, Grid(N=4, Nt=5), SchemeParams(0.0))
-    assert outcome.blow_up == BlowUp(level=0, norm=1.375e154)
-    assert len(outcome.history) == 1
+    with pytest.raises(DomainError,
+                       match=r"initial level: max norm 1\.375e\+154 "):
+        march(problem, Grid(N=4, Nt=5), SchemeParams(0.0))
 
 
 def test_tiny_scaled_system_is_not_singular():
@@ -632,10 +633,11 @@ def test_cached_memory_weights_are_contiguous_tails(monkeypatch):
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    y, buf = np.zeros(width), np.empty(width)
+    levels = np.arange(Nt)[:, None] + np.zeros(width)   # increments of 1
+    buf = np.empty(width)
     for n in range(Nt):
         del seen[:]
-        memory.load(y, buf)
+        memory.load(levels[:n + 1], n, buf)
         assert len(seen) >= (n > 0)
         assert all(contiguous for contiguous, _, _ in seen)
         near = [w for _, ndim, w in seen if ndim == 1]
@@ -644,37 +646,32 @@ def test_cached_memory_weights_are_contiguous_tails(monkeypatch):
             assert np.array_equal(near, [l1_weights(j, gamma, tau).c[:-1]])
         far = [w for _, ndim, w in seen if ndim == 2]
         assert len(far) == (n >= _BLOCK and j == 0)
-        memory.push(y + 1.0, y)
-        y = y + 1.0
 
 
 def blocked_load_error(gamma, tau, Nt, width, seed):
     """Worst error of L1Memory.load against the unblocked contraction.
 
-    Random levels are pushed one by one; at every level the load, written
-    into a caller's buffer, must equal ``c[:-1] @ inc[:n] - c_new*y^n``
-    with ``c = l1_weights(n, gamma, tau).c``, the independent weights, to
+    The levels are a random walk, loaded in order; at every level the
+    load, written into a caller's buffer, must equal
+    ``c[:-1] @ inc[:n] - c_new*y^n`` with ``c = l1_weights(n, gamma,
+    tau).c``, the independent weights, and the increments taken here, to
     1e-13 relative to the sum of the magnitudes of its terms.
     """
     rng = np.random.default_rng(seed)
     memory = L1Memory(gamma, tau, Nt, width)
-    inc = np.empty((Nt, width))
-    y = rng.uniform(-1.0, 1.0, width)
+    levels = np.cumsum(rng.uniform(-1.0, 1.0, (Nt, width)), axis=0)
+    inc = np.diff(levels, axis=0)
     worst = 0.0
     for n in range(Nt):
         c = l1_weights(n, gamma, tau).c
         assert c[-1] == memory.c_new
         w = c[:-1]
-        expected = w @ inc[:n] - memory.c_new * y
-        scale = np.abs(w) @ np.abs(inc[:n]) + memory.c_new * np.abs(y)
+        expected = w @ inc[:n] - memory.c_new * levels[n]
+        scale = np.abs(w) @ np.abs(inc[:n]) + memory.c_new * np.abs(levels[n])
         buf = np.full(width, np.nan)
-        got = memory.load(y, buf)
+        got = memory.load(levels[:n + 1], n, buf)     # reads no later level
         assert got is buf
         worst = max(worst, float(np.max(np.abs(got - expected) / scale)))
-        new = y + rng.uniform(-1.0, 1.0, width)
-        inc[n] = new - y
-        memory.push(new, y)
-        y = new
     return worst
 
 

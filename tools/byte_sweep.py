@@ -24,9 +24,11 @@ program produces is checked in two ways:
   homogeneous data, one of plain-callback data whose source takes
   plain floats only, so it is sampled point by point, and one at
   sigma = 1 whose source is -0.0 everywhere on a concave level 0, so
-  right-hand sides meet signed zeros: 54 marches in all.
-  The hash also covers the blow-up record and, for the blow-ups and one
-  march that finishes, the per-step residuals.
+  right-hand sides meet signed zeros, and six at N = 12 whose step
+  counts (64, 65 and 577, at sigma in {1, 0.5}) end on a block edge of
+  the memory sum or one step past it: 60 marches in all.
+  The hash also covers the blow-up record and, for the blow-ups, one
+  march that finishes and the block-edge marches, the per-step residuals.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.
@@ -125,6 +127,12 @@ out["negative-zero source N=12 Nt=300 s=1"] = digest(march(Problem(
     f=lambda x, t: np.full_like(x, -0.0), mu=lambda t: 0.0,
     u0=lambda x: -x**2, c1=1.0, c2=math.e),
     Grid(N=12, Nt=300), SchemeParams(1.0)))
+# marches that end on, and one step past, a block edge of the memory sum
+for Nt in (64, 65, 577):
+    for sigma in (1.0, 0.5):
+        out[f"block edge N=12 Nt={Nt} s={sigma}"] = digest(march(
+            build_manufactured(3.0, 2.0, 0.5), Grid(N=12, Nt=Nt),
+            SchemeParams(sigma), check_residuals=True))
 print(json.dumps(out))
 """
 
