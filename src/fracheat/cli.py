@@ -30,10 +30,11 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .manufactured import CATALOG, time_profile, time_profile_d1
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .prng import uniform_symmetric
-from .stepper import SingularSystemError, SolveOutcome, march
+from .stepper import BlowUp, SingularSystemError, drain, march_blocks
 
 __all__ = [
     "UsageError",
@@ -186,19 +187,27 @@ def _study_grid(N: int, config: StudyConfig) -> Grid:
     return Grid.with_step(N, config.tau, config.T)
 
 
-def _error_history(outcome: SolveOutcome, problem: Problem,
-                   grid: Grid) -> tuple[list[float], list[float]]:
-    """Per-level trapezoid and max error norms; NaN maps to inf."""
-    exact = NodeSampler(problem.exact, grid.x)
-    full, mx = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, block in outcome.blocks():
-            z = block - exact.rows([n * grid.tau
-                                    for n in range(k, k + len(block))])
-            full += norm_trapezoid(z, grid.h).tolist()
-            mx += norm_max(z).tolist()
-    return ([math.inf if math.isnan(e) else e for e in full],
-            [math.inf if math.isnan(e) else e for e in mx])
+class _ErrorNorms:
+    """Per-level trapezoid and max error norms of a march; NaN maps to inf.
+
+    Called with each ``(first level, block)`` of a march, it appends the
+    norms of the block's levels to ``full`` and ``max``.
+    """
+
+    def __init__(self, problem: Problem, grid: Grid):
+        self._exact, self._grid = NodeSampler(problem.exact, grid.x), grid
+        self.full: list[float] = []
+        self.max: list[float] = []
+
+    def __call__(self, first: int, block: np.ndarray) -> None:
+        tau = self._grid.tau
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = block - self._exact.rows([n * tau for n in
+                                          range(first, first + len(block))])
+            full = norm_trapezoid(z, self._grid.h).tolist()
+            mx = norm_max(z).tolist()
+        self.full += [math.inf if math.isnan(e) else e for e in full]
+        self.max += [math.inf if math.isnan(e) else e for e in mx]
 
 
 def run_convergence(config: StudyConfig) -> StudyReport:
@@ -213,15 +222,15 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     params = SchemeParams(config.sigma)
     rows = []
     for grid in [_study_grid(N, config) for N in config.levels]:
-        outcome = march(problem, grid, params,
-                        check_residuals=config.check_residuals)
-        full, mx = _error_history(outcome, problem, grid)
-        res = outcome.per_step_residuals
+        errors = _ErrorNorms(problem, grid)
+        blow, res = drain(march_blocks(
+            problem, grid, params, check_residuals=config.check_residuals),
+            errors)
         rows.append(StudyRow(
             h=grid.h, Nt=grid.Nt, tau=grid.tau,
-            err_full=max(full) if "full" in config.norms else None,
-            err_max=max(mx) if "max" in config.norms else None,
-            blew_up=outcome.blow_up is not None,
+            err_full=max(errors.full) if "full" in config.norms else None,
+            err_max=max(errors.max) if "max" in config.norms else None,
+            blew_up=blow is not None,
             max_residual=max(res) if res else None,
         ))
     return StudyReport(config=config, rows=tuple(rows),
@@ -258,38 +267,55 @@ def render_table(report: StudyReport) -> str:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A march's grid, last level, blow-up record and per-level errors."""
+
     grid: Grid
-    outcome: SolveOutcome
+    final: np.ndarray
+    blow_up: Optional[BlowUp]
     err_full: list[float]
     err_max: list[float]
 
 
 def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
-              T: float, N: int, Nt: Optional[int],
-              sigma: float) -> SolveResult:
-    """One march on the given or the balanced grid, with its errors."""
+              T: float, N: int, Nt: Optional[int], sigma: float,
+              sink: Optional[Callable[[Grid, int, np.ndarray], object]] = None
+              ) -> SolveResult:
+    """One march on the given or the balanced grid, with its errors.
+
+    The levels are folded a block at a time as the march makes them (see
+    ``stepper.march_blocks``): into the error norms, the last level and,
+    if given, ``sink(grid, first level, block)``.  No array of every
+    level is kept.
+    """
     _check_problem(problem_name)
     problem = CATALOG[problem_name](alpha=alpha, beta=beta, gamma=gamma, T=T)
     grid = (Grid(N=N, Nt=Nt, T=T) if Nt is not None
             else Grid.balanced(N, gamma, T))
-    outcome = march(problem, grid, SchemeParams(sigma))
-    full, mx = _error_history(outcome, problem, grid)
-    return SolveResult(grid=grid, outcome=outcome, err_full=full, err_max=mx)
+    errors, final = _ErrorNorms(problem, grid), np.empty(grid.N + 1)
+    folds = [errors, lambda first, block: np.copyto(final, block[-1])]
+    if sink is not None:
+        folds.append(functools.partial(sink, grid))
+    blow, _ = drain(march_blocks(problem, grid, SchemeParams(sigma)), *folds)
+    return SolveResult(grid=grid, final=final, blow_up=blow,
+                       err_full=errors.full, err_max=errors.max)
 
 
-def _write_solution(result: SolveResult, with_history: bool) -> Iterator[str]:
-    """CSV lines of the last level, or of every level with its time."""
-    xs = [_fmt(x) for x in result.grid.x.tolist()]
-    if not with_history:
-        yield "x,y\n"
-        for x, y in zip(xs, result.outcome.history[-1].tolist()):
-            yield f"{x},{_fmt(y)}\n"
-        return
-    yield "t,x,y\n"
-    for k, block in result.outcome.blocks():
-        for n, level in enumerate(block.tolist(), k):
-            t = _fmt(n * result.grid.tau)
-            yield "".join([f"{t},{x},{_fmt(y)}\n" for x, y in zip(xs, level)])
+def _final_lines(result: SolveResult) -> Iterator[str]:
+    """CSV lines x,y of the last level."""
+    yield "x,y\n"
+    for x, y in zip(result.grid.x.tolist(), result.final.tolist()):
+        yield f"{_fmt(x)},{_fmt(y)}\n"
+
+
+def _history_lines(grid: Grid, first: int, block: np.ndarray
+                   ) -> Iterator[str]:
+    """CSV lines t,x,y of a block of levels, with the header at level 0."""
+    if first == 0:
+        yield "t,x,y\n"
+    xs = [_fmt(x) for x in grid.x.tolist()]
+    for n, level in enumerate(block.tolist(), first):
+        t = _fmt(n * grid.tau)
+        yield "".join([f"{t},{x},{_fmt(y)}\n" for x, y in zip(xs, level)])
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +455,16 @@ def run_stability(gamma: float, alpha: float, beta: float,
     weights = energy_weights(problem, grid, face)
     u0 = uniform_symmetric(seed, N + 1)
     u0[0] = alpha * u0[-1]
-    outcome = march(problem, grid, SchemeParams(sigma), y0=u0)
-    with np.errstate(over="ignore"):    # a norm past the float range is inf
-        norms = tuple(v for _, block in outcome.blocks()
-                      for v in weights.norms(block, grid.h).tolist())
+    norms: list[float] = []
+
+    def fold(first: int, block: np.ndarray) -> None:
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            norms.extend(weights.norms(block, grid.h).tolist())
+
+    drain(march_blocks(problem, grid, SchemeParams(sigma), y0=u0), fold)
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,
-                           norms=norms, passed=passed)
+                           norms=tuple(norms), passed=passed)
 
 
 def render_stability(report: StabilityReport) -> str:
@@ -483,6 +512,12 @@ _TEXT_TYPES = (None, _ints, _floats, _names, _sigma_spec)
 _LIST_TYPES = (_ints, _floats, _names)
 
 
+# argparse reads a word as a negative number, not an option, only in the
+# forms -2 and -0.5, so "--alpha -1e-3" would fail.  No option string of
+# these parsers starts with "-" and a digit, so every such word is a value.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser,
                              dict[str, dict[str, argparse.Action]]]:
@@ -502,6 +537,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     def command(name: str, summary: str, scheme: bool = True,
                 alpha: float = 1.0, beta: float = 1.0, sigma_type=float):
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
 
         def option(*flags, **kwargs) -> None:
             action = p.add_argument(*flags, **kwargs)
@@ -591,12 +627,12 @@ def _config_argv(options: dict[str, argparse.Action], path: str) -> list[str]:
     return argv
 
 
-def _emit(lines: Iterable[str], path: Optional[str]) -> None:
+def _emit(lines: Iterable[str], path: Optional[str], mode: str = "w") -> None:
     if not path:
         sys.stdout.writelines(lines)
         return
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.writelines(lines)
     except OSError as exc:
         raise UsageError(f"out: cannot write {path!r}: {exc}") from None
@@ -631,17 +667,24 @@ def _main_solve(args: argparse.Namespace) -> int:
     if args.history and args.out is None:
         raise UsageError("history: writes every level to --out, which is "
                          "not given")
+
+    def write_history(grid: Grid, first: int, block: np.ndarray) -> None:
+        # Created with the first block: a refused march creates no file.
+        _emit(_history_lines(grid, first, block), args.out,
+              "w" if first == 0 else "a")
+
     result = run_solve(problem_name=args.problem, alpha=args.alpha,
                        beta=args.beta, gamma=args.gamma, T=args.T, N=args.n,
-                       Nt=args.nt, sigma=args.sigma)
-    if args.out:
-        _emit(_write_solution(result, args.history), args.out)
+                       Nt=args.nt, sigma=args.sigma,
+                       sink=write_history if args.history else None)
+    if args.out and not args.history:
+        _emit(_final_lines(result), args.out)
     print(f"err_full_final={_fmt(result.err_full[-1])}")
     print(f"err_max_final={_fmt(result.err_max[-1])}")
     print(f"err_full_peak={_fmt(max(result.err_full))}")
     print(f"err_max_peak={_fmt(max(result.err_max))}")
-    if result.outcome.blow_up is not None:
-        b = result.outcome.blow_up
+    if result.blow_up is not None:
+        b = result.blow_up
         print(f"blow_up_level={b.level}")
         print(f"blow_up_norm={_fmt(b.norm)}")
         if args.fail_on_blowup:

@@ -15,15 +15,20 @@ The scheme has constant coefficients in time, so a march derives its
 same operator on the old level, and the source on the nodes
 (:class:`~fracheat.core.NodeSampler`, which samples the space factors of
 :class:`~fracheat.core.Separable` data once).  The march samples f and mu a
-block of levels at a time (:func:`block_levels`, the blocks in which
-:meth:`SolveOutcome.blocks` hands the levels to their readers), and
-:class:`L1Memory` takes its L1 weights from one evaluation and sums the
-memory exactly, blocked over levels.  A step then applies the record to its
-right-hand side, adds the memory load, does one banded back-substitution and
-writes its level in place into one ``(Nt+1, N+1)`` array.  The march owns
+block of levels at a time (:func:`block_levels`), and :class:`L1Memory`
+takes its L1 weights from one evaluation and sums the memory exactly,
+blocked over levels.  A step then applies the record to its right-hand
+side, adds the memory load, does one banded back-substitution and writes
+its level in place into a buffer of one block of levels.  The march owns
 its per-step buffers (the load goes into the row of the level being
 produced, the right-hand side into one buffer per march), and it checks for
 blow-up once per data block, dropping any levels it computed past one.
+
+:func:`march_blocks` is the march: a generator that yields each block of
+levels as it is made and checked, so its readers (error and energy norms,
+a CSV writer) fold the levels a block at a time and no array of every
+level exists.  :func:`march` has it make the levels in place in one
+``(Nt+2, N+1)`` array instead, for the callers that want the whole history.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array into buffers of its own; a dense LU solve
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import ModuleType
-from typing import Iterator, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,6 +101,8 @@ __all__ = [
     "build_step",
     "solve_bordered",
     "solve_dense_oracle",
+    "march_blocks",
+    "drain",
     "march",
 ]
 
@@ -242,6 +249,10 @@ class BlowUp:
     norm: float
 
 
+# What a march returns at its end: the blow-up, and the per-step residuals.
+MarchEnd = tuple[Optional[BlowUp], Optional[list[float]]]
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """Result of a march: its levels, optional blow-up, optional residuals.
@@ -253,16 +264,6 @@ class SolveOutcome:
     history: np.ndarray
     blow_up: Optional[BlowUp] = None
     per_step_residuals: Optional[list[float]] = None
-
-    def blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(first level, block) views of ``history``, ``block_levels`` rows.
-
-        Per-level norms are taken block by block, so their temporaries stay
-        small however long or wide the march; each row still sums alone.
-        """
-        rows = block_levels(self.history.shape[1])
-        for k in range(0, len(self.history), rows):
-            yield k, self.history[k:k + rows]
 
 
 class L1Memory:
@@ -306,15 +307,17 @@ class L1Memory:
         self._inc = np.empty((Nt, width))
 
     def load(self, levels: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-        """Memory load of level n+1 from the levels 0..n, into ``out``.
+        """Memory load of level n+1, into ``out``.
 
-        The increment y^n - y^{n-1} is recorded first, and the row of the
-        next increment is scratch.
+        ``levels`` ends with level n, after level n-1 when n > 0: the march
+        passes the two rows of its block buffer, and any array of the
+        levels 0..n will do.  The increment y^n - y^{n-1} is recorded
+        first, and the row of the next increment is scratch.
         """
-        yn = levels[n]
+        yn = levels[-1]
         if n == 0:
             return np.multiply(-self.c_new, yn, out)
-        np.subtract(yn, levels[n - 1], out=self._inc[n - 1])
+        np.subtract(yn, levels[-2], out=self._inc[n - 1])
         j = n % _BLOCK
         if j == 0:
             self._far = self._far_loads(n)
@@ -494,71 +497,120 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
-def march(problem: Problem, grid: Grid, params: SchemeParams,
-          y0=None, check_residuals: bool = False) -> SolveOutcome:
-    """March the scheme from the initial condition to the final time.
+def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
+                 y0=None, check_residuals: bool = False,
+                 out: Optional[np.ndarray] = None
+                 ) -> Generator[tuple[int, np.ndarray], None, MarchEnd]:
+    """March the scheme, yielding ``(first level, block)`` as blocks are made.
 
-    Level 0 samples ``problem.u0`` on the grid (or takes ``y0`` verbatim
-    when supplied, as the stability experiments do with random data).
-    The step is built and its matrix factored before the level array is
-    allocated (an overflowing matrix raises DomainError, a singular one
-    SingularSystemError); each level then costs its right-hand side, the
-    memory load (one :meth:`L1Memory.load` call per step, in order) and
-    one banded solve, with y_0 recovered from the value coupling.  These
-    fill buffers the march allocates once: the load is written into the
-    row of the new level, which the solve then overwrites, and the
-    right-hand side into one N-entry buffer that the residual check
-    reads after the solve.
+    Level 0 samples ``problem.u0`` on the grid, or is ``y0`` verbatim (the
+    stability experiments pass random data).  The first ``next`` builds
+    the step and factors its matrix (an overflowing one raises DomainError,
+    a singular one SingularSystemError) and checks level 0 (a bad one
+    raises DomainError), before any block.  Each step then costs its
+    right-hand side, one :meth:`L1Memory.load` and one banded solve, with
+    y_0 from the value coupling.
+
+    A data block (``block_levels``) is made in a window whose rows 0 and 1
+    hold the levels n0-1 and n0: one buffer of ``block_levels + 2`` rows
+    that carries its two newest levels to the top after each block, or
+    the rows of ``out`` (``(Nt+2, N+1)``, level n in row n+1) from row n0
+    on.  The load of a new level goes into its row, which the solve then
+    overwrites, and the right-hand side into one N-entry buffer.  A block
+    is yielded once the guard has read it; the first also holds level 0.
+    Without ``out`` the next block overwrites it, so a caller that keeps
+    levels copies them.
 
     A level that is non-finite (also after an overflow) or exceeds
-    ``BLOWUP_LIMIT`` in max norm stops the march and is recorded in the
-    outcome; a bad level 0 raises DomainError instead, before any step.
-    The check reads the levels of a data block (``block_levels``) at
-    once after the block is computed; the first bad level is reported,
-    and the levels computed past it and their residuals are dropped, so
-    the outcome is the one a check after every level gives.
+    ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
+    and residuals computed past it are dropped, as a check after every
+    level would.  The generator returns ``(blow_up, per_step_residuals)``:
+    the :class:`BlowUp` or None, and with ``check_residuals`` the relative
+    residual of every step taken (else None).
     """
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     step = build_step(problem, grid, params.sigma, memory.c_new)
     step.operator._factors      # factor and check the closure before any load
-    Y = np.empty((grid.Nt + 1, grid.N + 1))
+    rows = block_levels(grid.N + 1)
+    win = np.empty((rows + 2, grid.N + 1)) if out is None else out
     if y0 is None:
-        Y[0] = sample_space(problem.u0, grid.x)
+        win[1] = sample_space(problem.u0, grid.x)
     elif np.shape(y0) != (grid.N + 1,):
         raise DimensionError(f"y0 has shape {np.shape(y0)}, "
                              f"expected ({grid.N + 1},)")
     else:
-        Y[0] = y0
-    blow = _first_blow_up(Y[:1], 0)
+        win[1] = y0
+    blow = _first_blow_up(win[1:2], 0)
     if blow is not None:
         raise DomainError(f"initial level: max norm {blow.norm} is not "
                           f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
-    rows, sigma, tau = block_levels(grid.N + 1), params.sigma, grid.tau
-    alpha, solve, rhs = problem.alpha, step.operator.solve, np.empty(grid.N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n0 in range(0, grid.Nt, rows):
+    sigma, tau, alpha = params.sigma, grid.tau, problem.alpha
+    solve, rhs = step.operator.solve, np.empty(grid.N)
+    for n0 in range(0, grid.Nt, rows):
+        # The generator yields outside the error state, which would
+        # otherwise hold for the caller's code between two blocks.
+        with np.errstate(over="ignore", invalid="ignore"):
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
             for j, n in enumerate(range(n0, n0 + len(times))):
-                yn, level = Y[n], Y[n + 1]
+                level = win[j + 2]
                 # the load goes into the level row, which the solve overwrites
-                _step_rhs(step, yn, memory.load(Y, n, level), phi[j], mu[j],
+                _step_rhs(step, win[j + 1],
+                          memory.load(win[j:j + 2], n, level), phi[j], mu[j],
                           rhs)
                 solve(rhs, level[1:])
                 level[0] = alpha * level.item(-1)
                 if residuals is not None:
                     residuals.append(step.operator.residual(rhs, level[1:]))
-            blow = _first_blow_up(Y[n0 + 1:n0 + 1 + len(times)], n0 + 1)
-            if blow is not None:
-                break
+            made = len(times)
+            blow = _first_blow_up(win[2:2 + made], n0 + 1)
+        if blow is not None:        # drop what the block computed past it
+            made = blow.level - n0
+            if residuals is not None:
+                del residuals[blow.level:]
+        yield (0, win[1:2 + made]) if n0 == 0 else (n0 + 1, win[2:2 + made])
+        if blow is not None:
+            break
+        if out is None:
+            win[:2] = win[made:made + 2]
+        else:
+            win = out[n0 + made:]
+    return blow, residuals
 
-    if blow is not None:        # drop what the block computed past it
-        Y = Y[:blow.level + 1]
-        if residuals is not None:
-            del residuals[blow.level:]
-    return SolveOutcome(history=Y, blow_up=blow, per_step_residuals=residuals)
+
+def drain(blocks: Generator[tuple[int, np.ndarray], None, MarchEnd],
+          *folds: Callable[[int, np.ndarray], object]) -> MarchEnd:
+    """Run :func:`march_blocks` to its end, handing each block to ``folds``.
+
+    Each ``fold(first, block)`` is called in turn on every block as it is
+    yielded; the march's ``(blow_up, per_step_residuals)`` is returned.
+    """
+    while True:
+        try:
+            first, block = next(blocks)
+        except StopIteration as end:
+            return end.value
+        for fold in folds:
+            fold(first, block)
+
+
+def march(problem: Problem, grid: Grid, params: SchemeParams,
+          y0=None, check_residuals: bool = False) -> SolveOutcome:
+    """March the scheme from the initial condition to the final time.
+
+    :func:`march_blocks` (which documents the march, its refusals and its
+    blow-up guard) makes the levels in place in one ``(Nt+2, N+1)`` array,
+    whose first row is scratch; the outcome's history holds the rows
+    produced after it.
+    """
+    levels = np.empty((grid.Nt + 2, grid.N + 1))
+    blow, residuals = drain(march_blocks(problem, grid, params, y0,
+                                         check_residuals, out=levels))
+    last = grid.Nt if blow is None else blow.level
+    return SolveOutcome(history=levels[1:last + 2], blow_up=blow,
+                        per_step_residuals=residuals)
 
 
 def _first_blow_up(levels: np.ndarray, first: int) -> Optional[BlowUp]:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,16 +23,17 @@ from fracheat.cli import (
     render_table,
     run_caputo_order,
     run_convergence,
+    run_solve,
     run_stability,
     StabilityReport,
-    _error_history,
+    _ErrorNorms,
 )
 from fracheat.core import (MAX_NODES, DomainError, Grid, SchemeParams,
                            face_coefficients)
 from fracheat.norms import (UndefinedNormError, energy_weights,
                             sigma_threshold)
 from fracheat.prng import splitmix64, uniform_symmetric
-from fracheat.stepper import SolveOutcome, march
+from fracheat.stepper import block_levels, drain, march, march_blocks
 
 QUICK = dict(gamma=0.5, alpha=2.0, beta=5.0, levels=(5, 10, 20))
 
@@ -141,24 +143,32 @@ def test_study_builds_its_problem_once(monkeypatch):
     assert len(builds) == 1
 
 
+def error_history(levels, problem, grid):
+    """Error norms of a level array, folded in blocks of ``block_levels``."""
+    errors = _ErrorNorms(problem, grid)
+    rows = block_levels(levels.shape[1])
+    for first in range(0, len(levels), rows):
+        errors(first, levels[first:first + rows])
+    return errors.full, errors.max
+
+
 def test_error_history_maps_non_finite_levels_to_inf():
     problem = CATALOG["zero"]()
     levels = np.zeros((4, 5))
     levels[1, 2] = math.nan
     levels[2, 0] = -math.inf
     levels[3, 1] = 1e200
-    full, mx = _error_history(SolveOutcome(history=levels), problem,
-                              Grid(N=4, Nt=3))
+    full, mx = error_history(levels, problem, Grid(N=4, Nt=3))
     assert full == [0.0, math.inf, math.inf, math.inf]
     assert mx == [0.0, math.inf, math.inf, 1e200]
 
 
-def per_level_errors(outcome, problem, grid):
+def per_level_errors(history, problem, grid):
     """Error norms one level at a time: the reference for the blocked loop."""
     x, h = grid.x, grid.h
     full, mx = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, y in enumerate(outcome.history):
+        for n, y in enumerate(history):
             z = y - np.asarray(problem.exact(x, n * grid.tau), dtype=float)
             full.append(float(np.sqrt(0.5 * h * (z[0] ** 2 + z[-1] ** 2)
                                       + h * np.sum(z[1:-1] ** 2))))
@@ -177,14 +187,15 @@ def unstable_history_with_non_finite_rows():
     levels[7] = math.nan
     levels[10, 2] = 1e200           # its square overflows
     levels[11, 4] = -math.inf
-    return problem, grid, SolveOutcome(history=levels)
+    return problem, grid, levels
 
 
 @pytest.mark.parametrize("case", ["601-levels", "wide-grid", "callback-exact",
                                   "unstable-non-finite"])
 def test_blocked_error_history_matches_the_per_level_loop(case):
     if case == "unstable-non-finite":
-        problem, grid, outcome = unstable_history_with_non_finite_rows()
+        problem, grid, history = unstable_history_with_non_finite_rows()
+        full, mx = error_history(history, problem, grid)
     else:
         problem = CATALOG["mms-cubic"](alpha=3.0, beta=2.0, gamma=0.5)
         # 601 = 2*256 + 89 levels; 601 nodes give blocks of 109 levels.
@@ -196,10 +207,13 @@ def test_blocked_error_history_matches_the_per_level_loop(case):
             exact = problem.exact
             problem = dataclasses.replace(problem,
                                           exact=lambda x, t: exact(x, t))
-        outcome = march(problem, grid, SchemeParams(1.0))
-    full, mx = _error_history(outcome, problem, grid)
-    assert (full, mx) == per_level_errors(outcome, problem, grid)
-    assert len(full) == len(outcome.history)
+        # the errors fold the march's own blocks, as the studies do
+        errors = _ErrorNorms(problem, grid)
+        drain(march_blocks(problem, grid, SchemeParams(1.0)), errors)
+        full, mx = errors.full, errors.max
+        history = march(problem, grid, SchemeParams(1.0)).history
+    assert (full, mx) == per_level_errors(history, problem, grid)
+    assert len(full) == len(history)
 
 
 def test_config_validation_messages():
@@ -237,6 +251,65 @@ def test_solve_history_output(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,x,y"
     assert len(lines) == 1 + 4 * 5
+
+
+def test_streamed_history_holds_every_level_of_the_march(tmp_path):
+    # 301 levels of 9 nodes span two data blocks of the march.
+    out = tmp_path / "hist.csv"
+    assert main(["solve", "--n", "8", "--nt", "300", "--out", str(out),
+                 "--history"]) == 0
+    problem = CATALOG["mms-cubic"](alpha=1.0, beta=1.0, gamma=0.5, T=1.0)
+    grid = Grid(N=8, Nt=300)
+    history = march(problem, grid, SchemeParams(1.0)).history
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == history.size
+    assert [float(y) for _, _, y in rows] == [
+        float(f"{y:.5e}") for y in history.ravel().tolist()]
+    assert [float(t) for t, _, _ in rows[::9]] == [
+        float(f"{n * grid.tau:.5e}") for n in range(301)]
+
+
+def test_solve_holds_no_array_of_every_level():
+    # The march's increments take (Nt, N+1) floats, the same as the
+    # levels; a solve that kept both arrays would peak above their sum.
+    grid = Grid.balanced(320, 0.5)
+    arrays = (2 * grid.Nt + 1) * (grid.N + 1) * 8
+    tracemalloc.start()
+    try:
+        result = run_solve("mms-cubic", alpha=3.0, beta=2.0, gamma=0.5,
+                           T=1.0, N=320, Nt=None, sigma=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.blow_up is None and len(result.err_full) == grid.Nt + 1
+    assert peak < arrays
+
+
+@pytest.mark.parametrize("history", [[], ["--history"]],
+                         ids=["last-level", "history"])
+def test_a_refused_march_creates_no_out_file(history, tmp_path, capsys):
+    out = tmp_path / "F"
+    assert exit_code(["solve", "--alpha", "1e154", "--beta", "1e-154",
+                      "--n", "4", "--nt", "4", "--out", str(out)]
+                     + history) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "-1e-3", "--beta", "-2", "--n", "4", "--nt", "4"],
+    ["convergence", "--alpha", "-1e-3", "--beta", "-2E0", "--levels", "4,8"],
+    ["stability", "--alpha", "-2e0", "--beta", "-3e+0", "--n", "4",
+     "--nt", "4", "--sigma", "5e-1"],
+], ids=["solve", "convergence", "stability"])
+def test_negative_numbers_in_scientific_notation_follow_a_space(argv, capsys):
+    joined = argv[:1] + [f"{flag}={value}"
+                         for flag, value in zip(argv[1::2], argv[2::2])]
+    assert exit_code(joined) == 0
+    expected = capsys.readouterr()
+    assert exit_code(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_solve_prints_error_norms(capsys):
@@ -631,7 +704,7 @@ def test_unwritable_out_is_refused_before_the_march(out, tmp_path,
     def no_march(*args, **kwargs):
         raise AssertionError("march ran before --out was checked")
 
-    monkeypatch.setattr("fracheat.cli.march", no_march)
+    monkeypatch.setattr("fracheat.cli.march_blocks", no_march)
     (tmp_path / "file").write_text("a regular file\n")
     assert exit_code(["solve", "--n", "640",
                       "--out", str(tmp_path / out) if out else ""]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracheat.cli import _error_history
+from fracheat.cli import _ErrorNorms
 from fracheat.core import (DomainError, Grid, NodeSampler, SchemeParams,
                            sample_space)
 from fracheat.fractional import caputo_oracle
@@ -23,7 +23,7 @@ from fracheat.manufactured import (
     time_profile_d1,
     verify_compatibility,
 )
-from fracheat.stepper import march
+from fracheat.stepper import drain, march, march_blocks
 
 
 def test_space_profile_endpoint_identities():
@@ -97,9 +97,10 @@ def test_largest_final_time_marches_to_its_last_level():
     problem = build_manufactured(0.5, 0.1, 0.5, T=_LARGEST_T)
     grid = Grid(N=2, Nt=305, T=_LARGEST_T)
     assert grid.Nt * grid.tau > grid.T
+    errors = _ErrorNorms(problem, grid)
+    drain(march_blocks(problem, grid, SchemeParams(0.0)), errors)
     outcome = march(problem, grid, SchemeParams(0.0))
-    full, mx = _error_history(outcome, problem, grid)
-    assert len(full) == len(mx) == len(outcome.history)
+    assert len(errors.full) == len(errors.max) == len(outcome.history)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma", [(3.0, 2.0, 0.5),
@@ -244,5 +245,8 @@ def test_march_on_separable_data_matches_plain_callbacks(alpha, beta, gamma,
     assert terms.history.tobytes() == callbacks.history.tobytes()
     assert terms.blow_up == callbacks.blow_up
     assert (terms.blow_up is not None) == (alpha == 0.1)
-    assert (_error_history(terms, problem, grid)
-            == _error_history(callbacks, plain, grid))
+    errors = [_ErrorNorms(problem, grid), _ErrorNorms(plain, grid)]
+    errors[0](0, terms.history)
+    errors[1](0, callbacks.history)
+    assert ((errors[0].full, errors[0].max)
+            == (errors[1].full, errors[1].max))

@@ -27,14 +27,15 @@ from fracheat.stepper import (
     BlowUp,
     L1Memory,
     SingularSystemError,
-    SolveOutcome,
     StepOperator,
     StepSystem,
     _step_rhs,
     assemble_step,
     block_levels,
     build_step,
+    drain,
     march,
+    march_blocks,
     solve_bordered,
     solve_dense_oracle,
 )
@@ -797,30 +798,36 @@ def test_data_blocks_hold_at_most_256_levels_and_about_2_16_entries():
                                                                     204, 256]
 
 
-@given(st.one_of(st.integers(1, 400), st.just(2**16 + 1)),
-       st.integers(1, 700), st.booleans(), st.data())
-def test_outcome_blocks_partition_the_history(width, levels, blown, data):
-    # A march fills a (Nt+1, width) array; a blow-up keeps its first rows.
-    if width > 2**16:
-        levels = min(levels, 5)
-    full = np.arange(levels * width, dtype=float).reshape(levels, width)
-    kept = data.draw(st.integers(1, levels)) if blown else levels
-    history = full[:kept]
-    if blown:
-        history[-1] = math.inf
-    outcome = SolveOutcome(history=history, blow_up=BlowUp(
-        level=kept - 1, norm=math.inf) if blown else None)
-    expected_first = 0
-    for first, block in outcome.blocks():
-        assert first == expected_first
-        assert 1 <= len(block) <= block_levels(width)
-        assert np.shares_memory(block, history) and block.base is not None
-        assert block.ctypes.data == history[first].ctypes.data
-        assert np.array_equal(block, history[first:first + len(block)])
-        expected_first += len(block)
-    assert expected_first == len(history)
-    assert np.array_equal(
-        np.concatenate([b for _, b in outcome.blocks()]), history)
+@given(st.sampled_from([4, 300]), st.integers(0, 2), st.integers(-1, 2),
+       st.sampled_from([1.0, 0.5]), st.booleans(), st.data())
+def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
+                                                       sigma, unstable, data):
+    # Nt ends on, one level before or past a data-block edge; the blocks
+    # come from one (rows+2)-row buffer, the history from march's array.
+    rows = block_levels(N + 1)
+    grid = Grid(N=N, Nt=max(1, blocks * rows + offset))
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    if unstable:
+        problem = source_turning(data.draw(st.sampled_from([1e200, math.nan])),
+                                 data.draw(st.integers(1, grid.Nt)), grid)
+    params = SchemeParams(sigma)
+    firsts, kept = [], []
+
+    def keep(first, block):
+        assert block.base.shape == (rows + 2, N + 1)
+        firsts.append(first)
+        kept.append(block.copy())     # the next block overwrites the buffer
+
+    blow, residuals = drain(march_blocks(problem, grid, params,
+                                         check_residuals=True), keep)
+    outcome = march(problem, grid, params, check_residuals=True)
+    assert np.concatenate(kept).tobytes() == outcome.history.tobytes()
+    assert firsts == [0] + list(np.cumsum([len(b) for b in kept])[:-1])
+    assert 1 <= len(kept[0]) <= rows + 1
+    assert all(1 <= len(b) <= rows for b in kept[1:])
+    assert blow == outcome.blow_up and (blow is None or unstable)
+    assert (np.array(residuals).tobytes()
+            == np.array(outcome.per_step_residuals).tobytes())
 
 
 def test_wide_march_samples_its_data_in_small_blocks():

@@ -16,7 +16,9 @@ program produces is checked in two ways:
   the functions cubic, exp, poly and linear), a stability run wide
   enough to span several norm blocks, a table with one norm next to
   unstable rows and a fully implicit (sigma = 1) stability run of
-  random data: 30 calls in all;
+  random data, and two ``--history`` runs whose levels are written a
+  block at a time as the march makes them (a blow-up inside the first
+  block, and 301 levels in two blocks): 32 calls in all;
 * the SHA-256 hashes of the level arrays of marches must agree, for
   gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
   {20, 40, 80, 160} on balanced grids, plus two marches that blow up
@@ -24,9 +26,10 @@ program produces is checked in two ways:
   homogeneous data, one of plain-callback data whose source takes
   plain floats only, so it is sampled point by point, and one at
   sigma = 1 whose source is -0.0 everywhere on a concave level 0, so
-  right-hand sides meet signed zeros, and six at N = 12 whose step
-  counts (64, 65 and 577, at sigma in {1, 0.5}) end on a block edge of
-  the memory sum or one step past it: 60 marches in all.
+  right-hand sides meet signed zeros, and ten at N = 12 whose step
+  counts (64, 65, 256, 257 and 577, at sigma in {1, 0.5}) end on a block
+  edge of the memory sum (64, 577) or of the march's data blocks (256),
+  or one step past it: 64 marches in all.
   The hash also covers the blow-up record and, for the blow-ups, one
   march that finishes and the block-edge marches, the per-step residuals.
 
@@ -76,6 +79,9 @@ EXTRA_CALLS = (
     ("convergence", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
      "--levels", "20,40,80", "--norms", "full", "--format", "table"),
     ("stability", "--sigma", "1", "--n", "16", "--nt", "400", "--seed", "7"),
+    ("solve", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4", "--n", "80",
+     "--out", "{out}", "--history"),
+    ("solve", "--n", "8", "--nt", "300", "--out", "{out}", "--history"),
 )
 
 # Prints {key: sha256 of the level array, blow-up level and norm, and
@@ -128,7 +134,8 @@ out["negative-zero source N=12 Nt=300 s=1"] = digest(march(Problem(
     u0=lambda x: -x**2, c1=1.0, c2=math.e),
     Grid(N=12, Nt=300), SchemeParams(1.0)))
 # marches that end on, and one step past, a block edge of the memory sum
-for Nt in (64, 65, 577):
+# (64, 577) or of the march's data blocks (256 levels at N = 12)
+for Nt in (64, 65, 256, 257, 577):
     for sigma in (1.0, 0.5):
         out[f"block edge N=12 Nt={Nt} s={sigma}"] = digest(march(
             build_manufactured(3.0, 2.0, 0.5), Grid(N=12, Nt=Nt),
