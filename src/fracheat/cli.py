@@ -45,7 +45,7 @@ from .manufactured import CATALOG, time_profile, time_profile_d1
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .prng import uniform_symmetric
-from .stepper import BlowUp, SingularSystemError, drain, march_blocks
+from .stepper import BlowUp, SingularSystemError, march_blocks
 
 __all__ = [
     "UsageError",
@@ -223,9 +223,8 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     rows = []
     for grid in [_study_grid(N, config) for N in config.levels]:
         errors = _ErrorNorms(problem, grid)
-        blow, res = drain(march_blocks(
-            problem, grid, params, check_residuals=config.check_residuals),
-            errors)
+        blow, res = march_blocks(problem, grid, params, errors,
+                                 check_residuals=config.check_residuals)
         rows.append(StudyRow(
             h=grid.h, Nt=grid.Nt, tau=grid.tau,
             err_full=max(errors.full) if "full" in config.norms else None,
@@ -295,7 +294,7 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
     folds = [errors, lambda first, block: np.copyto(final, block[-1])]
     if sink is not None:
         folds.append(functools.partial(sink, grid))
-    blow, _ = drain(march_blocks(problem, grid, SchemeParams(sigma)), *folds)
+    blow, _ = march_blocks(problem, grid, SchemeParams(sigma), *folds)
     return SolveResult(grid=grid, final=final, blow_up=blow,
                        err_full=errors.full, err_max=errors.max)
 
@@ -461,7 +460,7 @@ def run_stability(gamma: float, alpha: float, beta: float,
         with np.errstate(over="ignore"):  # a norm past the float range is inf
             norms.extend(weights.norms(block, grid.h).tolist())
 
-    drain(march_blocks(problem, grid, SchemeParams(sigma), y0=u0), fold)
+    march_blocks(problem, grid, SchemeParams(sigma), fold, y0=u0)
     passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
     return StabilityReport(sigma=sigma, threshold=threshold,
                            norms=tuple(norms), passed=passed)

@@ -24,11 +24,12 @@ its per-step buffers (the load goes into the row of the level being
 produced, the right-hand side into one buffer per march), and it checks for
 blow-up once per data block, dropping any levels it computed past one.
 
-:func:`march_blocks` is the march: a generator that yields each block of
-levels as it is made and checked, so its readers (error and energy norms,
-a CSV writer) fold the levels a block at a time and no array of every
-level exists.  :func:`march` has it make the levels in place in one
-``(Nt+2, N+1)`` array instead, for the callers that want the whole history.
+:func:`march_blocks` is the march: one call that hands each block of
+levels, as it is made and checked, to the caller's folds (error and
+energy norms, a CSV writer), so the levels are read a block at a time
+and no array of every level exists.  :func:`march` has it make the
+levels in place in one ``(Nt+2, N+1)`` array instead, for the callers
+that want the whole history.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array into buffers of its own; a dense LU solve
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -102,7 +103,6 @@ __all__ = [
     "solve_bordered",
     "solve_dense_oracle",
     "march_blocks",
-    "drain",
     "march",
 ]
 
@@ -247,10 +247,6 @@ class BlowUp:
 
     level: int
     norm: float
-
-
-# What a march returns at its end: the blow-up, and the per-step residuals.
-MarchEnd = tuple[Optional[BlowUp], Optional[list[float]]]
 
 
 @dataclass(frozen=True)
@@ -498,33 +494,35 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
 
 
 def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
-                 y0=None, check_residuals: bool = False,
+                 *folds: Callable[[int, np.ndarray], object], y0=None,
+                 check_residuals: bool = False,
                  out: Optional[np.ndarray] = None
-                 ) -> Generator[tuple[int, np.ndarray], None, MarchEnd]:
-    """March the scheme, yielding ``(first level, block)`` as blocks are made.
+                 ) -> tuple[Optional[BlowUp], Optional[list[float]]]:
+    """March the scheme, calling each ``fold(first level, block)`` in turn.
 
     Level 0 samples ``problem.u0`` on the grid, or is ``y0`` verbatim (the
-    stability experiments pass random data).  The first ``next`` builds
-    the step and factors its matrix (an overflowing one raises DomainError,
+    stability experiments pass random data).  The call first builds the
+    step and factors its matrix (an overflowing one raises DomainError,
     a singular one SingularSystemError) and checks level 0 (a bad one
-    raises DomainError), before any block.  Each step then costs its
-    right-hand side, one :meth:`L1Memory.load` and one banded solve, with
-    y_0 from the value coupling.
+    raises DomainError), so a refused march calls no fold.  Each step
+    then costs its right-hand side, one :meth:`L1Memory.load` and one
+    banded solve, with y_0 from the value coupling.
 
     A data block (``block_levels``) is made in a window whose rows 0 and 1
     hold the levels n0-1 and n0: one buffer of ``block_levels + 2`` rows
     that carries its two newest levels to the top after each block, or
     the rows of ``out`` (``(Nt+2, N+1)``, level n in row n+1) from row n0
     on.  The load of a new level goes into its row, which the solve then
-    overwrites, and the right-hand side into one N-entry buffer.  A block
-    is yielded once the guard has read it; the first also holds level 0.
-    Without ``out`` the next block overwrites it, so a caller that keeps
+    overwrites, and the right-hand side into one N-entry buffer.  Once
+    the guard has read a block, the folds get it in the order given,
+    under the caller's numpy error state; the first also holds level 0.
+    Without ``out`` the next block overwrites it, so a fold that keeps
     levels copies them.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
     and residuals computed past it are dropped, as a check after every
-    level would.  The generator returns ``(blow_up, per_step_residuals)``:
+    level would.  The call returns ``(blow_up, per_step_residuals)``:
     the :class:`BlowUp` or None, and with ``check_residuals`` the relative
     residual of every step taken (else None).
     """
@@ -548,8 +546,7 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     sigma, tau, alpha = params.sigma, grid.tau, problem.alpha
     solve, rhs = step.operator.solve, np.empty(grid.N)
     for n0 in range(0, grid.Nt, rows):
-        # The generator yields outside the error state, which would
-        # otherwise hold for the caller's code between two blocks.
+        # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
@@ -570,7 +567,10 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
             made = blow.level - n0
             if residuals is not None:
                 del residuals[blow.level:]
-        yield (0, win[1:2 + made]) if n0 == 0 else (n0 + 1, win[2:2 + made])
+        first, block = ((0, win[1:2 + made]) if n0 == 0
+                        else (n0 + 1, win[2:2 + made]))
+        for fold in folds:
+            fold(first, block)
         if blow is not None:
             break
         if out is None:
@@ -578,22 +578,6 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
         else:
             win = out[n0 + made:]
     return blow, residuals
-
-
-def drain(blocks: Generator[tuple[int, np.ndarray], None, MarchEnd],
-          *folds: Callable[[int, np.ndarray], object]) -> MarchEnd:
-    """Run :func:`march_blocks` to its end, handing each block to ``folds``.
-
-    Each ``fold(first, block)`` is called in turn on every block as it is
-    yielded; the march's ``(blow_up, per_step_residuals)`` is returned.
-    """
-    while True:
-        try:
-            first, block = next(blocks)
-        except StopIteration as end:
-            return end.value
-        for fold in folds:
-            fold(first, block)
 
 
 def march(problem: Problem, grid: Grid, params: SchemeParams,
@@ -606,8 +590,8 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     produced after it.
     """
     levels = np.empty((grid.Nt + 2, grid.N + 1))
-    blow, residuals = drain(march_blocks(problem, grid, params, y0,
-                                         check_residuals, out=levels))
+    blow, residuals = march_blocks(problem, grid, params, y0=y0,
+                                   check_residuals=check_residuals, out=levels)
     last = grid.Nt if blow is None else blow.level
     return SolveOutcome(history=levels[1:last + 2], blow_up=blow,
                         per_step_residuals=residuals)

@@ -7,9 +7,11 @@ the workloads (``benchmarks/worker.py``).  A refactor that drops or
 renames one of these names blinds a traced layer or breaks the
 benchmark's set-up, so exactly these names are pinned here, the
 catalog's by the last test.  The tracer also looks up ``march`` in
-``fracheat.cli``; the commands now fold the blocks of
-``stepper.march_blocks`` and import no ``march``, so its ``stepper.march``
-layer reads as absent and is not pinned.
+``fracheat.cli``; the commands call ``stepper.march_blocks`` with their
+folds and import no ``march``, so its ``stepper.march`` layer reads as
+absent and is not pinned.  ``march_blocks`` is one plain call that
+returns ``(blow_up, per_step_residuals)``, so a tracer that wraps
+``fracheat.cli.march_blocks`` by name times each whole march.
 """
 
 import importlib

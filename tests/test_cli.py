@@ -33,7 +33,7 @@ from fracheat.core import (MAX_NODES, DomainError, Grid, SchemeParams,
 from fracheat.norms import (UndefinedNormError, energy_weights,
                             sigma_threshold)
 from fracheat.prng import splitmix64, uniform_symmetric
-from fracheat.stepper import block_levels, drain, march, march_blocks
+from fracheat.stepper import block_levels, march, march_blocks
 
 QUICK = dict(gamma=0.5, alpha=2.0, beta=5.0, levels=(5, 10, 20))
 
@@ -209,7 +209,7 @@ def test_blocked_error_history_matches_the_per_level_loop(case):
                                           exact=lambda x, t: exact(x, t))
         # the errors fold the march's own blocks, as the studies do
         errors = _ErrorNorms(problem, grid)
-        drain(march_blocks(problem, grid, SchemeParams(1.0)), errors)
+        march_blocks(problem, grid, SchemeParams(1.0), errors)
         full, mx = errors.full, errors.max
         history = march(problem, grid, SchemeParams(1.0)).history
     assert (full, mx) == per_level_errors(history, problem, grid)
@@ -694,6 +694,26 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: out: ")
     assert not out.parent.exists()
+
+
+def test_a_wrapper_by_name_sees_every_march(monkeypatch, capsys):
+    # A tracer wraps the name the commands call; it times each whole march
+    # and reads its result, (blow_up, per_step_residuals).
+    results = []
+
+    def traced(*args, **kwargs):
+        results.append(march_blocks(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("fracheat.cli.march_blocks", traced)
+    assert main(["convergence", "--levels", "4,8"]) == 0
+    assert results == [(None, None), (None, None)]
+    results.clear()
+    assert main(["solve", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
+                 "--n", "80"]) == 0
+    [(blow, residuals)] = results
+    assert residuals is None
+    assert f"blow_up_level={blow.level}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("out", ["missing/x.csv", ".", "file/x.csv", ""],

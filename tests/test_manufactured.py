@@ -23,7 +23,7 @@ from fracheat.manufactured import (
     time_profile_d1,
     verify_compatibility,
 )
-from fracheat.stepper import drain, march, march_blocks
+from fracheat.stepper import march, march_blocks
 
 
 def test_space_profile_endpoint_identities():
@@ -98,7 +98,7 @@ def test_largest_final_time_marches_to_its_last_level():
     grid = Grid(N=2, Nt=305, T=_LARGEST_T)
     assert grid.Nt * grid.tau > grid.T
     errors = _ErrorNorms(problem, grid)
-    drain(march_blocks(problem, grid, SchemeParams(0.0)), errors)
+    march_blocks(problem, grid, SchemeParams(0.0), errors)
     outcome = march(problem, grid, SchemeParams(0.0))
     assert len(errors.full) == len(errors.max) == len(outcome.history)
 

@@ -33,7 +33,6 @@ from fracheat.stepper import (
     assemble_step,
     block_levels,
     build_step,
-    drain,
     march,
     march_blocks,
     solve_bordered,
@@ -228,11 +227,26 @@ def test_assemble_step_rejects_malformed_level_arrays():
             assemble_step(problem, grid, SchemeParams(1.0), levels)
 
 
+def assert_refused_with_no_fold(error, match, *args, **kwargs):
+    """``march_blocks(*args, record, **kwargs)`` raises, and calls no fold."""
+    calls = []
+
+    def record(first, block):
+        calls.append(first)
+
+    with pytest.raises(error, match=match):
+        march_blocks(*args, record, **kwargs)
+    assert calls == []
+
+
 def test_march_rejects_initial_level_of_wrong_length():
     grid = Grid(N=4, Nt=3)
     for y0 in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
         with pytest.raises(DimensionError):
             march(build_zero(), grid, SchemeParams(1.0), y0=y0)
+        assert_refused_with_no_fold(DimensionError, "y0 has shape",
+                                    build_zero(), grid, SchemeParams(1.0),
+                                    y0=y0)
 
 
 def test_zero_diagonal_entry_is_solved_by_pivoting():
@@ -482,6 +496,10 @@ def test_a_bad_initial_level_is_reported_at_level_0(value):
     with pytest.raises(DomainError, match=re.escape(message)):
         march(build_zero(alpha=1.0, beta=1.0, gamma=0.5), grid,
               SchemeParams(1.0), y0=y0, check_residuals=True)
+    assert_refused_with_no_fold(DomainError, re.escape(message),
+                                build_zero(alpha=1.0, beta=1.0, gamma=0.5),
+                                grid, SchemeParams(1.0), y0=y0,
+                                check_residuals=True)
 
 
 @pytest.mark.parametrize("alpha, beta, sigma", [(1e154, 1e154, 1.0),
@@ -491,6 +509,9 @@ def test_overflowing_operator_is_refused_before_any_step(alpha, beta, sigma):
     problem = build_zero(alpha=alpha, beta=beta, gamma=0.5)
     with pytest.raises(DomainError, match="step operator overflows"):
         march(problem, Grid(N=8, Nt=20), SchemeParams(sigma))
+    assert_refused_with_no_fold(DomainError, "step operator overflows",
+                                problem, Grid(N=8, Nt=20),
+                                SchemeParams(sigma))
 
 
 def test_overflowing_step_is_a_blow_up_not_a_warning():
@@ -818,8 +839,8 @@ def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
         firsts.append(first)
         kept.append(block.copy())     # the next block overwrites the buffer
 
-    blow, residuals = drain(march_blocks(problem, grid, params,
-                                         check_residuals=True), keep)
+    blow, residuals = march_blocks(problem, grid, params, keep,
+                                   check_residuals=True)
     outcome = march(problem, grid, params, check_residuals=True)
     assert np.concatenate(kept).tobytes() == outcome.history.tobytes()
     assert firsts == [0] + list(np.cumsum([len(b) for b in kept])[:-1])
@@ -828,6 +849,42 @@ def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
     assert blow == outcome.blow_up and (blow is None or unstable)
     assert (np.array(residuals).tobytes()
             == np.array(outcome.per_step_residuals).tobytes())
+
+
+def test_folds_run_in_order_under_the_callers_error_state():
+    # 601 levels of 5 nodes are three data blocks: 257, 256 and 88 levels.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=4, Nt=600)
+    calls = []
+
+    def fold(name):
+        def record(first, block):
+            calls.append((name, first, len(block), np.geterr()))
+        return record
+
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        blow, residuals = march_blocks(problem, grid, SchemeParams(1.0),
+                                       fold("a"), fold("b"))
+    assert (blow, residuals) == (None, None)
+    assert [c[:3] for c in calls] == [
+        (name, first, size) for first, size in ((0, 257), (257, 256),
+                                                (513, 88))
+        for name in "ab"]
+    # The march ignores overflow and invalid values; its folds do not.
+    assert all(c[3] == caller for c in calls)
+
+    # A fold that raises ends the march: no fold is called after it.
+    calls.clear()
+
+    def fail_second(first, block):
+        calls.append(("fail", first))
+        if first > 0:
+            raise KeyError("second block")
+
+    with pytest.raises(KeyError, match="second block"):
+        march_blocks(problem, grid, SchemeParams(1.0), fail_second,
+                     lambda first, block: calls.append(("after", first)))
+    assert calls == [("fail", 0), ("after", 0), ("fail", 257)]
 
 
 def test_wide_march_samples_its_data_in_small_blocks():
