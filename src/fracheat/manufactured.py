@@ -71,9 +71,18 @@ def time_profile_d1(t):
 
 def caputo_time_profile(gamma: float, t):
     """Closed-form Caputo derivative of the cubic time profile."""
-    return (6.0 * t ** (3.0 - gamma) / math.gamma(4.0 - gamma)
-            - 2.0 * t ** (2.0 - gamma) / math.gamma(3.0 - gamma)
-            + t ** (1.0 - gamma) / math.gamma(2.0 - gamma))
+    return _caputo_time_profile(gamma)(t)
+
+
+def _caputo_time_profile(gamma: float):
+    """The function t -> caputo_time_profile(gamma, t), its constants bound."""
+    e3, e2, e1 = 3.0 - gamma, 2.0 - gamma, 1.0 - gamma
+    g4, g3, g2 = math.gamma(4.0 - gamma), math.gamma(e3), math.gamma(e2)
+
+    def profile(t):
+        return 6.0 * t ** e3 / g4 - 2.0 * t ** e2 / g3 + t ** e1 / g2
+
+    return profile
 
 
 def build_manufactured(alpha: float, beta: float, gamma: float,
@@ -94,8 +103,7 @@ def build_manufactured(alpha: float, beta: float, gamma: float,
         return -(np.exp(x) * (space_profile_d1(alpha, x)
                               + space_profile_d2(alpha, x)))
 
-    def DQ(t):
-        return caputo_time_profile(gamma, t)
+    DQ = _caputo_time_profile(gamma)
 
     def mu(t):
         return mu_factor * time_profile(t)

@@ -17,12 +17,13 @@ same operator on the old level, and the source on the nodes
 :class:`~fracheat.core.Separable` data once).  The march samples f and mu a
 block of levels at a time (:func:`block_levels`), and :class:`L1Memory`
 takes its L1 weights from one evaluation and sums the memory exactly,
-blocked over levels.  A step then applies the record to its right-hand
-side, adds the memory load, does one banded back-substitution and writes
-its level in place into a buffer of one block of levels.  The march owns
-its per-step buffers (the load goes into the row of the level being
-produced, the right-hand side into one buffer per march), and it checks for
-blow-up once per data block, dropping any levels it computed past one.
+blocked over levels.  A step is then one call of a body bound once per
+march (:func:`_step_body`): it adds the memory load to its right-hand
+side, does one banded back-substitution and writes its level in place
+into a buffer of one block of levels.  The march owns its per-step
+buffers (the load goes into the row of the level being produced, the
+right-hand side into one buffer per march), and it checks for blow-up
+once per data block, dropping any levels it computed past one.
 
 :func:`march_blocks` is the march: one call that hands each block of
 levels, as it is made and checked, to the caller's folds (error and
@@ -32,9 +33,10 @@ levels in place in one ``(Nt+2, N+1)`` array instead, for the callers
 that want the whole history.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
-memory term from a level array into buffers of its own; a dense LU solve
-of the same system is kept as a test oracle, and the march can
-optionally record the relative residual of every step.
+memory term from a level array into buffers of its own, through the
+body's reference forms :func:`_step_rhs` and :meth:`StepOperator.solve`;
+a dense LU solve of the same system is kept as a test oracle, and the
+march can optionally record the relative residual of every step.
 """
 
 from __future__ import annotations
@@ -272,9 +274,11 @@ class L1Memory:
 
     The weights of every level are tails of one array, computed once and
     kept newest-last and contiguous: a reversed view would make the
-    contraction an order of magnitude slower.  :meth:`load` is the one
-    call per step: the loads come in order, n = 0, 1, ..., and each
+    contraction an order of magnitude slower.  :meth:`load` is a step's
+    memory part: the loads come in order, n = 0, 1, ..., and each
     records the increment of the level produced since the previous one.
+    The march's step body (:func:`_step_body`) runs the same operations
+    on the same arrays; :meth:`load` is their reference form.
 
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
@@ -493,6 +497,77 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
+def _step_body(step: Step, memory: L1Memory, buf: np.ndarray, alpha: float,
+               rhs: np.ndarray) -> Callable[[int, int, np.ndarray, float],
+                                            None]:
+    """One step of a march, bound once per march: ``advance(k, n, phi, mu)``.
+
+    The call writes level n+1 into row k of ``buf``, whose rows k-2 and
+    k-1 hold the levels n-1 and n, from the source ``phi`` and the flux
+    datum ``mu`` at its data time, and leaves its right-hand side in
+    ``rhs``.  It runs the numpy operations of :meth:`L1Memory.load`,
+    :func:`_step_rhs` and :meth:`StepOperator.solve` in their order, so
+    the levels keep their bytes, in one call per step.  At sigma < 1 the
+    band products are one multiply by a ``(3, N-1)`` window of level n.
+    """
+    lu, piv, v, denom = step.operator._factors
+    m = v.size
+    b1, bNm1, _ = step.operator.last_row
+    c, inc, c_new = memory._c, memory._inc, memory.c_new
+    far_loads, dgbtrs = memory._far_loads, lapack.dgbtrs
+    two_by_h, beta, h2 = step.two_by_h, step.beta, step.h2
+    explicit, flux_N, flux_1 = step.explicit, step.flux_N, step.flux_1
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    divide, matmul = np.divide, np.matmul
+    inner, scratch = rhs[:m], np.empty(m)
+    if explicit != 0.0:
+        taps = sliding_window_view(buf, m, axis=1)
+        bands = np.stack((step.a_left, step.a_mid, step.a_right))
+        products = np.empty((3, m))
+        left, mid, right = products
+    far = None
+
+    def advance(k: int, n: int, phi: np.ndarray, mu: float) -> None:
+        nonlocal far
+        level, yn = buf[k], buf[k - 1]
+        # the memory load of level n+1 goes into its row (L1Memory.load)
+        if n == 0:
+            multiply(-c_new, yn, level)
+        else:
+            subtract(yn, buf[k - 2], inc[n - 1])
+            j = n % _BLOCK
+            if j == 0:
+                far = far_loads(n)
+            matmul(c[-1 - j:-1], inc[n - j:n], level)
+            if n >= _BLOCK:
+                add(level, far[j], level)
+            subtract(level, multiply(c_new, yn, inc[n]), level)
+        # the right-hand side (_step_rhs)
+        flux = (two_by_h * mu + phi.item(-1) + beta * phi.item(0)
+                - beta * level.item(0) - level.item(-1))
+        interior = level[1:-1]
+        if explicit == 0.0:
+            subtract(phi[1:-1], interior, inner)
+        else:
+            multiply(bands, taps[k - 1], products)
+            subtract(right, mid, inner)
+            add(inner, left, inner)
+            divide(inner, h2, inner)
+            multiply(explicit, inner, inner)
+            add(subtract(phi[1:-1], interior, mid), inner, inner)
+            flux = (flux - flux_N * (yn.item(-1) - yn.item(-2))
+                    + flux_1 * (yn.item(1) - yn.item(0)))
+        rhs[m] = flux
+        # the solve (StepOperator.solve), and y_0 from the value coupling
+        u, _ = dgbtrs(lu, 1, 1, inner, piv)     # a copy of rhs[:m]
+        yN = (flux - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
+        subtract(u, multiply(yN, v, scratch), interior)
+        level[-1] = yN
+        level[0] = alpha * yN
+
+    return advance
+
+
 def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
                  *folds: Callable[[int, np.ndarray], object], y0=None,
                  check_residuals: bool = False,
@@ -505,8 +580,9 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     step and factors its matrix (an overflowing one raises DomainError,
     a singular one SingularSystemError) and checks level 0 (a bad one
     raises DomainError), so a refused march calls no fold.  Each step
-    then costs its right-hand side, one :meth:`L1Memory.load` and one
-    banded solve, with y_0 from the value coupling.
+    is then one call of the step body (:func:`_step_body`): the memory
+    load, the right-hand side and one banded solve, with y_0 from the
+    value coupling.
 
     A data block (``block_levels``) is made in a window whose rows 0 and 1
     hold the levels n0-1 and n0: one buffer of ``block_levels + 2`` rows
@@ -530,37 +606,36 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     step = build_step(problem, grid, params.sigma, memory.c_new)
     step.operator._factors      # factor and check the closure before any load
     rows = block_levels(grid.N + 1)
-    win = np.empty((rows + 2, grid.N + 1)) if out is None else out
+    buf = np.empty((rows + 2, grid.N + 1)) if out is None else out
     if y0 is None:
-        win[1] = sample_space(problem.u0, grid.x)
+        buf[1] = sample_space(problem.u0, grid.x)
     elif np.shape(y0) != (grid.N + 1,):
         raise DimensionError(f"y0 has shape {np.shape(y0)}, "
                              f"expected ({grid.N + 1},)")
     else:
-        win[1] = y0
-    blow = _first_blow_up(win[1:2], 0)
+        buf[1] = y0
+    blow = _first_blow_up(buf[1:2], 0)
     if blow is not None:
         raise DomainError(f"initial level: max norm {blow.norm} is not "
                           f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
-    sigma, tau, alpha = params.sigma, grid.tau, problem.alpha
-    solve, rhs = step.operator.solve, np.empty(grid.N)
+    sigma, tau = params.sigma, grid.tau
+    rhs = np.empty(grid.N)
+    advance = _step_body(step, memory, buf, problem.alpha, rhs)
     for n0 in range(0, grid.Nt, rows):
+        # level n is in row n+1-shift of buf; win starts at level n0-1
+        shift = n0 if out is None else 0
+        win = buf[n0 - shift:]
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
-            for j, n in enumerate(range(n0, n0 + len(times))):
-                level = win[j + 2]
-                # the load goes into the level row, which the solve overwrites
-                _step_rhs(step, win[j + 1],
-                          memory.load(win[j:j + 2], n, level), phi[j], mu[j],
-                          rhs)
-                solve(rhs, level[1:])
-                level[0] = alpha * level.item(-1)
+            for n, phi_n, mu_n in zip(range(n0, grid.Nt), phi, mu):
+                advance(n + 2 - shift, n, phi_n, mu_n)
                 if residuals is not None:
-                    residuals.append(step.operator.residual(rhs, level[1:]))
+                    residuals.append(step.operator.residual(
+                        rhs, buf[n + 2 - shift, 1:]))
             made = len(times)
             blow = _first_blow_up(win[2:2 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it
@@ -574,9 +649,7 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
         if blow is not None:
             break
         if out is None:
-            win[:2] = win[made:made + 2]
-        else:
-            win = out[n0 + made:]
+            buf[:2] = buf[made:made + 2]
     return blow, residuals
 
 

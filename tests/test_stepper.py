@@ -607,6 +607,77 @@ def test_factored_march_blows_up_at_the_oracle_level():
                                  outcome) == outcome.blow_up.level
 
 
+@st.composite
+def random_marches(draw):
+    """A march of random data past a memory-block and a data-block edge.
+
+    N is in [2, 40], sigma exactly 1 or in [0, 1), and Nt is one data
+    block (256 levels at these widths) plus 1 to 80 levels, so the march
+    crosses the memory blocks at 64/65, 128, 192 and 256 and one data
+    block.  Level 0, the source at every data time and mu are random,
+    with about one entry in five +0.0 or -0.0, or in some marches all
+    +0.0 or -0.0, so that signs of zero reach the levels.  The final time
+    is halved until sigma is at least the energy-stability threshold, so
+    the march makes every level and its explicit part is about as large
+    as its implicit one.
+    """
+    N = draw(st.integers(2, 40))
+    sigma = draw(st.one_of(st.just(1.0),
+                           st.floats(0.0, 1.0, exclude_max=True)))
+    gamma = draw(st.floats(0.2, 0.9))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    alpha, beta = (sign * draw(st.floats(0.1, 4.0)) for _ in range(2))
+    Nt = block_levels(N + 1) + draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 0.0]))
+
+    def signed_zeros(values):
+        values *= scale
+        values[rng.random(values.shape) < 0.1] = 0.0
+        values[rng.random(values.shape) < 0.1] = -0.0
+        return values
+
+    T = 1.0
+    while sigma_threshold(gamma, 1.0 / N, T / Nt, math.e) > sigma:
+        T /= 2.0
+    grid = Grid(N=N, Nt=Nt, T=T)
+    times = [(n + sigma) * grid.tau for n in range(Nt)]    # as the march
+    source = dict(zip(times, signed_zeros(rng.uniform(-2.0, 2.0,
+                                                      (Nt, N + 1)))))
+    mu = dict(zip(times, signed_zeros(rng.uniform(-2.0, 2.0, Nt)).tolist()))
+    problem = Problem(gamma=gamma, alpha=alpha, beta=beta, k=np.exp,
+                      f=lambda x, t: source[t], mu=mu.__getitem__,
+                      u0=np.zeros_like, c1=1.0, c2=math.e)
+    y0 = signed_zeros(rng.uniform(-1.0, 1.0, N + 1))
+    return problem, grid, SchemeParams(sigma), y0, source, mu
+
+
+@given(random_marches())
+def test_every_march_level_is_its_reference_step_bit_for_bit(case):
+    # The march's step body fuses the memory load, the right-hand side
+    # and the solve.  Each level it makes must be, byte for byte, the
+    # level that L1Memory.load, _step_rhs and StepOperator.solve make from
+    # the two levels before it.  The streamed window gives the same bytes.
+    problem, grid, params, y0, source, mu = case
+    Y = march(problem, grid, params, y0=y0).history
+    assert len(Y) == grid.Nt + 1
+    blocks = []
+    march_blocks(problem, grid, params,
+                 lambda first, block: blocks.append(block.copy()), y0=y0)
+    assert np.concatenate(blocks).tobytes() == Y.tobytes()
+
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
+    step = build_step(problem, grid, params.sigma, memory.c_new)
+    rhs, level = np.empty(grid.N), np.empty(grid.N + 1)
+    for n in range(grid.Nt):
+        t = (n + params.sigma) * grid.tau
+        load = memory.load(Y[max(n - 1, 0):n + 1], n, level)
+        _step_rhs(step, Y[n], load, source[t], mu[t], rhs)
+        step.operator.solve(rhs, level[1:])
+        level[0] = problem.alpha * level.item(-1)
+        assert level.tobytes() == Y[n + 1].tobytes(), n
+
+
 def source_turning(value, level, grid):
     """Zero data whose source turns to ``value`` at level ``level``.
 

@@ -29,9 +29,12 @@ program produces is checked in two ways:
   right-hand sides meet signed zeros, and ten at N = 12 whose step
   counts (64, 65, 256, 257 and 577, at sigma in {1, 0.5}) end on a block
   edge of the memory sum (64, 577) or of the march's data blocks (256),
-  or one step past it: 64 marches in all.
+  or one step past it, and four of the smallest systems, N in {2, 3}
+  (interiors of 1 and 2 unknowns) at sigma in {1, 0.5} with Nt = 130,
+  which crosses two block edges of the memory sum: 68 marches in all.
   The hash also covers the blow-up record and, for the blow-ups, one
-  march that finishes and the block-edge marches, the per-step residuals.
+  march that finishes, the block-edge marches and the smallest systems,
+  the per-step residuals.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.
@@ -139,6 +142,12 @@ for Nt in (64, 65, 256, 257, 577):
     for sigma in (1.0, 0.5):
         out[f"block edge N=12 Nt={Nt} s={sigma}"] = digest(march(
             build_manufactured(3.0, 2.0, 0.5), Grid(N=12, Nt=Nt),
+            SchemeParams(sigma), check_residuals=True))
+# the smallest interiors, 1 and 2 unknowns, across two memory blocks
+for N in (2, 3):
+    for sigma in (1.0, 0.5):
+        out[f"smallest N={N} Nt=130 s={sigma}"] = digest(march(
+            build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=130),
             SchemeParams(sigma), check_residuals=True))
 print(json.dumps(out))
 """
