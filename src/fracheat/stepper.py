@@ -5,9 +5,13 @@ value coupling y_0 = alpha*y_N eliminates the left endpoint, the system
 over y_1..y_N is tridiagonal except for a corner coefficient on y_N in
 the first row and the last row (the discretised flux coupling), which
 touches columns 1, N-1 and N.  It is solved in O(N) by superposition:
-banded LAPACK factors the tridiagonal interior block, and a scalar
-closure of the flux row gives y_N.  The two LAPACK routines come from
-scipy's extension module, loaded without the ``scipy.linalg`` package.
+LAPACK factors the tridiagonal interior block, and a scalar closure of
+the flux row gives y_N.  The scheme's spatial operator is self-adjoint
+and positive, so the interior block of every step it builds is
+symmetric positive definite and takes LDL^T without pivoting
+(``dpttrf``/``dpttrs``); any other block takes band LU with partial
+pivoting (``dgbtrf``/``dgbtrs``).  The LAPACK routines come from scipy's
+extension module, loaded without the ``scipy.linalg`` package.
 
 The scheme has constant coefficients in time, so a march derives its
 :class:`Step` once (:func:`build_step`): the matrix of the new level
@@ -19,7 +23,7 @@ block of levels at a time (:func:`block_levels`), and :class:`L1Memory`
 takes its L1 weights from one evaluation and sums the memory exactly,
 blocked over levels.  A step is then one call of a body bound once per
 march (:func:`_step_body`): it adds the memory load to its right-hand
-side, does one banded back-substitution and writes its level in place
+side, does one tridiagonal solve and writes its level in place
 into a buffer of one block of levels.  The march owns its per-step
 buffers (the load goes into the row of the level being produced, the
 right-hand side into one buffer per march), and it checks for blow-up
@@ -45,7 +49,7 @@ import importlib.machinery
 import importlib.util
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Optional
@@ -146,7 +150,10 @@ class StepOperator:
 
     The bands are the matrix's one form: it is factored on the first
     :meth:`solve` and the factors are reused by every later one, and
-    ``op @ y`` multiplies by it in O(N).
+    ``op @ y`` multiplies by it in O(N).  Which factorisation the
+    interior block takes is :attr:`_factors`' choice alone: LDL^T when it
+    is symmetric positive definite, as at every step of the scheme, and
+    band LU otherwise.
     """
 
     lower: np.ndarray
@@ -156,8 +163,21 @@ class StepOperator:
     last_row: tuple[float, float, float]
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """LU of the interior block T, v = T^{-1} g and the closure pivot.
+    def _factors(self) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, int]],
+                                np.ndarray, float]:
+        """The solve with the interior block T, v = T^{-1} g, the closure pivot.
+
+        A symmetric T of at least two rows (``lower[1:]`` equal to
+        ``upper[:-1]``, as :func:`build_step` makes them) is factored as
+        LDL^T by ``dpttrf``, which succeeds exactly when T is positive
+        definite: the scheme's T = c_new*I - sigma*Lambda_h is, with
+        positive faces and c_new > 0, and LDL^T without pivoting is
+        backward stable there.  Any other T takes band LU with partial
+        pivoting (``dgbtrf``): a non-symmetric system, a symmetric one
+        that dpttrf finds indefinite, and the one-row interior of N=2,
+        which scipy's dpttrf wrapper refuses.  The solve, ``solve(b) ->
+        (T^{-1} b, info)``, is the bound ``dpttrs`` or ``dgbtrs`` and
+        returns a new array, so b keeps its values.
 
         g collects the border couplings of the interior rows to y_N (the
         corner plus the natural last band entry).  The flux row then
@@ -165,17 +185,23 @@ class StepOperator:
         with u = T^{-1} rhs, and the interior follows as u - y_N*v.
         """
         m = self.diag.size
-        ab = np.zeros((4, m))           # dgbtrf layout, kl = ku = 1
-        ab[1, 1:] = self.upper[:-1]
-        ab[2] = self.diag
-        ab[3, :-1] = self.lower[1:]
-        lu, piv, info = lapack.dgbtrf(ab, 1, 1)
-        if info > 0:
-            raise SingularSystemError(
-                f"zero pivot in interior row {info} of the banded factorisation"
-            )
+        solve = None
+        if m > 1 and np.array_equal(self.lower[1:], self.upper[:-1]):
+            d, e, info = lapack.dpttrf(self.diag, self.upper[:-1])
+            if info == 0:
+                solve = partial(lapack.dpttrs, d, e)
+        if solve is None:
+            ab = np.zeros((4, m))           # dgbtrf layout, kl = ku = 1
+            ab[1, 1:] = self.upper[:-1]
+            ab[2] = self.diag
+            ab[3, :-1] = self.lower[1:]
+            lu, piv, info = lapack.dgbtrf(ab, 1, 1)
+            if info > 0:
+                raise SingularSystemError(f"zero pivot in interior row {info} "
+                                          f"of the banded factorisation")
+            solve = partial(lapack.dgbtrs, lu, 1, 1, ipiv=piv)
         g = (self @ np.append(np.zeros(m), 1.0))[:m]     # column y_N
-        v, _ = lapack.dgbtrs(lu, 1, 1, g, piv)
+        v, _ = solve(g)
 
         b1, bNm1, bN = self.last_row
         with np.errstate(over="ignore", invalid="ignore"):
@@ -187,16 +213,16 @@ class StepOperator:
                 f"flux-row closure (row {m + 1}) is singular "
                 f"(pivot {denom:.3e}, row scale {scale:.3e})"
             )
-        return lu, piv, v, float(denom)
+        return solve, v, float(denom)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve the system for one right-hand side of length N.
 
         The solution is written into ``out``; ``rhs`` is left as it is.
         """
-        lu, piv, v, denom = self._factors
+        solve, v, denom = self._factors
         m = v.size
-        u, _ = lapack.dgbtrs(lu, 1, 1, rhs[:m], piv)    # a copy of rhs[:m]
+        u, _ = solve(rhs[:m])                   # a copy of rhs[:m]
         b1, bNm1, _ = self.last_row
         yN = (rhs.item(m) - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
         np.subtract(u, yN * v, out[:m])
@@ -510,11 +536,11 @@ def _step_body(step: Step, memory: L1Memory, buf: np.ndarray, alpha: float,
     the levels keep their bytes, in one call per step.  At sigma < 1 the
     band products are one multiply by a ``(3, N-1)`` window of level n.
     """
-    lu, piv, v, denom = step.operator._factors
+    solve, v, denom = step.operator._factors
     m = v.size
     b1, bNm1, _ = step.operator.last_row
     c, inc, c_new = memory._c, memory._inc, memory.c_new
-    far_loads, dgbtrs = memory._far_loads, lapack.dgbtrs
+    far_loads = memory._far_loads
     two_by_h, beta, h2 = step.two_by_h, step.beta, step.h2
     explicit, flux_N, flux_1 = step.explicit, step.flux_N, step.flux_1
     add, subtract, multiply = np.add, np.subtract, np.multiply
@@ -559,7 +585,7 @@ def _step_body(step: Step, memory: L1Memory, buf: np.ndarray, alpha: float,
                     + flux_1 * (yn.item(1) - yn.item(0)))
         rhs[m] = flux
         # the solve (StepOperator.solve), and y_0 from the value coupling
-        u, _ = dgbtrs(lu, 1, 1, inner, piv)     # a copy of rhs[:m]
+        u, _ = solve(inner)                     # a copy of rhs[:m]
         yN = (flux - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
         subtract(u, multiply(yN, v, scratch), interior)
         level[-1] = yN
@@ -581,8 +607,8 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     a singular one SingularSystemError) and checks level 0 (a bad one
     raises DomainError), so a refused march calls no fold.  Each step
     is then one call of the step body (:func:`_step_body`): the memory
-    load, the right-hand side and one banded solve, with y_0 from the
-    value coupling.
+    load, the right-hand side and one tridiagonal solve, with y_0 from
+    the value coupling.
 
     A data block (``block_levels``) is made in a window whose rows 0 and 1
     hold the levels n0-1 and n0: one buffer of ``block_levels + 2`` rows

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -33,6 +34,7 @@ from fracheat.stepper import (
     assemble_step,
     block_levels,
     build_step,
+    lapack,
     march,
     march_blocks,
     solve_bordered,
@@ -388,6 +390,83 @@ def test_solve_into_a_buffer_matches_and_keeps_the_rhs(system):
     dense = solve_dense_oracle(system)
     scale = max(float(np.max(np.abs(dense))), 1e-30)
     assert np.max(np.abs(buf - dense)) / scale <= 1e-11
+
+
+@st.composite
+def symmetric_systems(draw):
+    """Step systems that :func:`build_step` makes, N in [2, 64].
+
+    The faces are positive, in [0.5, 2]; sigma is in [0, 1] and c_new in
+    [1, 1e4] (c_new = tau^-gamma/Gamma(2-gamma) >= 1 for tau <= 1);
+    alpha and beta have one sign, in [0.1, 4] in magnitude.  So the
+    interior block is symmetric positive definite, and at sigma > 0 its
+    condition number reaches about 3e4.
+    """
+    N = draw(st.integers(2, 64))
+    grid = Grid(N=N, Nt=10)
+    faces = draw(hnp.arrays(float, N, elements=st.floats(0.5, 2.0)))
+    at = (np.arange(1, N + 1) - 0.5) * grid.h      # where the faces lie
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    alpha, beta = (sign * draw(st.floats(0.1, 4.0)) for _ in range(2))
+    problem = Problem(gamma=0.5, alpha=alpha, beta=beta,
+                      k=lambda x: np.interp(x, at, faces),
+                      f=lambda x, t: np.zeros_like(x), mu=lambda t: 0.0,
+                      u0=np.zeros_like, c1=0.5, c2=2.0)
+    operator = build_step(problem, grid, draw(st.floats(0.0, 1.0)),
+                          c_new=draw(st.floats(1.0, 1e4))).operator
+    return StepSystem(**vars(operator), rhs=draw(hnp.arrays(
+        float, N, elements=st.floats(-1.0, 1.0))))
+
+
+def band_lu_solve(system):
+    """``solve_bordered`` of a copy of ``system`` whose dpttrf always fails.
+
+    The copy's interior block then takes band LU, as an indefinite one
+    does.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lapack, "dpttrf", lambda d, e: (d, e, 1))
+        return solve_bordered(dataclasses.replace(system))
+
+
+@given(symmetric_systems())
+def test_symmetric_systems_match_the_oracle_and_band_lu(system):
+    # LDL^T (dpttrf/dpttrs) and band LU with pivoting (dgbtrf/dgbtrs) are
+    # both backward stable here, so they differ by rounding: 1e-12 of the
+    # solution's max norm bounds it (at most 2e-13 in 3,000 random draws
+    # and 1,152 systems at the corners of these ranges).
+    fast = solve_bordered(system)
+    dense = solve_dense_oracle(system)
+    scale = max(float(np.max(np.abs(dense))), 1e-30)
+    assert np.max(np.abs(fast - dense)) / scale <= 1e-11
+    assert np.max(np.abs(fast - band_lu_solve(system))) / scale <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 80])
+def test_the_scheme_step_binds_ldlt_from_two_interior_rows(N):
+    # build_step makes the interior block symmetric bit for bit; with two
+    # rows or more it takes dpttrs.  N=2 has one interior row, which
+    # scipy's dpttrf wrapper refuses, so it takes band LU.
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    operator = build_step(problem, Grid(N=N, Nt=10), 0.5, c_new=3.7).operator
+    assert np.array_equal(operator.lower[1:], operator.upper[:-1])
+    solve = operator._factors[0]
+    assert solve.func is (lapack.dgbtrs if N == 2 else lapack.dpttrs)
+
+
+def test_symmetric_indefinite_interior_falls_back_to_band_lu():
+    # A negative diagonal entry: dpttrf stops at it (info > 0), and the
+    # band LU with pivoting solves the regular system.
+    system = StepSystem(lower=np.array([0.0, -1.0, -1.0, -1.0]),
+                        diag=np.array([4.0, -3.0, 4.0, 4.0]),
+                        upper=np.array([-1.0, -1.0, -1.0, -0.5]), corner=-0.5,
+                        last_row=(-1.0, -1.0, 4.0),
+                        rhs=np.array([1.0, -2.0, 3.0, 0.5, 1.0]))
+    assert lapack.dpttrf(system.diag, system.upper[:-1])[2] > 0
+    fast = solve_bordered(system)
+    assert system._factors[0].func is lapack.dgbtrs
+    dense = solve_dense_oracle(system)
+    assert np.max(np.abs(fast - dense)) / np.max(np.abs(dense)) <= 1e-11
 
 
 @st.composite
@@ -799,6 +878,8 @@ def test_the_solve_calls_the_wrappers_scipy_linalg_exports(imports,
         "from scipy.linalg import lapack\n"
         "assert stepper.lapack.dgbtrf is lapack.dgbtrf\n"
         "assert stepper.lapack.dgbtrs is lapack.dgbtrs\n"
+        "assert stepper.lapack.dpttrf is lapack.dpttrf\n"
+        "assert stepper.lapack.dpttrs is lapack.dpttrs\n"
         "assert stepper.lapack is sys.modules['scipy.linalg._flapack']\n")
     assert done.returncode == 0, done.stderr
 

@@ -37,12 +37,20 @@ program produces is checked in two ways:
   the per-step residuals.
 
 Each difference is printed on its own line; the exit code is 1 if there
-is any difference and 0 if there is none.
+is any difference and 0 if there is none.  The line says what moved: a
+call that differs prints its exit codes, or its first changed lines (at
+most 5 of each tree per stream, stdout or the ``--out`` file); a march
+whose hash differs prints its largest relative level difference, the
+largest over its levels of max|y' - y| / max(|y|, |y'|), from the level
+arrays that both trees save to a temporary directory (0 when only the
+blow-up record or the residuals moved).  A tree against itself reports
+0 differences.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -50,6 +58,8 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,51 +97,54 @@ EXTRA_CALLS = (
     ("solve", "--n", "8", "--nt", "300", "--out", "{out}", "--history"),
 )
 
-# Prints {key: sha256 of the level array, blow-up level and norm, and
-# residuals}.
+# Prints {key: [sha256 of the level array, blow-up level and norm, and
+# residuals; the file in the folder sys.argv[1] that holds the levels]}.
 HASH_SCRIPT = """
-import hashlib, json, math
+import hashlib, json, math, sys
 import numpy as np
 from fracheat.core import Grid, Problem, SchemeParams
 from fracheat.manufactured import build_manufactured, build_zero
 from fracheat.prng import uniform_symmetric
 from fracheat.stepper import march
 
-def digest(outcome):
+out = {}
+
+def digest(key, outcome):
+    levels = f"{sys.argv[1]}/{len(out)}.npy"
+    np.save(levels, outcome.history)
     h = hashlib.sha256(outcome.history.tobytes())
     h.update(repr(outcome.blow_up).encode())
     if outcome.per_step_residuals is not None:
         h.update(np.array(outcome.per_step_residuals).tobytes())
-    return h.hexdigest()
+    out[key] = [h.hexdigest(), levels]
 
-out = {}
 for gamma in (0.2, 0.4, 0.5, 0.8):
     for sigma in (1.0, 0.3, 0.5):
         for N in (20, 40, 80, 160):
             outcome = march(build_manufactured(3.0, 2.0, gamma),
                             Grid.balanced(N, gamma), SchemeParams(sigma))
-            out[f"mms g={gamma} s={sigma} N={N}"] = digest(outcome)
-out["blow-up a=0.1 b=10 g=0.4 N=80"] = digest(march(
+            digest(f"mms g={gamma} s={sigma} N={N}", outcome)
+digest("blow-up a=0.1 b=10 g=0.4 N=80", march(
     build_manufactured(0.1, 10.0, 0.4), Grid.balanced(80, 0.4),
     SchemeParams(1.0), check_residuals=True))
-out["blow-up past level 256 a=0.1 b=10 g=0.3 N=200"] = digest(march(
+digest("blow-up past level 256 a=0.1 b=10 g=0.3 N=200", march(
     build_manufactured(0.1, 10.0, 0.3), Grid.balanced(200, 0.3),
     SchemeParams(1.0), check_residuals=True))
-out["residuals g=0.5 s=0.5 N=40"] = digest(march(
+digest("residuals g=0.5 s=0.5 N=40", march(
     build_manufactured(3.0, 2.0, 0.5), Grid.balanced(40, 0.5),
     SchemeParams(0.5), check_residuals=True))
 y0 = uniform_symmetric(5, 17)
 y0[0] = 2.0 * y0[-1]
-out["random zero-data N=16 Nt=400 s=0.6"] = digest(march(
+digest("random zero-data N=16 Nt=400 s=0.6", march(
     build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=400), SchemeParams(0.6), y0=y0))
 # plain callbacks, f scalar-only: the march samples it point by point
-out["plain callbacks N=24 Nt=300 s=0.7"] = digest(march(Problem(
+digest("plain callbacks N=24 Nt=300 s=0.7", march(Problem(
     gamma=0.6, alpha=2.0, beta=3.0, k=np.exp,
     f=lambda x, t: math.sin(3.0 * x) * (1.0 + t), mu=lambda t: math.cos(t),
     u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
     Grid(N=24, Nt=300), SchemeParams(0.7)))
 # sigma = 1 with a -0.0 source on a concave level 0
-out["negative-zero source N=12 Nt=300 s=1"] = digest(march(Problem(
+digest("negative-zero source N=12 Nt=300 s=1", march(Problem(
     gamma=0.5, alpha=1.0, beta=2.0, k=np.exp,
     f=lambda x, t: np.full_like(x, -0.0), mu=lambda t: 0.0,
     u0=lambda x: -x**2, c1=1.0, c2=math.e),
@@ -140,13 +153,13 @@ out["negative-zero source N=12 Nt=300 s=1"] = digest(march(Problem(
 # (64, 577) or of the march's data blocks (256 levels at N = 12)
 for Nt in (64, 65, 256, 257, 577):
     for sigma in (1.0, 0.5):
-        out[f"block edge N=12 Nt={Nt} s={sigma}"] = digest(march(
+        digest(f"block edge N=12 Nt={Nt} s={sigma}", march(
             build_manufactured(3.0, 2.0, 0.5), Grid(N=12, Nt=Nt),
             SchemeParams(sigma), check_residuals=True))
 # the smallest interiors, 1 and 2 unknowns, across two memory blocks
 for N in (2, 3):
     for sigma in (1.0, 0.5):
-        out[f"smallest N={N} Nt=130 s={sigma}"] = digest(march(
+        digest(f"smallest N={N} Nt=130 s={sigma}", march(
             build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=130),
             SchemeParams(sigma), check_residuals=True))
 print(json.dumps(out))
@@ -185,12 +198,38 @@ def call_result(src: Path, argv: tuple[str, ...]) -> tuple[int, str, bytes]:
                 out.read_bytes() if out.exists() else b"")
 
 
-def level_hashes(src: Path) -> dict[str, str]:
+def changed_lines(a: str, b: str, limit: int = 5) -> list[str]:
+    """The first ``limit`` lines of each text that the other lacks."""
+    diff = list(difflib.unified_diff(a.splitlines(), b.splitlines(),
+                                     lineterm="", n=0))[2:]   # no file names
+    sides = [[line for line in diff if line[0] == sign] for sign in "-+"]
+    shown = [f"  {line}" for side in sides for line in side[:limit]]
+    hidden = sum(max(len(side) - limit, 0) for side in sides)
+    return shown + ([f"  ({hidden} more changed lines)"] if hidden else [])
+
+
+def level_hashes(src: Path, folder: Path) -> dict[str, list[str]]:
+    """{march: [hash, file of its levels in ``folder``]} under ``src``."""
     with tempfile.TemporaryDirectory() as tmp:
-        proc = run(src, ["-c", HASH_SCRIPT], tmp)
+        proc = run(src, ["-c", HASH_SCRIPT, str(folder)], tmp)
     if proc.returncode != 0:
         sys.exit(f"error: level hashes failed under {src}:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def level_difference(a: np.ndarray, b: np.ndarray) -> str:
+    """Largest over the levels of max|b - a| / max(|a|, |b|), as text.
+
+    Entries that are equal, or NaN on both sides, differ by 0.
+    """
+    if a.shape != b.shape:
+        return f"level arrays of shapes {a.shape} and {b.shape}"
+    with np.errstate(invalid="ignore", over="ignore"):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        diff = np.where(same, 0.0, np.abs(b - a)).max(axis=1)
+        top = np.maximum(np.abs(a), np.abs(b)).max(axis=1)
+        relative = np.where(diff == 0.0, 0.0, diff / top)
+    return f"largest relative level difference {relative.max():.1e}"
 
 
 def main() -> int:
@@ -212,12 +251,21 @@ def main() -> int:
             if a != b:
                 differences += 1
                 print(f"DIFF {what}: fracheat {' '.join(argv)}")
-    parent = level_hashes(args.parent_src)
-    change = level_hashes(args.change_src)
-    for key in sorted(parent.keys() | change.keys()):
-        if parent.get(key) != change.get(key):
-            differences += 1
-            print(f"DIFF level hash: {key}")
+                if what == "exit code":
+                    print(f"  {a} -> {b}")
+                else:
+                    if isinstance(a, bytes):
+                        a, b = (t.decode(errors="replace") for t in (a, b))
+                    print("\n".join(changed_lines(a, b)))
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, change = (level_hashes(src, Path(tempfile.mkdtemp(dir=tmp)))
+                          for src in (args.parent_src, args.change_src))
+        for key, (digest, levels) in sorted(parent.items()):
+            if digest != change[key][0]:
+                differences += 1
+                moved = level_difference(np.load(levels),
+                                         np.load(change[key][1]))
+                print(f"DIFF level hash: {key} ({moved})")
     print(f"{len(calls)} calls, {len(parent)} level hashes: "
           f"{differences} difference(s)")
     return 1 if differences else 0
