@@ -283,8 +283,8 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
 
     The levels are folded a block at a time as the march makes them (see
     ``stepper.march_blocks``): into the error norms, the last level and,
-    if given, ``sink(grid, first level, block)``.  No array of every
-    level is kept.
+    if given, ``sink(grid, first level, block)``.  Only the march holds
+    every level, while it runs.
     """
     _check_problem(problem_name)
     problem = CATALOG[problem_name](alpha=alpha, beta=beta, gamma=gamma, T=T)
@@ -357,8 +357,9 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
 
     For each gamma (no two alike) and each tau (each dividing t_final into
     a distinct number of at most MAX_STEPS steps, up to roundoff; t_final
-    and each tau normal floats, see ``core.check_time``) the test function
-    is sampled on the time grid, the discrete operator is evaluated at
+    and each tau normal floats, see ``core.check_time``, and the test
+    function not equal at t_final and 0) the test function is sampled on
+    the time grid, the discrete operator is evaluated at
     t_final, and the difference to the oracle is tabulated together with
     the observed order between consecutive tau values.
     """
@@ -372,6 +373,10 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
     if not taus:
         raise UsageError("taus: need at least one time step")
     check_time("t: final time", t_final)
+    v, v_prime = ORDER_FUNCTIONS[function]
+    if t_final < 1.0 and v(t_final) == v(0.0):     # all finite below 1
+        raise UsageError(f"t: {function!r} does not change over [0, t] at "
+                         f"t={t_final}")
     steps_of: dict[float, int] = {}
     for tau in taus:
         check_time("taus: time step", tau)
@@ -381,7 +386,6 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
             raise UsageError(f"tau: {tau} does not divide t_final={t_final}")
     if len(set(steps_of.values())) < len(taus):
         raise UsageError(f"taus: step counts must be distinct, got {taus}")
-    v, v_prime = ORDER_FUNCTIONS[function]
     rows = []
     for gamma in gammas:
         try:

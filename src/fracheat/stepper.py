@@ -4,11 +4,11 @@ Each time step solves a linear system for the new level.  After the
 value coupling y_0 = alpha*y_N eliminates the left endpoint, the system
 over y_1..y_N is tridiagonal except for a corner coefficient on y_N in
 the first row and the last row (the discretised flux coupling), which
-touches columns 1, N-1 and N.  It is solved in O(N) by superposition:
-LAPACK factors the tridiagonal interior block, and a scalar closure of
-the flux row gives y_N.  The scheme's spatial operator is self-adjoint
-and positive, so the interior block of every step it builds is
-symmetric positive definite and takes LDL^T without pivoting
+touches columns 1, N-1 and N.  It is solved in O(N) by a scalar closure
+of the flux row, which gives y_N first, and one tridiagonal solve of the
+interior, which LAPACK writes in place.  The scheme's spatial operator
+is self-adjoint and positive, so the interior block of every step it
+builds is symmetric positive definite and takes LDL^T without pivoting
 (``dpttrf``/``dpttrs``); any other block takes band LU with partial
 pivoting (``dgbtrf``/``dgbtrs``).  The LAPACK routines come from scipy's
 extension module, loaded without the ``scipy.linalg`` package.
@@ -19,26 +19,24 @@ The scheme has constant coefficients in time, so a march derives its
 same operator on the old level, and the source on the nodes
 (:class:`~fracheat.core.NodeSampler`, which samples the space factors of
 :class:`~fracheat.core.Separable` data once).  The march samples f and mu a
-block of levels at a time (:func:`block_levels`), and :class:`L1Memory`
-takes its L1 weights from one evaluation and sums the memory exactly,
-blocked over levels.  A step is then one call of a body bound once per
-march (:func:`_step_body`): it adds the memory load to its right-hand
-side, does one tridiagonal solve and writes its level in place
-into a buffer of one block of levels.  The march owns its per-step
-buffers (the load goes into the row of the level being produced, the
-right-hand side into one buffer per march), and it checks for blow-up
-once per data block, dropping any levels it computed past one.
+block of levels at a time (:func:`block_levels`).  :class:`L1Memory`
+takes its L1 weights from one evaluation, holds the march's one level
+history and sums the memory exactly over the levels themselves
+(summation by parts), blocked over levels.  A step is then one call of
+a body bound once per march (:func:`_step_body`): a product of the
+memory weights with the block's levels, one addition of the block's
+source minus its far memory, the closure and one in-place tridiagonal
+solve into the level's row.  The march checks for blow-up once per data
+block, dropping any levels it computed past one.
 
 :func:`march_blocks` is the march: one call that hands each block of
 levels, as it is made and checked, to the caller's folds (error and
-energy norms, a CSV writer), so the levels are read a block at a time
-and no array of every level exists.  :func:`march` has it make the
-levels in place in one ``(Nt+2, N+1)`` array instead, for the callers
-that want the whole history.
+energy norms, a CSV writer) as views of the history's rows;
+:func:`march` passes its own array as the history and returns it.
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
-memory term from a level array into buffers of its own, through the
-body's reference forms :func:`_step_rhs` and :meth:`StepOperator.solve`;
+memory term from a level array by the increment form, independently of
+:class:`L1Memory`, through :func:`_step_rhs` and :meth:`StepOperator.solve`;
 a dense LU solve of the same system is kept as a test oracle, and the
 march can optionally record the relative residual of every step.
 """
@@ -121,10 +119,10 @@ BLOWUP_LIMIT = 1e100
 _CLOSURE_ULPS = 64.0
 
 # Levels per block of the memory sum (see L1Memory): the far part of a
-# block's loads is a product of a _BLOCK-row weight slice with the
-# increment history, taken _SPAN increments at a time.  A _SPAN-wide
-# slice of the weights (256 KB) and of a history 321 nodes wide (1.3 MB)
-# fit a 2 MB L2 cache together, and the copied slice does not grow with Nt.
+# block's loads is a product of a _BLOCK-row weight slice with the level
+# history, taken _SPAN levels at a time.  A _SPAN-wide slice of the
+# weights (256 KB) and of a history 321 nodes wide (1.3 MB) fit a 2 MB
+# L2 cache together, and the copied slice does not grow with Nt.
 _BLOCK = 64
 _SPAN = 512
 
@@ -163,9 +161,9 @@ class StepOperator:
     last_row: tuple[float, float, float]
 
     @cached_property
-    def _factors(self) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, int]],
+    def _factors(self) -> tuple[Callable[..., tuple[np.ndarray, int]],
                                 np.ndarray, float]:
-        """The solve with the interior block T, v = T^{-1} g, the closure pivot.
+        """The solve with the interior block T, the closure row z, its pivot.
 
         A symmetric T of at least two rows (``lower[1:]`` equal to
         ``upper[:-1]``, as :func:`build_step` makes them) is factored as
@@ -176,20 +174,26 @@ class StepOperator:
         pivoting (``dgbtrf``): a non-symmetric system, a symmetric one
         that dpttrf finds indefinite, and the one-row interior of N=2,
         which scipy's dpttrf wrapper refuses.  The solve, ``solve(b) ->
-        (T^{-1} b, info)``, is the bound ``dpttrs`` or ``dgbtrs`` and
-        returns a new array, so b keeps its values.
+        (T^{-1} b, info)``, is the bound ``dpttrs`` or ``dgbtrs``; with
+        ``overwrite_b=1`` it writes T^{-1} b over a contiguous b.
 
-        g collects the border couplings of the interior rows to y_N (the
-        corner plus the natural last band entry).  The flux row then
-        closes the scalar equation denom*y_N = rhs_N - b1*u_0 - bNm1*u_{m-1}
-        with u = T^{-1} rhs, and the interior follows as u - y_N*v.
+        The flux row reads the interior u = T^{-1}(rhs - y_N*g), g the
+        column of y_N in the interior rows (the corner and the last band
+        entry), as b1*u_0 + bNm1*u_{m-1} = z.(rhs - y_N*g) with z =
+        T^{-T}(b1*e_0 + bNm1*e_{m-1}) (dgbtrs with ``trans=1``; T^{-T} =
+        T^{-1} for LDL^T).  So y_N closes first, denom*y_N = rhs_N - z.rhs
+        with denom = bN - z.g, and the interior is one solve of rhs - y_N*g.
         """
         m = self.diag.size
         solve = None
+        b1, bNm1, bN = self.last_row
+        row = np.zeros(m)                   # the flux row on the interior
+        np.add.at(row, [0, m - 1], [b1, bNm1])
         if m > 1 and np.array_equal(self.lower[1:], self.upper[:-1]):
             d, e, info = lapack.dpttrf(self.diag, self.upper[:-1])
             if info == 0:
                 solve = partial(lapack.dpttrs, d, e)
+                z, _ = solve(row)
         if solve is None:
             ab = np.zeros((4, m))           # dgbtrf layout, kl = ku = 1
             ab[1, 1:] = self.upper[:-1]
@@ -200,32 +204,32 @@ class StepOperator:
                 raise SingularSystemError(f"zero pivot in interior row {info} "
                                           f"of the banded factorisation")
             solve = partial(lapack.dgbtrs, lu, 1, 1, ipiv=piv)
+            z, _ = solve(row, trans=1)
         g = (self @ np.append(np.zeros(m), 1.0))[:m]     # column y_N
-        v, _ = solve(g)
-
-        b1, bNm1, bN = self.last_row
         with np.errstate(over="ignore", invalid="ignore"):
-            denom = bN - b1 * v[0] - bNm1 * v[m - 1]
-            scale = abs(bN) + abs(b1 * v[0]) + abs(bNm1 * v[m - 1])
+            denom = bN - z.dot(g)
+            scale = abs(bN) + np.abs(z).dot(np.abs(g))
         # Written so that a NaN or infinite pivot counts as singular too.
         if not abs(denom) > _CLOSURE_ULPS * np.finfo(float).eps * scale:
             raise SingularSystemError(
                 f"flux-row closure (row {m + 1}) is singular "
                 f"(pivot {denom:.3e}, row scale {scale:.3e})"
             )
-        return solve, v, float(denom)
+        return solve, z, float(denom)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Solve the system for one right-hand side of length N.
 
         The solution is written into ``out``; ``rhs`` is left as it is.
         """
-        solve, v, denom = self._factors
-        m = v.size
-        u, _ = solve(rhs[:m])                   # a copy of rhs[:m]
-        b1, bNm1, _ = self.last_row
-        yN = (rhs.item(m) - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
-        np.subtract(u, yN * v, out[:m])
+        solve, z, denom = self._factors
+        m = z.size
+        u = out[:m]
+        u[:] = rhs[:m]
+        yN = (rhs.item(m) - z.dot(u)) / denom
+        u[0] -= self.corner * yN
+        u[m - 1] -= self.upper.item(-1) * yN
+        u[:] = solve(u, overwrite_b=1)[0]       # in place if u is contiguous
         out[m] = yN
         return out
 
@@ -291,90 +295,89 @@ class SolveOutcome:
 
 
 class L1Memory:
-    """Discrete Caputo memory of a march with ``Nt`` steps.
+    """Discrete Caputo memory of a march with ``Nt`` steps, in level form.
 
-    At level n+1 the operator sum_{s<=n} c[s]*(y^{s+1} - y^s), whose
-    newest weight is c[n] = c_new, splits as c_new*y^{n+1} + load with
+    With c_k the weight of the increment of lag k (c_0 = c_new), the
+    operator at level n+1, sum_{s<=n} c_{n-s}*(y^{s+1} - y^s), splits as
+    c_new*y^{n+1} + load.  Summation by parts writes the load over the
+    levels themselves:
 
-        load = sum_{s<n} c[s]*(y^{s+1} - y^s) - c_new*y^n.
+        load = -sum_{l=1..n} d_{n-l}*y^l - c_n*y^0,    d_k = c_k - c_{k+1}.
 
     The weights of every level are tails of one array, computed once and
-    kept newest-last and contiguous: a reversed view would make the
-    contraction an order of magnitude slower.  :meth:`load` is a step's
-    memory part: the loads come in order, n = 0, 1, ..., and each
-    records the increment of the level produced since the previous one.
-    The march's step body (:func:`_step_body`) runs the same operations
-    on the same arrays; :meth:`load` is their reference form.
+    kept newest-last and contiguous (a reversed view would make the
+    contraction an order of magnitude slower), and d is their difference.
+    For k >= 1, c_{k+1} <= c_k <= 2*c_{k+1}, so d_k is exact (Sterbenz)
+    and the load is, in exact arithmetic, the increment form's on the
+    same weights.
+
+    The memory holds the march's one level history, ``history`` (row l
+    holds level l; ``(Nt+1, width)``, or the caller's ``out``), which the
+    march writes and the far loads read.  :meth:`load`, the reference form
+    of the step body's sums (:func:`_step_body`), takes the loads in order,
+    n = 0, 1, ...: that of level n+1 reads the rows 0..n, and the rows
+    past n are scratch.
 
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
-    the terms of every increment older than n0, is the matrix product
-    ``W @ inc[:n0]`` whose row j holds the weights of level n0+j+1 on
-    those increments.  W is a Toeplitz slice of the weights: its rows
-    overlap in memory, and BLAS takes no such view without a slow
-    fallback, so W is copied C-contiguous once per block, ``_SPAN``
-    columns at a time, from a window view of the weights built once.
-    Each step then adds only its *near* part, the at most ``_BLOCK - 1``
-    increments since n0.  The history of increments is thus streamed
-    from memory once per block instead of once per level.  The first
-    block has no far part, so marches of at most ``_BLOCK`` steps sum
-    exactly as one contraction per level does; later loads differ from
-    it by rounding only.
+    the terms of every level older than n0 (of level 0 alone in the first
+    block), is the matrix product ``W @ history[:n0]`` whose row j holds
+    the weights of level n0+j+1 on those levels.  Past its first column
+    (level 0) W is a Toeplitz slice of d: its rows overlap in memory, and
+    BLAS takes no such view without a slow fallback, so W is copied
+    C-contiguous once per block, ``_SPAN`` columns at a time, from a
+    window view of d built once.  Each step then adds only its *near*
+    part, the at most ``_BLOCK`` levels from n0 (from 1 in the first
+    block) to n.  The history is thus streamed from memory once per block
+    instead of once per level.
     """
 
-    def __init__(self, gamma: float, tau: float, Nt: int, width: int):
+    def __init__(self, gamma: float, tau: float, Nt: int, width: int,
+                 out: Optional[np.ndarray] = None):
         self._c = l1_weights(Nt - 1, gamma, tau).c
         self.c_new = float(self._c[-1])
-        # Row i is c[i:i + _SPAN].  The zero padding gives the last, shorter
-        # span of a block its rows too; it reads only their first columns,
-        # which lie inside c[:-1].
+        self._d = self._c[1:] - self._c[:-1]        # d_k in self._d[-1 - k]
+        # Row i is [0, d, 0...][i:i + _SPAN].  The leading zero gives the
+        # last row of a block's level-0 column, which W takes from c; the
+        # trailing ones give the last, shorter span of a block its rows too,
+        # and it reads only their first columns, which lie inside d.
         self._windows = sliding_window_view(
-            np.append(self._c[:-1], np.zeros(_SPAN)), _SPAN)
-        self._inc = np.empty((Nt, width))
+            np.concatenate(([0.0], self._d, np.zeros(_SPAN))), _SPAN)
+        self.history = np.empty((Nt + 1, width)) if out is None else out
 
-    def load(self, levels: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-        """Memory load of level n+1, into ``out``.
-
-        ``levels`` ends with level n, after level n-1 when n > 0: the march
-        passes the two rows of its block buffer, and any array of the
-        levels 0..n will do.  The increment y^n - y^{n-1} is recorded
-        first, and the row of the next increment is scratch.
-        """
-        yn = levels[-1]
-        if n == 0:
-            return np.multiply(-self.c_new, yn, out)
-        np.subtract(yn, levels[-2], out=self._inc[n - 1])
+    def load(self, n: int, out: np.ndarray) -> np.ndarray:
+        """Memory load of level n+1, from the history's rows 0..n, into out."""
         j = n % _BLOCK
         if j == 0:
             self._far = self._far_loads(n)
-        # self._c[-1 - j:-1] is l1_weights(j, ...).c[:-1], the near weights
-        total = np.matmul(self._c[-1 - j:-1], self._inc[n - j:n], out)
-        if n >= _BLOCK:
-            total += self._far[j]
-        return np.subtract(total, np.multiply(self.c_new, yn, self._inc[n]),
-                           total)
+        lo = max(n - j, 1)
+        np.matmul(self._d[self._d.size - 1 - n + lo:],
+                  self.history[lo:n + 1], out)
+        np.add(out, self._far[j], out)
+        return np.negative(out, out)
 
     def _far_loads(self, n0: int) -> np.ndarray:
-        """Far parts of the loads of the block starting at level n0.
+        """Far parts of minus the loads of the block starting at level n0.
 
-        Row j is ``l1_weights(n0 + j, ...).c[:n0] @ inc[:n0]``, for the
-        levels of the block that the march can reach.  The weight slice is
-        copied ``_SPAN`` increments at a time, so the copy stays small
-        however long the march is.  Each span's product goes into the
-        increment rows of the block, which no load has recorded yet, and
-        is added into zeros: starting from the product would keep a -0.0
-        that ``0.0 + p`` turns into +0.0.
+        Row j is ``sum_{l < max(n0, 1)} w_l*y^l`` for level n0+j+1, with
+        w_0 = c_{n0+j} and w_l = d_{n0+j-l}, for the levels of the block
+        that the march can reach.  The weight slice is copied ``_SPAN``
+        levels at a time, so the copy stays small however long the march
+        is; later spans multiply into the block's rows of the history.
         """
-        last = self._c.size - 1
-        rows = min(_BLOCK, last + 1 - n0)
-        top = last - n0 + 1 - rows
-        far = np.zeros((rows, self._inc.shape[1]))
-        product = self._inc[n0:n0 + rows]
-        for k in range(0, n0, _SPAN):
-            m = min(_SPAN, n0 - k)
-            W = np.ascontiguousarray(
-                self._windows[top + k:top + k + rows, :m][::-1])
-            far += np.matmul(W, self._inc[k:k + m], out=product)
+        H, last = self.history, self._c.size
+        rows = min(_BLOCK, last - n0)
+        top = last - n0 - rows
+        far = np.empty((rows, H.shape[1]))
+        for k in range(0, max(n0, 1), _SPAN):
+            m = min(_SPAN, max(n0, 1) - k)
+            W = np.array(self._windows[top + k:top + k + rows, :m][::-1],
+                         order="C")
+            if k == 0:
+                W[:, 0] = self._c[top:top + rows][::-1]
+                np.matmul(W, H[:m], out=far)
+            else:
+                far += np.matmul(W, H[k:k + m], out=H[n0 + 1:n0 + 1 + rows])
         return far
 
 
@@ -514,80 +517,79 @@ def solve_bordered(system: StepSystem) -> np.ndarray:
 def solve_dense_oracle(system: StepSystem) -> np.ndarray:
     """Dense LU solve (partial pivoting) of the full step system.
 
-    Reference path for :func:`solve_bordered`; O(N^3), tests only.
+    Reference path for :func:`solve_bordered`; O(N^3), tests only.  An
+    ``(N, k)`` rhs holds k right-hand sides, solved with one factorisation.
     """
-    A = np.column_stack([system @ e for e in np.eye(system.rhs.size)])
+    A = np.column_stack([system @ e for e in np.eye(len(system.rhs))])
     try:
         return np.linalg.solve(A, system.rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
-def _step_body(step: Step, memory: L1Memory, buf: np.ndarray, alpha: float,
-               rhs: np.ndarray) -> Callable[[int, int, np.ndarray, float],
-                                            None]:
-    """One step of a march, bound once per march: ``advance(k, n, phi, mu)``.
+def _step_body(step: Step, memory: L1Memory, alpha: float,
+               rhs: Optional[np.ndarray]
+               ) -> Callable[[int, np.ndarray, int, float], None]:
+    """One step of a march, bound once per march: ``advance(n, phi, n0, mu)``.
 
-    The call writes level n+1 into row k of ``buf``, whose rows k-2 and
-    k-1 hold the levels n-1 and n, from the source ``phi`` and the flux
-    datum ``mu`` at its data time, and leaves its right-hand side in
-    ``rhs``.  It runs the numpy operations of :meth:`L1Memory.load`,
-    :func:`_step_rhs` and :meth:`StepOperator.solve` in their order, so
-    the levels keep their bytes, in one call per step.  At sigma < 1 the
-    band products are one multiply by a ``(3, N-1)`` window of level n.
+    The call writes level n+1 into its row of the memory's history from
+    the levels before it, the source rows ``phi`` of the data block that
+    starts at level ``n0`` and the flux datum ``mu`` at its data time;
+    with ``rhs`` it also leaves its right-hand side there, for the
+    residual.  As a memory or data block starts, the block's source rows
+    are added in place to the memory's far loads, so phi - load is one
+    near product and one addition; at sigma < 1 the explicit part is one
+    multiply of pre-scaled bands by a ``(3, N-1)`` window of level n and
+    one sum.  The closure gives y_N (see :attr:`StepOperator._factors`),
+    the border entries take their y_N share, and ``dpttrs`` or ``dgbtrs``
+    solves in place.  The reference forms (:meth:`L1Memory.load`,
+    :func:`_step_rhs`, :meth:`StepOperator.solve`) give the same level up
+    to rounding.
     """
-    solve, v, denom = step.operator._factors
-    m = v.size
-    b1, bNm1, _ = step.operator.last_row
-    c, inc, c_new = memory._c, memory._inc, memory.c_new
-    far_loads = memory._far_loads
-    two_by_h, beta, h2 = step.two_by_h, step.beta, step.h2
-    explicit, flux_N, flux_1 = step.explicit, step.flux_N, step.flux_1
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    divide, matmul = np.divide, np.matmul
-    inner, scratch = rhs[:m], np.empty(m)
-    if explicit != 0.0:
-        taps = sliding_window_view(buf, m, axis=1)
-        bands = np.stack((step.a_left, step.a_mid, step.a_right))
-        products = np.empty((3, m))
-        left, mid, right = products
-    far = None
+    solve, z, denom = step.operator._factors
+    m = z.size
+    corner, edge = float(step.operator.corner), step.operator.upper.item(-1)
+    H, d, far_loads = memory.history, memory._d, memory._far_loads
+    top = d.size - 1
+    two_by_h, beta = step.two_by_h, step.beta
+    explicit, flux_N, flux_1 = step.explicit != 0.0, step.flux_N, step.flux_1
+    add, zdot = np.add, z.dot
+    if explicit:
+        taps = sliding_window_view(H, m, axis=1)
+        bands = np.stack((step.a_left, -step.a_mid, step.a_right))
+        bands *= step.explicit / step.h2
+        stack = np.empty((4, m + 2))        # three band products, phi - load
+        products, phi_load = stack[:3, 1:-1], stack[3]
+        summands = stack[:, 1:-1]
+        multiply, total = np.multiply, np.add.reduce
+    far = first = lo = None
 
-    def advance(k: int, n: int, phi: np.ndarray, mu: float) -> None:
-        nonlocal far
-        level, yn = buf[k], buf[k - 1]
-        # the memory load of level n+1 goes into its row (L1Memory.load)
-        if n == 0:
-            multiply(-c_new, yn, level)
-        else:
-            subtract(yn, buf[k - 2], inc[n - 1])
-            j = n % _BLOCK
-            if j == 0:
-                far = far_loads(n)
-            matmul(c[-1 - j:-1], inc[n - j:n], level)
-            if n >= _BLOCK:
-                add(level, far[j], level)
-            subtract(level, multiply(c_new, yn, inc[n]), level)
-        # the right-hand side (_step_rhs)
-        flux = (two_by_h * mu + phi.item(-1) + beta * phi.item(0)
-                - beta * level.item(0) - level.item(-1))
-        interior = level[1:-1]
-        if explicit == 0.0:
-            subtract(phi[1:-1], interior, inner)
-        else:
-            multiply(bands, taps[k - 1], products)
-            subtract(right, mid, inner)
-            add(inner, left, inner)
-            divide(inner, h2, inner)
-            multiply(explicit, inner, inner)
-            add(subtract(phi[1:-1], interior, mid), inner, inner)
+    def advance(n: int, phi: np.ndarray, n0: int, mu: float) -> None:
+        nonlocal far, first, lo
+        if n % _BLOCK == 0:
+            far, first, lo = far_loads(n), n, max(n, 1)
+        j = n - first
+        if j == 0 or n == n0:       # far rows whose phi is new: add it once
+            k = min(len(far) - j, len(phi) - (n - n0))
+            add(far[j:j + k], phi[n - n0:n - n0 + k], far[j:j + k])
+        level = H[n + 1]
+        r = phi_load if explicit else level
+        d[top - n + lo:].dot(H[lo:n + 1], r)
+        add(r, far[j], r)
+        flux = two_by_h * mu + r.item(-1) + beta * r.item(0)
+        g = level[1:-1]
+        if explicit:
+            yn = H[n]
+            multiply(bands, taps[n], products)
+            total(summands, axis=0, out=g)
             flux = (flux - flux_N * (yn.item(-1) - yn.item(-2))
                     + flux_1 * (yn.item(1) - yn.item(0)))
-        rhs[m] = flux
-        # the solve (StepOperator.solve), and y_0 from the value coupling
-        u, _ = solve(inner)                     # a copy of rhs[:m]
-        yN = (flux - b1 * u.item(0) - bNm1 * u.item(m - 1)) / denom
-        subtract(u, multiply(yN, v, scratch), interior)
+        yN = (flux - zdot(g)) / denom
+        if rhs is not None:
+            rhs[:m], rhs[m] = g, flux
+        g[0] = g.item(0) - corner * yN
+        g[m - 1] = g.item(m - 1) - edge * yN
+        solve(g, overwrite_b=1)                 # in place: g is contiguous
         level[-1] = yN
         level[0] = alpha * yN
 
@@ -607,19 +609,16 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     a singular one SingularSystemError) and checks level 0 (a bad one
     raises DomainError), so a refused march calls no fold.  Each step
     is then one call of the step body (:func:`_step_body`): the memory
-    load, the right-hand side and one tridiagonal solve, with y_0 from
-    the value coupling.
+    load and the right-hand side, the closure and one tridiagonal solve
+    in place, with y_0 from the value coupling.
 
-    A data block (``block_levels``) is made in a window whose rows 0 and 1
-    hold the levels n0-1 and n0: one buffer of ``block_levels + 2`` rows
-    that carries its two newest levels to the top after each block, or
-    the rows of ``out`` (``(Nt+2, N+1)``, level n in row n+1) from row n0
-    on.  The load of a new level goes into its row, which the solve then
-    overwrites, and the right-hand side into one N-entry buffer.  Once
-    the guard has read a block, the folds get it in the order given,
-    under the caller's numpy error state; the first also holds level 0.
-    Without ``out`` the next block overwrites it, so a fold that keeps
-    levels copies them.
+    The levels are made in the memory's history (:class:`L1Memory`), one
+    ``(Nt+1, N+1)`` array with level n in row n, which is ``out`` when
+    given.  f and mu are sampled a data block (``block_levels``) at a
+    time.  Once the guard has read a block, the folds get it, a view of
+    the history's rows, in the order given, under the caller's numpy
+    error state; the first also holds level 0.  A fold that changes the
+    levels changes the march.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
@@ -628,54 +627,48 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     the :class:`BlowUp` or None, and with ``check_residuals`` the relative
     residual of every step taken (else None).
     """
-    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1, out)
     step = build_step(problem, grid, params.sigma, memory.c_new)
     step.operator._factors      # factor and check the closure before any load
     rows = block_levels(grid.N + 1)
-    buf = np.empty((rows + 2, grid.N + 1)) if out is None else out
+    levels = memory.history
     if y0 is None:
-        buf[1] = sample_space(problem.u0, grid.x)
+        levels[0] = sample_space(problem.u0, grid.x)
     elif np.shape(y0) != (grid.N + 1,):
         raise DimensionError(f"y0 has shape {np.shape(y0)}, "
                              f"expected ({grid.N + 1},)")
     else:
-        buf[1] = y0
-    blow = _first_blow_up(buf[1:2], 0)
+        levels[0] = y0
+    blow = _first_blow_up(levels[:1], 0)
     if blow is not None:
         raise DomainError(f"initial level: max norm {blow.norm} is not "
                           f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
     sigma, tau = params.sigma, grid.tau
-    rhs = np.empty(grid.N)
-    advance = _step_body(step, memory, buf, problem.alpha, rhs)
+    rhs = np.empty(grid.N) if check_residuals else None
+    advance = _step_body(step, memory, problem.alpha, rhs)
     for n0 in range(0, grid.Nt, rows):
-        # level n is in row n+1-shift of buf; win starts at level n0-1
-        shift = n0 if out is None else 0
-        win = buf[n0 - shift:]
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
-            for n, phi_n, mu_n in zip(range(n0, grid.Nt), phi, mu):
-                advance(n + 2 - shift, n, phi_n, mu_n)
+            for n, mu_n in zip(range(n0, grid.Nt), mu):
+                advance(n, phi, n0, mu_n)
                 if residuals is not None:
                     residuals.append(step.operator.residual(
-                        rhs, buf[n + 2 - shift, 1:]))
+                        rhs, levels[n + 1, 1:]))
             made = len(times)
-            blow = _first_blow_up(win[2:2 + made], n0 + 1)
+            blow = _first_blow_up(levels[n0 + 1:n0 + 1 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it
             made = blow.level - n0
             if residuals is not None:
                 del residuals[blow.level:]
-        first, block = ((0, win[1:2 + made]) if n0 == 0
-                        else (n0 + 1, win[2:2 + made]))
+        first = 0 if n0 == 0 else n0 + 1
         for fold in folds:
-            fold(first, block)
+            fold(first, levels[first:n0 + 1 + made])
         if blow is not None:
             break
-        if out is None:
-            buf[:2] = buf[made:made + 2]
     return blow, residuals
 
 
@@ -684,15 +677,14 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     """March the scheme from the initial condition to the final time.
 
     :func:`march_blocks` (which documents the march, its refusals and its
-    blow-up guard) makes the levels in place in one ``(Nt+2, N+1)`` array,
-    whose first row is scratch; the outcome's history holds the rows
-    produced after it.
+    blow-up guard) makes the levels in one ``(Nt+1, N+1)`` array; the
+    outcome's history holds the rows produced.
     """
-    levels = np.empty((grid.Nt + 2, grid.N + 1))
+    levels = np.empty((grid.Nt + 1, grid.N + 1))
     blow, residuals = march_blocks(problem, grid, params, y0=y0,
                                    check_residuals=check_residuals, out=levels)
     last = grid.Nt if blow is None else blow.level
-    return SolveOutcome(history=levels[1:last + 2], blow_up=blow,
+    return SolveOutcome(history=levels[:last + 1], blow_up=blow,
                         per_step_residuals=residuals)
 
 

@@ -680,6 +680,20 @@ def test_a_final_time_past_the_time_factors_range_exits_2(argv, capsys):
     assert captured.err.startswith("error: ") and "T=1e+110" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["convergence", "--levels", "4,8", "--t", "1e-300"],
+     "error: the time profile does not change over [0, T] at the final "
+     "time T=1e-300\n"),
+    (["caputo-order", "--t", "1e-300", "--taus", "1e-300,5e-301"],
+     "error: t: 'cubic' does not change over [0, t] at t=1e-300\n"),
+], ids=["convergence", "caputo-order"])
+def test_a_final_time_at_which_nothing_changes_exits_2(argv, message, capsys):
+    # t**3 - t**2 + t + 1 and t**3 round to their values at 0 there, so
+    # every error, and every order fitted to them, would be roundoff.
+    assert exit_code(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--n", "8", "--nt", "5"],
     ["convergence", "--levels", "4,8"],

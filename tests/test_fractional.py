@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracheat.core import DimensionError, DomainError
 from fracheat.fractional import (
@@ -44,6 +46,20 @@ def test_weights_positive_increasing_and_telescoping():
         total = float(np.sum(w.c) * tau)
         expect = ((n + 1) * tau) ** (1 - gamma) / math.gamma(2 - gamma)
         assert total == pytest.approx(expect, rel=1e-13)
+
+
+@given(st.floats(0.0, 1.0 - 1e-10, exclude_min=True), st.integers(3, 20_000),
+       st.floats(1e-6, 1.0))
+def test_weight_differences_past_the_newest_are_exact(gamma, Nt, tau):
+    # The memory's level form (stepper.L1Memory) weighs the levels by
+    # d_k = c_k - c_{k+1}, c_k the weight of lag k (c[-1 - k] of the
+    # newest-last array).  For k >= 1 the weights lie within a factor 2
+    # of each other, so d_k is exact (Sterbenz) and adding c_{k+1} back
+    # gives c_k.  The computed weights keep that bound up to gamma = 1 -
+    # 1e-10; at 1 - gamma <= 1e-12 the cancellation in t**(1-gamma)
+    # increments breaks it for long marches (see CHANGES.md).
+    c = l1_weights(Nt - 1, gamma, tau).c[::-1]
+    assert np.array_equal((c[1:-1] - c[2:]) + c[2:], c[1:-1])
 
 
 def test_weights_reject_bad_order():

@@ -454,6 +454,22 @@ def test_the_scheme_step_binds_ldlt_from_two_interior_rows(N):
     assert solve.func is (lapack.dgbtrs if N == 2 else lapack.dpttrs)
 
 
+@pytest.mark.parametrize("N", [2, 3, 80])
+def test_the_bound_solve_writes_a_row_of_levels_in_place(N):
+    # The step body solves into the interior of its level's row of the
+    # history with overwrite_b=1 and reads no result, so the bound dpttrs
+    # (N >= 3) or dgbtrs (N = 2) must write T^{-1} b over b itself.
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    operator = build_step(problem, Grid(N=N, Nt=10), 0.5, c_new=3.7).operator
+    solve = operator._factors[0]
+    levels = np.random.default_rng(N).uniform(-1.0, 1.0, (3, N + 1))
+    expected, _ = solve(levels[1, 1:-1].copy())
+    b = levels[1, 1:-1]
+    x, info = solve(b, overwrite_b=1)
+    assert info == 0 and np.shares_memory(x, levels)
+    assert levels[1, 1:-1].tobytes() == expected.tobytes()
+
+
 def test_symmetric_indefinite_interior_falls_back_to_band_lu():
     # A negative diagonal entry: dpttrf stops at it (info > 0), and the
     # band LU with pivoting solves the regular system.
@@ -628,17 +644,21 @@ def test_tiny_scaled_system_is_not_singular():
 # marching
 # ---------------------------------------------------------------------------
 
-def replay_against_oracle(problem, grid, params, outcome):
-    """Redo every level of a march with assemble_step + the dense solve.
+def replay_against_oracle(problem, grid, params, Y):
+    """Redo every level of a march's history with assemble_step + dense LU.
 
-    Each level is recomputed from the march's own earlier levels and must
-    match to 1e-12 relative to its max norm.  Returns the first level
-    whose oracle value exceeds the blow-up limit or is not finite, or None.
+    Each level's system is assembled from the march's own earlier levels;
+    the matrix is the same at every level, so the dense LU solve takes
+    the right-hand sides of all of them at once.  Each level must match
+    to 1e-12 relative to its max norm.  Returns the first level whose
+    oracle value exceeds the blow-up limit or is not finite, or None.
     """
-    Y = outcome.history
-    for n in range(len(Y) - 1):
-        system = assemble_step(problem, grid, params, Y[:n + 1])
-        sol = solve_dense_oracle(system)
+    systems = [assemble_step(problem, grid, params, Y[:n + 1])
+               for n in range(len(Y) - 1)]
+    assert all(np.array_equal(s.diag, systems[0].diag) for s in systems)
+    rhs = np.column_stack([s.rhs for s in systems])
+    sols = solve_dense_oracle(dataclasses.replace(systems[0], rhs=rhs)).T
+    for n, sol in enumerate(sols):
         level = np.concatenate(([problem.alpha * sol[-1]], sol))
         top = float(np.max(np.abs(level)))
         if not top <= BLOWUP_LIMIT:     # also true for NaN
@@ -650,15 +670,16 @@ def replay_against_oracle(problem, grid, params, outcome):
 @pytest.mark.parametrize("grid", [Grid.balanced(20, 0.5), Grid(N=2, Nt=12),
                                   Grid(N=3, Nt=12),
                                   Grid(N=12, Nt=3 * _BLOCK + 5),
-                                  Grid(N=12, Nt=300)],
+                                  Grid(N=12, Nt=300), Grid(N=300, Nt=230)],
                          ids=["N20", "N2", "N3", "three-blocks",
-                              "two-data-blocks"])
+                              "two-data-blocks", "interleaved-blocks"])
 def test_factored_march_matches_per_step_oracle(grid):
     problem = build_manufactured(3.0, 2.0, 0.5)
     params = SchemeParams(1.0)
     outcome = march(problem, grid, params)
     assert outcome.blow_up is None
-    assert replay_against_oracle(problem, grid, params, outcome) is None
+    Y = outcome.history
+    assert replay_against_oracle(problem, grid, params, Y) is None
 
 
 def test_factored_march_matches_oracle_with_explicit_part():
@@ -673,7 +694,8 @@ def test_factored_march_matches_oracle_with_explicit_part():
     params = SchemeParams(sigma)
     outcome = march(problem, grid, params, y0=y0)
     assert outcome.blow_up is None
-    assert replay_against_oracle(problem, grid, params, outcome) is None
+    Y = outcome.history
+    assert replay_against_oracle(problem, grid, params, Y) is None
 
 
 def test_factored_march_blows_up_at_the_oracle_level():
@@ -683,7 +705,7 @@ def test_factored_march_blows_up_at_the_oracle_level():
     outcome = march(problem, grid, params)
     assert outcome.blow_up is not None
     assert replay_against_oracle(problem, grid, params,
-                                 outcome) == outcome.blow_up.level
+                                 outcome.history) == outcome.blow_up.level
 
 
 @st.composite
@@ -732,11 +754,14 @@ def random_marches(draw):
 
 
 @given(random_marches())
-def test_every_march_level_is_its_reference_step_bit_for_bit(case):
-    # The march's step body fuses the memory load, the right-hand side
-    # and the solve.  Each level it makes must be, byte for byte, the
-    # level that L1Memory.load, _step_rhs and StepOperator.solve make from
-    # the two levels before it.  The streamed window gives the same bytes.
+def test_every_march_level_matches_the_independent_step(case):
+    # The march's step body sums the memory over the levels (L1Memory's
+    # level form), folds the source into the far loads and solves in
+    # place.  Each level it makes must be the level that assemble_step
+    # (the increment form of split_implicit, and _step_rhs) and the dense
+    # LU solve make from the levels before it, to 1e-12 of the level's
+    # max norm (at most 1.3e-14 over these draws).  The streamed blocks,
+    # which run the same body, give the same bytes.
     problem, grid, params, y0, source, mu = case
     Y = march(problem, grid, params, y0=y0).history
     assert len(Y) == grid.Nt + 1
@@ -744,17 +769,7 @@ def test_every_march_level_is_its_reference_step_bit_for_bit(case):
     march_blocks(problem, grid, params,
                  lambda first, block: blocks.append(block.copy()), y0=y0)
     assert np.concatenate(blocks).tobytes() == Y.tobytes()
-
-    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
-    step = build_step(problem, grid, params.sigma, memory.c_new)
-    rhs, level = np.empty(grid.N), np.empty(grid.N + 1)
-    for n in range(grid.Nt):
-        t = (n + params.sigma) * grid.tau
-        load = memory.load(Y[max(n - 1, 0):n + 1], n, level)
-        _step_rhs(step, Y[n], load, source[t], mu[t], rhs)
-        step.operator.solve(rhs, level[1:])
-        level[0] = problem.alpha * level.item(-1)
-        assert level.tobytes() == Y[n + 1].tobytes(), n
+    assert replay_against_oracle(problem, grid, params, Y) is None
 
 
 def source_turning(value, level, grid):
@@ -788,14 +803,17 @@ def test_block_guard_stops_where_a_per_level_guard_does(where, value):
     top = float(np.max(np.abs(outcome.history[-1])))
     assert blow.norm == (math.inf if math.isnan(top) else top) > BLOWUP_LIMIT
     assert np.all(np.abs(outcome.history[:-1]) <= BLOWUP_LIMIT)
-    assert replay_against_oracle(problem, grid, params, outcome) == level
+    Y = outcome.history
+    assert replay_against_oracle(problem, grid, params, Y) == level
 
 
 def test_cached_memory_weights_are_contiguous_tails(monkeypatch):
     # Every weight array the load multiplies by is C-contiguous: a
     # reversed view makes the product about 30 times slower.  The near
-    # weights of level n+1 are ``l1_weights(n % _BLOCK, ...).c[:-1]``; the
-    # far weights, at the first level of each later block, are copied.
+    # weights of level n+1, on the levels from the block's first (from 1
+    # in the first block) to n, are a tail of the differences of
+    # ``l1_weights(n, ...).c``; the far weights, at the first level of
+    # each block, are copied.
     gamma, tau, Nt, width = 0.3, 0.01, 2 * _BLOCK + 5, 5
     memory = L1Memory(gamma, tau, Nt, width)
     seen, matmul = [], np.matmul
@@ -805,32 +823,36 @@ def test_cached_memory_weights_are_contiguous_tails(monkeypatch):
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    levels = np.arange(Nt)[:, None] + np.zeros(width)   # increments of 1
     buf = np.empty(width)
     for n in range(Nt):
         del seen[:]
-        memory.load(levels[:n + 1], n, buf)
-        assert len(seen) >= (n > 0)
+        memory.history[n] = n                   # increments of 1
+        memory.load(n, buf)
         assert all(contiguous for contiguous, _, _ in seen)
         near = [w for _, ndim, w in seen if ndim == 1]
         j = n % _BLOCK
-        if n > 0:
-            assert np.array_equal(near, [l1_weights(j, gamma, tau).c[:-1]])
+        lo = max(n - j, 1)
+        assert np.array_equal(near,
+                              [np.diff(l1_weights(n, gamma, tau).c)[lo - 1:]])
         far = [w for _, ndim, w in seen if ndim == 2]
-        assert len(far) == (n >= _BLOCK and j == 0)
+        assert len(far) == (j == 0)
 
 
 def blocked_load_error(gamma, tau, Nt, width, seed):
     """Worst error of L1Memory.load against the unblocked contraction.
 
-    The levels are a random walk, loaded in order; at every level the
-    load, written into a caller's buffer, must equal
+    The levels are a random walk, written into the memory's history and
+    loaded in order, as the march does; at every level the load, written
+    into a caller's buffer, must equal the increment form
     ``c[:-1] @ inc[:n] - c_new*y^n`` with ``c = l1_weights(n, gamma,
     tau).c``, the independent weights, and the increments taken here, to
-    1e-13 relative to the sum of the magnitudes of its terms.
+    1e-13 relative to the sum of the magnitudes of the terms of both
+    forms.  The history's rows past n hold NaN, so a load that read
+    them would show.
     """
     rng = np.random.default_rng(seed)
     memory = L1Memory(gamma, tau, Nt, width)
+    memory.history[:] = np.nan
     levels = np.cumsum(rng.uniform(-1.0, 1.0, (Nt, width)), axis=0)
     inc = np.diff(levels, axis=0)
     worst = 0.0
@@ -839,9 +861,13 @@ def blocked_load_error(gamma, tau, Nt, width, seed):
         assert c[-1] == memory.c_new
         w = c[:-1]
         expected = w @ inc[:n] - memory.c_new * levels[n]
-        scale = np.abs(w) @ np.abs(inc[:n]) + memory.c_new * np.abs(levels[n])
+        scale = (np.abs(w) @ np.abs(inc[:n])
+                 + memory.c_new * np.abs(levels[n])      # increment form
+                 + np.abs(np.diff(c)) @ np.abs(levels[1:n + 1])
+                 + c[0] * np.abs(levels[0]))             # level form
+        memory.history[n] = levels[n]
         buf = np.full(width, np.nan)
-        got = memory.load(levels[:n + 1], n, buf)     # reads no later level
+        got = memory.load(n, buf)
         assert got is buf
         worst = max(worst, float(np.max(np.abs(got - expected) / scale)))
     return worst
@@ -976,7 +1002,7 @@ def test_data_blocks_hold_at_most_256_levels_and_about_2_16_entries():
 def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
                                                        sigma, unstable, data):
     # Nt ends on, one level before or past a data-block edge; the blocks
-    # come from one (rows+2)-row buffer, the history from march's array.
+    # are views of the memory's history, the history is march's array.
     rows = block_levels(N + 1)
     grid = Grid(N=N, Nt=max(1, blocks * rows + offset))
     problem = build_manufactured(3.0, 2.0, 0.5)
@@ -987,9 +1013,9 @@ def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
     firsts, kept = [], []
 
     def keep(first, block):
-        assert block.base.shape == (rows + 2, N + 1)
+        assert block.base.shape == (grid.Nt + 1, N + 1)   # the history
         firsts.append(first)
-        kept.append(block.copy())     # the next block overwrites the buffer
+        kept.append(block.copy())
 
     blow, residuals = march_blocks(problem, grid, params, keep,
                                    check_residuals=True)
@@ -1040,10 +1066,9 @@ def test_folds_run_in_order_under_the_callers_error_state():
 
 
 def test_wide_march_samples_its_data_in_small_blocks():
-    # The levels and the memory's increments take 12.8 MB each; a block of
-    # 64 levels of f, with its temporaries, would add about 30 MB.  The far
-    # loads of the second memory block are one 16 x 20,001 array (2.6 MB);
-    # a product temporary beside them would take the peak to 33.7 MB.
+    # The level history takes 13.0 MB; a block of 64 levels of f, with its
+    # temporaries, would add about 30 MB.  The far loads of the first
+    # memory block are one 64 x 20,001 array (10.2 MB).
     problem = build_manufactured(3.0, 2.0, 0.5)
     grid = Grid(N=20_000, Nt=80)
     tracemalloc.start()

@@ -31,10 +31,17 @@ program produces is checked in two ways:
   edge of the memory sum (64, 577) or of the march's data blocks (256),
   or one step past it, and four of the smallest systems, N in {2, 3}
   (interiors of 1 and 2 unknowns) at sigma in {1, 0.5} with Nt = 130,
-  which crosses two block edges of the memory sum: 68 marches in all.
-  The hash also covers the blow-up record and, for the blow-ups, one
-  march that finishes, the block-edge marches and the smallest systems,
-  the per-step residuals.
+  which crosses two block edges of the memory sum, and two at N = 1000
+  (Nt = 140, sigma in {1, 0.5}), whose data blocks of 65 levels start
+  inside the memory sum's blocks of 64: 70 marches in all.  The hash
+  also covers the blow-up record and, for the blow-ups, one march that
+  finishes, the block-edge marches, the smallest systems and the
+  N = 1000 marches, the per-step residuals.  Each march is labelled
+  bounded or growing: the 16 sigma = 0.3 marches of the gamma/N grid
+  grow by 1e6 to 1e100 and the two blow-ups past 1e100, and the N = 1000
+  march at sigma = 0.5, below that grid's stability threshold, grows
+  from rounding; a growing march amplifies any rounding change, by up
+  to about 1e7.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.  The line says what moved: a
@@ -43,8 +50,10 @@ most 5 of each tree per stream, stdout or the ``--out`` file); a march
 whose hash differs prints its largest relative level difference, the
 largest over its levels of max|y' - y| / max(|y|, |y'|), from the level
 arrays that both trees save to a temporary directory (0 when only the
-blow-up record or the residuals moved).  A tree against itself reports
-0 differences.
+blow-up record or the residuals moved), and its label.  Two summary
+lines then give, for the bounded and for the growing marches, how many
+moved and the largest relative level difference among them.  A tree
+against itself reports 0 differences.
 """
 
 from __future__ import annotations
@@ -98,7 +107,8 @@ EXTRA_CALLS = (
 )
 
 # Prints {key: [sha256 of the level array, blow-up level and norm, and
-# residuals; the file in the folder sys.argv[1] that holds the levels]}.
+# residuals; the file in the folder sys.argv[1] that holds the levels;
+# whether the march grows]}.
 HASH_SCRIPT = """
 import hashlib, json, math, sys
 import numpy as np
@@ -109,27 +119,27 @@ from fracheat.stepper import march
 
 out = {}
 
-def digest(key, outcome):
+def digest(key, outcome, growing=False):
     levels = f"{sys.argv[1]}/{len(out)}.npy"
     np.save(levels, outcome.history)
     h = hashlib.sha256(outcome.history.tobytes())
     h.update(repr(outcome.blow_up).encode())
     if outcome.per_step_residuals is not None:
         h.update(np.array(outcome.per_step_residuals).tobytes())
-    out[key] = [h.hexdigest(), levels]
+    out[key] = [h.hexdigest(), levels, growing]
 
 for gamma in (0.2, 0.4, 0.5, 0.8):
     for sigma in (1.0, 0.3, 0.5):
         for N in (20, 40, 80, 160):
             outcome = march(build_manufactured(3.0, 2.0, gamma),
                             Grid.balanced(N, gamma), SchemeParams(sigma))
-            digest(f"mms g={gamma} s={sigma} N={N}", outcome)
+            digest(f"mms g={gamma} s={sigma} N={N}", outcome, sigma == 0.3)
 digest("blow-up a=0.1 b=10 g=0.4 N=80", march(
     build_manufactured(0.1, 10.0, 0.4), Grid.balanced(80, 0.4),
-    SchemeParams(1.0), check_residuals=True))
+    SchemeParams(1.0), check_residuals=True), True)
 digest("blow-up past level 256 a=0.1 b=10 g=0.3 N=200", march(
     build_manufactured(0.1, 10.0, 0.3), Grid.balanced(200, 0.3),
-    SchemeParams(1.0), check_residuals=True))
+    SchemeParams(1.0), check_residuals=True), True)
 digest("residuals g=0.5 s=0.5 N=40", march(
     build_manufactured(3.0, 2.0, 0.5), Grid.balanced(40, 0.5),
     SchemeParams(0.5), check_residuals=True))
@@ -162,6 +172,13 @@ for N in (2, 3):
         digest(f"smallest N={N} Nt=130 s={sigma}", march(
             build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=130),
             SchemeParams(sigma), check_residuals=True))
+# data blocks of 65 levels (N = 1000) against memory blocks of 64; sigma
+# = 0.5 lies below this grid's stability threshold (0.63), and its growing
+# modes move the march by 2e-12 for one ulp of u0 at one node
+for sigma in (1.0, 0.5):
+    digest(f"interleaved blocks N=1000 Nt=140 s={sigma}", march(
+        build_manufactured(3.0, 2.0, 0.5), Grid(N=1000, Nt=140),
+        SchemeParams(sigma), check_residuals=True), sigma < 1.0)
 print(json.dumps(out))
 """
 
@@ -217,19 +234,20 @@ def level_hashes(src: Path, folder: Path) -> dict[str, list[str]]:
     return json.loads(proc.stdout)
 
 
-def level_difference(a: np.ndarray, b: np.ndarray) -> str:
-    """Largest over the levels of max|b - a| / max(|a|, |b|), as text.
+def level_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest over the levels of max|b - a| / max(|a|, |b|).
 
-    Entries that are equal, or NaN on both sides, differ by 0.
+    Entries that are equal, or NaN on both sides, differ by 0; level
+    arrays of different shapes differ by inf.
     """
     if a.shape != b.shape:
-        return f"level arrays of shapes {a.shape} and {b.shape}"
+        return float("inf")
     with np.errstate(invalid="ignore", over="ignore"):
         same = (a == b) | (np.isnan(a) & np.isnan(b))
         diff = np.where(same, 0.0, np.abs(b - a)).max(axis=1)
         top = np.maximum(np.abs(a), np.abs(b)).max(axis=1)
         relative = np.where(diff == 0.0, 0.0, diff / top)
-    return f"largest relative level difference {relative.max():.1e}"
+    return float(relative.max())
 
 
 def main() -> int:
@@ -260,12 +278,25 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = (level_hashes(src, Path(tempfile.mkdtemp(dir=tmp)))
                           for src in (args.parent_src, args.change_src))
-        for key, (digest, levels) in sorted(parent.items()):
+        # label -> [marches, moved, largest relative level difference]
+        groups = {"bounded": [0, 0, 0.0], "growing": [0, 0, 0.0]}
+        for key, (digest, levels, growing) in sorted(parent.items()):
+            label = "growing" if growing else "bounded"
+            group = groups[label]
+            group[0] += 1
             if digest != change[key][0]:
                 differences += 1
-                moved = level_difference(np.load(levels),
-                                         np.load(change[key][1]))
-                print(f"DIFF level hash: {key} ({moved})")
+                a, b = np.load(levels), np.load(change[key][1])
+                moved = level_difference(a, b)
+                group[1] += 1
+                group[2] = max(group[2], moved)
+                what = (f"level arrays of shapes {a.shape} and {b.shape}"
+                        if a.shape != b.shape else
+                        f"largest relative level difference {moved:.1e}")
+                print(f"DIFF level hash: {key} ({label}, {what})")
+    for label, (count, moved, top) in groups.items():
+        print(f"{label} marches: {moved} of {count} moved, largest relative "
+              f"level difference {top:.1e}")
     print(f"{len(calls)} calls, {len(parent)} level hashes: "
           f"{differences} difference(s)")
     return 1 if differences else 0
