@@ -22,7 +22,8 @@ same operator on the old level, and the source on the nodes
 block of levels at a time (:func:`block_levels`).  :class:`L1Memory`
 takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
-(summation by parts), blocked over levels.  A step is then one call of
+(summation by parts), blocked over levels, the old levels' far part by
+dyadic FFT pieces on long marches.  A step is then one call of
 a body bound once per march (:func:`_step_body`): a product of the
 memory weights with the block's levels, one addition of the block's
 source minus its far memory, the closure and one in-place tridiagonal
@@ -125,6 +126,11 @@ _CLOSURE_ULPS = 64.0
 # L2 cache together, and the copied slice does not grow with Nt.
 _BLOCK = 64
 _SPAN = 512
+
+# An FFT piece of the memory sum (see L1Memory) is taken only for at least
+# max(_PIECE_MIN, _PIECE_GROWTH*sqrt(width)) levels: below, GEMM is faster.
+_PIECE_MIN = 512
+_PIECE_GROWTH = 64
 
 
 def block_levels(width: int) -> int:
@@ -321,15 +327,22 @@ class L1Memory:
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
     the terms of every level older than n0 (of level 0 alone in the first
-    block), is the matrix product ``W @ history[:n0]`` whose row j holds
-    the weights of level n0+j+1 on those levels.  Past its first column
-    (level 0) W is a Toeplitz slice of d: its rows overlap in memory, and
-    BLAS takes no such view without a slow fallback, so W is copied
-    C-contiguous once per block, ``_SPAN`` columns at a time, from a
-    window view of d built once.  Each step then adds only its *near*
-    part, the at most ``_BLOCK`` levels from n0 (from 1 in the first
-    block) to n.  The history is thus streamed from memory once per block
-    instead of once per level.
+    block), is taken at once; each step then adds only its *near* part,
+    the at most ``_BLOCK`` levels from n0 (from 1 in the first block) to
+    n, so the history is streamed once per block, not once per level.  The
+    far part is a Toeplitz convolution in time: dyadic pieces, exact FFT
+    convolutions (Hairer, Lubich and Schlichte 1985), give the terms of
+    the levels [0, P), and the product ``W @ history[P:n0]``, O(Nt^2*width)
+    per march, those of [P, n0); P = 0 without a piece.  Row j of W holds
+    the weights of level n0+j+1, a Toeplitz slice of d (c on level 0): its
+    rows overlap in memory, and BLAS takes no such view without a slow
+    fallback, so W is copied C-contiguous once per block, ``_SPAN``
+    columns at a time, from a window view of d.  A piece is taken when at
+    least ``max(_PIECE_MIN, _PIECE_GROWTH*sqrt(width))`` of its levels lie
+    in the march, where numpy's FFT was measured to beat the product: the
+    N=16 stability run of 4,000 steps takes pieces from 512 levels on, an
+    N=320 march of 2,189 steps none (the floor, 1,147 levels at 321 nodes,
+    exceeds its 1,024-level piece; 141 levels follow its 2,048-level one).
     """
 
     def __init__(self, gamma: float, tau: float, Nt: int, width: int,
@@ -344,6 +357,8 @@ class L1Memory:
         self._windows = sliding_window_view(
             np.concatenate(([0.0], self._d, np.zeros(_SPAN))), _SPAN)
         self.history = np.empty((Nt + 1, width)) if out is None else out
+        self._floor = max(_PIECE_MIN, _PIECE_GROWTH * width**0.5)
+        self._spectra: dict[int, np.ndarray] = {}
 
     def load(self, n: int, out: np.ndarray) -> np.ndarray:
         """Memory load of level n+1, from the history's rows 0..n, into out."""
@@ -361,15 +376,26 @@ class L1Memory:
 
         Row j is ``sum_{l < max(n0, 1)} w_l*y^l`` for level n0+j+1, with
         w_0 = c_{n0+j} and w_l = d_{n0+j-l}, for the levels of the block
-        that the march can reach.  The weight slice is copied ``_SPAN``
-        levels at a time, so the copy stays small however long the march
-        is; later spans multiply into the block's rows of the history.
+        that the march can reach.  The piece that ends at n0, if taken, is
+        made first; the product adds the levels [P, n0) to the pieces' sums
+        in the block's rows of the history, its later spans through them.
         """
         H, last = self.history, self._c.size
         rows = min(_BLOCK, last - n0)
         top = last - n0 - rows
-        far = np.empty((rows, H.shape[1]))
-        for k in range(0, max(n0, 1), _SPAN):
+        # The pieces of the block are the set bits S of n0, highest first,
+        # each made at level P+S, up to the first with fewer than the floor
+        # of its levels, P+S+1 to P+2S, in the march: they cover [0, P).
+        P = 0
+        for S in [1 << k for k in range(n0.bit_length()) if n0 >> k & 1][::-1]:
+            if min(S, last - P - S) < self._floor:
+                break
+            P += S
+        if P == n0 > 0:
+            self._add_piece(n0)
+        far = (H[n0 + 1:n0 + 1 + rows].copy() if P else
+               np.empty((rows, H.shape[1])))
+        for k in range(P, max(n0, 1), _SPAN):
             m = min(_SPAN, max(n0, 1) - k)
             W = np.array(self._windows[top + k:top + k + rows, :m][::-1],
                          order="C")
@@ -379,6 +405,40 @@ class L1Memory:
             else:
                 far += np.matmul(W, H[k:k + m], out=H[n0 + 1:n0 + 1 + rows])
         return far
+
+    def _add_piece(self, L: int) -> None:
+        """Add the terms of the levels [L-S, L) to the rows of levels L+1..L+S.
+
+        S is L's largest power-of-two factor.  The lags run over 1..2S-1, so
+        one circular convolution of length 2S is exact; it is taken over
+        column chunks of about 2**14 entries.  Its kernel is d_k from lag
+        _BLOCK (the FFT's rounding scales with its largest weight), and the
+        lags below are one product with a triangle of weights.  The first
+        piece (L = S) assigns the rows, with level 0's c_n*y^0; later add.
+        """
+        from numpy import fft       # not loaded by ``import numpy`` itself
+
+        H, S, last = self.history, L & -L, self._c.size
+        first, end = max(L - S, 1), min(L + S, last)
+        spectrum = self._spectra.get(S)
+        if spectrum is None:                        # d_k in self._d[-1 - k]
+            kernel = self._d[::-1][:2 * S].copy()
+            kernel[:_BLOCK] = 0.0
+            spectrum = self._spectra[S] = fft.rfft(kernel, 2 * S)[:, None]
+        targets = H[L + 1:end + 1]
+        if L == S:
+            np.multiply.outer(self._c[last - end:last - L][::-1], H[0],
+                              out=targets)
+        cols = max(1, 2**13 // S)
+        for c in range(0, H.shape[1], cols):
+            spectra = fft.rfft(H[first:L, c:c + cols], 2 * S, axis=0)
+            spectra *= spectrum
+            targets[:, c:c + cols] += fft.irfft(spectra, 2 * S, axis=0)[
+                L - first:end - first]
+        rows = min(_BLOCK, end - L)
+        W = np.triu(self._windows[last - rows - _BLOCK:last - _BLOCK, :_BLOCK]
+                    [::-1], 1)
+        targets[:rows] += W @ H[L - _BLOCK:L]
 
 
 @dataclass(frozen=True)

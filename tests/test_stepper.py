@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fracheat import stepper
 from fracheat.core import (
     DimensionError,
     DomainError,
@@ -869,8 +870,9 @@ def blocked_load_error(gamma, tau, Nt, width, seed):
         buf = np.full(width, np.nan)
         got = memory.load(n, buf)
         assert got is buf
-        worst = max(worst, float(np.max(np.abs(got - expected) / scale)))
-    return worst
+        # np.maximum, not max: a NaN error must not be passed over
+        worst = np.maximum(worst, np.max(np.abs(got - expected) / scale))
+    return float(worst)
 
 
 @pytest.mark.parametrize("Nt", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
@@ -886,6 +888,160 @@ def test_blocked_load_matches_unblocked_contraction(Nt):
 def test_blocked_load_matches_unblocked_contraction_property(Nt, width, gamma,
                                                              tau, seed):
     assert blocked_load_error(gamma, tau, Nt, width, seed) <= 1e-13
+
+
+def far_rows_error(gamma, tau, Nt, width, seed, floor=None):
+    """Worst error of the far loads against the plain product, and pieces.
+
+    The levels are a random walk, written into the memory's history a
+    block at a time, as the march makes them; at the first level n0 of
+    every block the far loads must equal ``W @ history[:n0]`` (level 0
+    alone in the first block), W row j holding the weights of level
+    n0+j+1 from the independent ``l1_weights``: c_n on level 0, d_{n-l}
+    on level l.  A level 0 taken into an FFT piece would be weighed by d,
+    not c.  The error is relative to the summed magnitudes of the terms,
+    as in ``blocked_load_error``.  The rows past n0 start as NaN, so a
+    piece that read a level before it is made, or added to a row no piece
+    assigned, would show.  ``floor`` replaces the memory's piece floor.
+    Returns the error and the levels at which pieces were made.
+    """
+    rng = np.random.default_rng(seed)
+    memory = L1Memory(gamma, tau, Nt, width)
+    if floor is not None:
+        memory._floor = floor
+    memory.history[:] = np.nan
+    levels = np.cumsum(rng.uniform(-1.0, 1.0, (Nt, width)), axis=0)
+    c = l1_weights(Nt - 1, gamma, tau).c[::-1]      # c_k in c[k]
+    d = c[:-1] - c[1:]
+    worst, pieces, add_piece = 0.0, [], memory._add_piece
+    memory._add_piece = lambda L: (pieces.append(L), add_piece(L))
+    for n0 in range(0, Nt, _BLOCK):
+        memory.history[:n0 + 1] = levels[:n0 + 1]
+        far = memory._far_loads(n0)
+        n = np.arange(n0, n0 + len(far))[:, None]
+        W = np.column_stack((c[n], d[n - np.arange(1, max(n0, 1))]))
+        expected = W @ levels[:max(n0, 1)]
+        scale = np.abs(W) @ np.abs(levels[:max(n0, 1)])
+        worst = np.maximum(worst, np.max(np.abs(far - expected) / scale))
+    return float(worst), pieces
+
+
+@st.composite
+def piece_edges(draw):
+    """(Nt, width, floor): Nt at 2S-1, 2S or 2S+1 for a scale S, or one
+    level short of or at the floor of a piece's levels in the march.  The
+    floor is lowered to one or two blocks, or is the memory's own (None),
+    512 levels up to 64 nodes and 516.0 at 65."""
+    width = draw(st.integers(3, 65))
+    floor = draw(st.sampled_from([_BLOCK, 2 * _BLOCK, None]))
+    edge = math.ceil(floor or max(stepper._PIECE_MIN,
+                                  stepper._PIECE_GROWTH * math.sqrt(width)))
+    S = (floor or stepper._PIECE_MIN) << draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        Nt = 2 * S + draw(st.integers(-1, 1))
+    else:                       # the piece made at level S or 3S
+        Nt = S * draw(st.sampled_from([1, 3])) + edge + draw(st.integers(-1, 0))
+    return Nt, width, floor
+
+
+@settings(max_examples=30)
+@given(piece_edges(), st.floats(0.05, 0.95), st.floats(1e-4, 1.0),
+       st.integers(0, 2**16))
+def test_far_loads_with_fft_pieces_match_the_plain_product(edge, gamma, tau,
+                                                            seed):
+    Nt, width, floor = edge
+    assert far_rows_error(gamma, tau, Nt, width, seed, floor)[0] <= 1e-13
+
+
+@pytest.mark.parametrize("Nt, pieces", [(2048 + 1146, []),
+                                        (2048 + 1147, [2048])])
+def test_a_wide_grid_takes_a_piece_from_its_floor(Nt, pieces):
+    # At 321 nodes the floor is 64*sqrt(321) = 1146.6 levels: the piece
+    # of scale 2048 is taken once 1147 of its levels lie in the march.
+    worst, made = far_rows_error(0.5, 0.01, Nt, 321, seed=Nt)
+    assert made == pieces
+    assert worst <= 1e-13
+
+
+@pytest.fixture
+def made_pieces(monkeypatch):
+    """The levels at which the marches of a test make FFT pieces."""
+    made, add_piece = [], L1Memory._add_piece
+    monkeypatch.setattr(L1Memory, "_add_piece", lambda self, L: (
+        made.append(L), add_piece(self, L)))
+    return made
+
+
+def test_a_march_with_no_piece_is_the_march_without_the_fft(monkeypatch,
+                                                             made_pieces):
+    # The N=320 march of 2,189 steps takes no piece: its far loads are
+    # the blocked product alone, byte for byte.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid.balanced(320, 0.5)
+    params = SchemeParams(1.0)
+    Y = march(problem, grid, params).history
+    assert made_pieces == []
+    monkeypatch.setattr(stepper, "_PIECE_MIN", math.inf)
+    assert march(problem, grid, params).history.tobytes() == Y.tobytes()
+
+
+@pytest.mark.parametrize("grid, sigma", [
+    (Grid(N=12, Nt=300), 1.0), (Grid(N=12, Nt=300), 0.5),
+    (Grid(N=300, Nt=230), 1.0)],
+    ids=["sigma-1", "sigma-0.5", "interleaved-blocks"])
+def test_march_with_pieces_at_every_scale_matches_per_step_oracle(
+        monkeypatch, made_pieces, grid, sigma):
+    # With the floor lowered to one block, pieces of scales 64, 128 and
+    # 256 are made; at N=300 the data blocks of 218 levels start inside
+    # memory blocks, so the source is added to far loads that pieces made.
+    monkeypatch.setattr(stepper, "_PIECE_MIN", _BLOCK)
+    monkeypatch.setattr(stepper, "_PIECE_GROWTH", 0)
+    problem, params = build_manufactured(3.0, 2.0, 0.5), SchemeParams(sigma)
+    outcome = march(problem, grid, params)
+    assert made_pieces == [L for L in (64, 128, 192, 256)
+                           if L + _BLOCK <= grid.Nt]
+    assert outcome.blow_up is None
+    assert replay_against_oracle(problem, grid, params, outcome.history) is None
+
+
+def test_long_march_with_pieces_allocates_little_beyond_its_history(
+        made_pieces):
+    # The N=16 stability march of 4,000 steps makes FFT pieces of scales
+    # 512 to 2048, over column chunks: it allocates at most about 1 MB
+    # beyond its 0.54 MB level history.  A piece copied whole, as the
+    # transform of all its columns at once, would add several times that
+    # on wide grids.
+    problem, grid = build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=4000)
+    y0 = np.random.default_rng(4).uniform(-1.0, 1.0, grid.N + 1)
+    y0[0] = problem.alpha * y0[-1]
+    sigma = sigma_threshold(0.5, grid.h, grid.tau, problem.c2)
+    march(problem, grid, SchemeParams(sigma), y0=y0)    # numpy.fft loaded
+    tracemalloc.start()
+    try:
+        outcome = march(problem, grid, SchemeParams(sigma), y0=y0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.blow_up is None
+    assert sorted(set(made_pieces)) == [512, 1024, 1536, 2048, 2560, 3072]
+    assert peak - outcome.history.nbytes < 1.0e6
+
+
+def test_the_first_piece_loads_numpy_fft(run_fresh):
+    # numpy 2 loads numpy.fft on first use: a march with no piece (at
+    # N=8, 488 levels follow the 512-level piece) leaves it unloaded.
+    done = run_fresh(
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.fft' in sys.modules\n"
+        "from fracheat.core import Grid, SchemeParams\n"
+        "from fracheat.manufactured import build_manufactured\n"
+        "from fracheat.stepper import march\n"
+        "problem = build_manufactured(3.0, 2.0, 0.9)\n"
+        "march(problem, Grid(N=8, Nt=1000), SchemeParams(1.0))\n"
+        "assert eager or 'numpy.fft' not in sys.modules\n"
+        "march(problem, Grid(N=8, Nt=1024), SchemeParams(1.0))\n"
+        "assert 'numpy.fft' in sys.modules\n")
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("imports", [

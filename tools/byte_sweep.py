@@ -33,7 +33,11 @@ program produces is checked in two ways:
   (interiors of 1 and 2 unknowns) at sigma in {1, 0.5} with Nt = 130,
   which crosses two block edges of the memory sum, and two at N = 1000
   (Nt = 140, sigma in {1, 0.5}), whose data blocks of 65 levels start
-  inside the memory sum's blocks of 64: 70 marches in all.  The hash
+  inside the memory sum's blocks of 64, and two long marches whose far
+  memory takes FFT pieces at several scales (N = 16, Nt = 4100 of random
+  homogeneous data at the stability threshold, pieces of 512 to 2048
+  levels; gamma = 0.9, N = 40, Nt = 2100 at sigma = 1, pieces of 512 and
+  1024 levels): 72 marches in all.  The hash
   also covers the blow-up record and, for the blow-ups, one march that
   finishes, the block-edge marches, the smallest systems and the
   N = 1000 marches, the per-step residuals.  Each march is labelled
@@ -114,6 +118,7 @@ import hashlib, json, math, sys
 import numpy as np
 from fracheat.core import Grid, Problem, SchemeParams
 from fracheat.manufactured import build_manufactured, build_zero
+from fracheat.norms import sigma_threshold
 from fracheat.prng import uniform_symmetric
 from fracheat.stepper import march
 
@@ -179,6 +184,15 @@ for sigma in (1.0, 0.5):
     digest(f"interleaved blocks N=1000 Nt=140 s={sigma}", march(
         build_manufactured(3.0, 2.0, 0.5), Grid(N=1000, Nt=140),
         SchemeParams(sigma), check_residuals=True), sigma < 1.0)
+# long marches whose far memory takes FFT pieces at several scales
+zero, grid = build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=4100)
+y0 = uniform_symmetric(11, 17)
+y0[0] = 2.0 * y0[-1]
+digest("fft pieces random zero-data N=16 Nt=4100 s=threshold", march(
+    zero, grid, SchemeParams(sigma_threshold(0.5, grid.h, grid.tau, zero.c2)),
+    y0=y0))
+digest("fft pieces mms g=0.9 N=40 Nt=2100 s=1", march(
+    build_manufactured(3.0, 2.0, 0.9), Grid(N=40, Nt=2100), SchemeParams(1.0)))
 print(json.dumps(out))
 """
 
