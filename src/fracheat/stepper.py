@@ -23,11 +23,14 @@ block of levels at a time (:func:`block_levels`).  :class:`L1Memory`
 takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
-dyadic FFT pieces on long marches.  A step is then one call of
-a body bound once per march (:func:`_step_body`): a product of the
-memory weights with the block's levels, one addition of the block's
+dyadic FFT pieces on long marches.  A body bound once per march makes
+a data block's levels a step at a time (:func:`_step_body`: a product of
+the memory weights with the block's levels, one addition of the block's
 source minus its far memory, the closure and one in-place tridiagonal
-solve into the level's row.  The march checks for blow-up once per data
+solve into the level's row), or, on narrow marches, whose steps are
+mostly call overhead, ``_PROPAGATE`` at a time by the step's discrete
+Green's function (:func:`_block_body`); at N=320 its GEMM would cost more
+than the calls it saves.  The march checks for blow-up once per data
 block, dropping any levels it computed past one.
 
 :func:`march_blocks` is the march: one call that hands each block of
@@ -132,6 +135,11 @@ _SPAN = 512
 _PIECE_MIN = 512
 _PIECE_GROWTH = 64
 
+# A march of at most _PROPAGATE_WIDTH nodes and _PROPAGATE levels per node
+# or more makes _PROPAGATE levels per GEMM (_block_body); others step faster.
+_PROPAGATE = 16
+_PROPAGATE_WIDTH = 41
+
 
 def block_levels(width: int) -> int:
     """Levels per block of ``width``-entry levels: <= 256, ~2**16 entries."""
@@ -224,7 +232,7 @@ class StepOperator:
         return solve, z, float(denom)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Solve the system for one right-hand side of length N.
+        """Solve the system for a right-hand side of length N, or k ``(N, k)``.
 
         The solution is written into ``out``; ``rhs`` is left as it is.
         """
@@ -232,7 +240,7 @@ class StepOperator:
         m = z.size
         u = out[:m]
         u[:] = rhs[:m]
-        yN = (rhs.item(m) - z.dot(u)) / denom
+        yN = (rhs[m] - z.dot(u)) / denom
         u[0] -= self.corner * yN
         u[m - 1] -= self.upper.item(-1) * yN
         u[:] = solve(u, overwrite_b=1)[0]       # in place if u is contiguous
@@ -319,10 +327,8 @@ class L1Memory:
 
     The memory holds the march's one level history, ``history`` (row l
     holds level l; ``(Nt+1, width)``, or the caller's ``out``), which the
-    march writes and the far loads read.  :meth:`load`, the reference form
-    of the step body's sums (:func:`_step_body`), takes the loads in order,
-    n = 0, 1, ...: that of level n+1 reads the rows 0..n, and the rows
-    past n are scratch.
+    march writes and the far loads read: those of the levels after n0 read
+    the rows 0..n0, and the rows past n0 are scratch.
 
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
@@ -360,19 +366,8 @@ class L1Memory:
         self._floor = max(_PIECE_MIN, _PIECE_GROWTH * width**0.5)
         self._spectra: dict[int, np.ndarray] = {}
 
-    def load(self, n: int, out: np.ndarray) -> np.ndarray:
-        """Memory load of level n+1, from the history's rows 0..n, into out."""
-        j = n % _BLOCK
-        if j == 0:
-            self._far = self._far_loads(n)
-        lo = max(n - j, 1)
-        np.matmul(self._d[self._d.size - 1 - n + lo:],
-                  self.history[lo:n + 1], out)
-        np.add(out, self._far[j], out)
-        return np.negative(out, out)
-
-    def _far_loads(self, n0: int) -> np.ndarray:
-        """Far parts of minus the loads of the block starting at level n0.
+    def _far_loads(self, n0: int, rows: int = _BLOCK) -> np.ndarray:
+        """Far parts of minus the loads of the ``rows`` levels after n0.
 
         Row j is ``sum_{l < max(n0, 1)} w_l*y^l`` for level n0+j+1, with
         w_0 = c_{n0+j} and w_l = d_{n0+j-l}, for the levels of the block
@@ -381,7 +376,7 @@ class L1Memory:
         in the block's rows of the history, its later spans through them.
         """
         H, last = self.history, self._c.size
-        rows = min(_BLOCK, last - n0)
+        rows = min(rows, last - n0)
         top = last - n0 - rows
         # The pieces of the block are the set bits S of n0, highest first,
         # each made at level P+S, up to the first with fewer than the floor
@@ -588,23 +583,21 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
 
 
 def _step_body(step: Step, memory: L1Memory, alpha: float,
-               rhs: Optional[np.ndarray]
-               ) -> Callable[[int, np.ndarray, int, float], None]:
-    """One step of a march, bound once per march: ``advance(n, phi, n0, mu)``.
+               residuals: Optional[list[float]]
+               ) -> Callable[[int, np.ndarray, list[float]], None]:
+    """The levels of a data block, a step at a time: ``advance(n0, phi, mu)``.
 
-    The call writes level n+1 into its row of the memory's history from
-    the levels before it, the source rows ``phi`` of the data block that
-    starts at level ``n0`` and the flux datum ``mu`` at its data time;
-    with ``rhs`` it also leaves its right-hand side there, for the
-    residual.  As a memory or data block starts, the block's source rows
-    are added in place to the memory's far loads, so phi - load is one
-    near product and one addition; at sigma < 1 the explicit part is one
-    multiply of pre-scaled bands by a ``(3, N-1)`` window of level n and
-    one sum.  The closure gives y_N (see :attr:`StepOperator._factors`),
-    the border entries take their y_N share, and ``dpttrs`` or ``dgbtrs``
-    solves in place.  The reference forms (:meth:`L1Memory.load`,
-    :func:`_step_rhs`, :meth:`StepOperator.solve`) give the same level up
-    to rounding.
+    Bound once per march, the call writes the levels after n0 into the
+    memory's history from the levels before them, the source rows ``phi``
+    and the flux data ``mu`` of the data block that starts at level n0,
+    and with ``residuals`` appends each step's residual.  As a memory or
+    data block starts, its source rows are added in place to the memory's
+    far loads, so phi - load is one near product and one addition; at
+    sigma < 1 the explicit part is one multiply of pre-scaled bands by a
+    ``(3, N-1)`` window of level n and one sum.  The closure gives y_N (see
+    :attr:`StepOperator._factors`), the border entries take their y_N
+    share, and ``dpttrs`` or ``dgbtrs`` solves in place; :func:`_step_rhs`
+    and :meth:`StepOperator.solve` give the same level up to rounding.
     """
     solve, z, denom = step.operator._factors
     m = z.size
@@ -614,6 +607,7 @@ def _step_body(step: Step, memory: L1Memory, alpha: float,
     two_by_h, beta = step.two_by_h, step.beta
     explicit, flux_N, flux_1 = step.explicit != 0.0, step.flux_N, step.flux_1
     add, zdot = np.add, z.dot
+    rhs = None if residuals is None else np.empty(m + 1)
     if explicit:
         taps = sliding_window_view(H, m, axis=1)
         bands = np.stack((step.a_left, -step.a_mid, step.a_right))
@@ -624,34 +618,100 @@ def _step_body(step: Step, memory: L1Memory, alpha: float,
         multiply, total = np.multiply, np.add.reduce
     far = first = lo = None
 
-    def advance(n: int, phi: np.ndarray, n0: int, mu: float) -> None:
+    def advance(n0: int, phi: np.ndarray, mu: list[float]) -> None:
         nonlocal far, first, lo
-        if n % _BLOCK == 0:
-            far, first, lo = far_loads(n), n, max(n, 1)
-        j = n - first
-        if j == 0 or n == n0:       # far rows whose phi is new: add it once
-            k = min(len(far) - j, len(phi) - (n - n0))
-            add(far[j:j + k], phi[n - n0:n - n0 + k], far[j:j + k])
-        level = H[n + 1]
-        r = phi_load if explicit else level
-        d[top - n + lo:].dot(H[lo:n + 1], r)
-        add(r, far[j], r)
-        flux = two_by_h * mu + r.item(-1) + beta * r.item(0)
-        g = level[1:-1]
-        if explicit:
-            yn = H[n]
-            multiply(bands, taps[n], products)
-            total(summands, axis=0, out=g)
-            flux = (flux - flux_N * (yn.item(-1) - yn.item(-2))
-                    + flux_1 * (yn.item(1) - yn.item(0)))
-        yN = (flux - zdot(g)) / denom
-        if rhs is not None:
-            rhs[:m], rhs[m] = g, flux
-        g[0] = g.item(0) - corner * yN
-        g[m - 1] = g.item(m - 1) - edge * yN
-        solve(g, overwrite_b=1)                 # in place: g is contiguous
-        level[-1] = yN
-        level[0] = alpha * yN
+        for n, mu_n in zip(range(n0, n0 + len(mu)), mu):
+            if n % _BLOCK == 0:
+                far, first, lo = far_loads(n), n, max(n, 1)
+            j = n - first
+            if j == 0 or n == n0:   # far rows whose phi is new: add it once
+                k = min(len(far) - j, len(phi) - (n - n0))
+                add(far[j:j + k], phi[n - n0:n - n0 + k], far[j:j + k])
+            level = H[n + 1]
+            r = phi_load if explicit else level
+            d[top - n + lo:].dot(H[lo:n + 1], r)
+            add(r, far[j], r)
+            flux = two_by_h * mu_n + r.item(-1) + beta * r.item(0)
+            g = level[1:-1]
+            if explicit:
+                yn = H[n]
+                multiply(bands, taps[n], products)
+                total(summands, axis=0, out=g)
+                flux = (flux - flux_N * (yn.item(-1) - yn.item(-2))
+                        + flux_1 * (yn.item(1) - yn.item(0)))
+            yN = (flux - zdot(g)) / denom
+            if rhs is not None:
+                rhs[:m], rhs[m] = g, flux
+            g[0] = g.item(0) - corner * yN
+            g[m - 1] = g.item(m - 1) - edge * yN
+            solve(g, overwrite_b=1)             # in place: g is contiguous
+            level[-1] = yN
+            level[0] = alpha * yN
+            if rhs is not None:
+                residuals.append(step.operator.residual(rhs, level[1:]))
+
+    return advance
+
+
+def _block_body(step: Step, memory: L1Memory, alpha: float,
+                residuals: Optional[list[float]]
+                ) -> Callable[[int, np.ndarray, list[float]], None]:
+    """As :func:`_step_body`, but ``_PROPAGATE`` levels per GEMM.
+
+    A step is affine, y^{n+1} = A_r*r + a_mu*mu + A_y*y^n, r the source
+    minus the memory load (A_y = 0 at sigma = 1); A is one solve of 2N+3
+    columns, lifted by y_0 = alpha*y_N.  The levels of a block after b0
+    solve a lower block-triangular Toeplitz system in the weights d_k, whose
+    inverse (Lu, Pang and Sun 2015) is R_0 = I, R_k = A_r*S_{k-1} +
+    A_y*R_{k-1}, S_k = sum_{i<=k} d_i*R_{k-i}.  With F_i the source plus the
+    far loads of level b0+i+1, level b0+k+1 is one GEMM, sum_{i<=k}
+    R_{k-i}*(A_r*F_i + a_mu*mu_i), plus one GEMV, Q_k*y^{b0} with Q_k =
+    S_k*A_r + R_k*A_y (R_k*A_y first, where level 0 keeps c_n in the far
+    loads).  Residuals read the levels in the history (:func:`_step_rhs`).
+    """
+    H, B, d = memory.history, _PROPAGATE, memory._d
+    W = H.shape[1]
+    N, inner = W - 1, np.arange(W - 2)
+    cols = np.zeros((N, 2 * W + 1))     # the load r, mu, then level n
+    cols[inner, inner + 1] = 1.0
+    cols[-1, [0, N, W]] = step.beta, 1.0, step.two_by_h
+    cols[inner[:, None], W + 1 + inner[:, None] + np.arange(3)] = np.stack(
+        (step.a_left, -step.a_mid, step.a_right)).T * (step.explicit / step.h2)
+    np.add.at(cols[-1], W + 1 + np.array([N, N - 1, 1, 0]),
+              [-step.flux_N, step.flux_N, step.flux_1, -step.flux_1])
+    A = step.operator.solve(cols, np.empty_like(cols))
+    A = np.vstack((alpha * A[-1], A))
+    taps = np.concatenate((np.zeros(B), d))[-B:]     # d_{B-1}..d_0
+    Z, C = np.empty((2, B, W, 2 * W + 1))     # R_k*A and S_k*A
+    Z[0] = A
+    for k in range(B):
+        np.dot(taps[B - 1 - k:], Z[:k + 1].reshape(k + 1, -1),
+               C[k].reshape(-1))
+        if k + 1 < B:
+            Z[k + 1] = A[:, :W] @ C[k] + (
+                A[:, W + 1:] @ Z[k] if step.explicit else 0.0)
+    K = Z[::-1, :, :W + 1].transpose(0, 2, 1).reshape(B * (W + 1), W)
+    Q = np.stack((Z[..., W + 1:], C[..., :W] + Z[..., W + 1:])).transpose(
+        0, 3, 1, 2).reshape(2, W, B * W)
+    if not (np.isfinite(K).all() and np.isfinite(Q).all()):
+        return _step_body(step, memory, alpha, residuals)
+    U = np.zeros((2 * B - 1, W + 1))    # B-1 rows of zeros, then (F_i, mu_i)
+    F, toeplitz = U[B - 1:], sliding_window_view(U.ravel(), B * (W + 1))
+
+    def advance(n0: int, phi: np.ndarray, mu: list[float]) -> None:
+        for b0 in range(n0, n0 + len(mu), B):
+            q, lo = min(B, n0 + len(mu) - b0), max(b0, 1)
+            np.add(memory._far_loads(b0, q), phi[b0 - n0:b0 - n0 + q],
+                   F[:q, :W])
+            F[:q, W] = mu[b0 - n0:b0 - n0 + q]
+            X = H[b0 + 1:b0 + 1 + q]
+            np.matmul(toeplitz[:q * (W + 1):W + 1].copy(), K, out=X)
+            X += (H[b0] @ Q[min(b0, 1)])[:q * W].reshape(q, W)
+            X[:, 0] = alpha * X[:, -1]
+            for n in range(b0, b0 + q if residuals is not None else b0):
+                rhs = _step_rhs(step, H[n], -d[d.size - 1 - n + lo:].dot(
+                    H[lo:n + 1]), F[n - b0, :W], F[n - b0, W], np.empty(N))
+                residuals.append(step.operator.residual(rhs, H[n + 1, 1:]))
 
     return advance
 
@@ -667,10 +727,12 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     stability experiments pass random data).  The call first builds the
     step and factors its matrix (an overflowing one raises DomainError,
     a singular one SingularSystemError) and checks level 0 (a bad one
-    raises DomainError), so a refused march calls no fold.  Each step
-    is then one call of the step body (:func:`_step_body`): the memory
-    load and the right-hand side, the closure and one tridiagonal solve
-    in place, with y_0 from the value coupling.
+    raises DomainError), so a refused march calls no fold.  A march of at
+    most ``_PROPAGATE_WIDTH`` nodes and ``_PROPAGATE`` levels per node or
+    more makes ``_PROPAGATE`` levels per GEMM (:func:`_block_body`); any
+    other, such as N=320, steps (:func:`_step_body`, the oracle of both):
+    the memory load and right-hand side, the closure and one tridiagonal
+    solve in place, with y_0 from the value coupling.
 
     The levels are made in the memory's history (:class:`L1Memory`), one
     ``(Nt+1, N+1)`` array with level n in row n, which is ``out`` when
@@ -705,19 +767,17 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
                           f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
     sigma, tau = params.sigma, grid.tau
-    rhs = np.empty(grid.N) if check_residuals else None
-    advance = _step_body(step, memory, problem.alpha, rhs)
+    propagate = grid.N + 1 <= min(_PROPAGATE_WIDTH, grid.Nt // _PROPAGATE)
+    body = _block_body if propagate else _step_body
+    with np.errstate(over="ignore", invalid="ignore"):    # see _block_body
+        advance = body(step, memory, problem.alpha, residuals)
     for n0 in range(0, grid.Nt, rows):
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
-            for n, mu_n in zip(range(n0, grid.Nt), mu):
-                advance(n, phi, n0, mu_n)
-                if residuals is not None:
-                    residuals.append(step.operator.residual(
-                        rhs, levels[n + 1, 1:]))
+            advance(n0, phi, mu)
             made = len(times)
             blow = _first_blow_up(levels[n0 + 1:n0 + 1 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it

@@ -393,6 +393,23 @@ def test_solve_into_a_buffer_matches_and_keeps_the_rhs(system):
     assert np.max(np.abs(buf - dense)) / scale <= 1e-11
 
 
+@given(bordered_systems(), st.integers(1, 5))
+def test_many_right_hand_sides_are_one_solve(system, k):
+    # The block propagator solves its 2N+3 columns in one call of the
+    # bound solve: the rhs comes back as it went in, and each column of
+    # the solution is the single solve's and the dense oracle's.
+    rhs = np.column_stack([system.rhs * (j + 1.0) - j for j in range(k)])
+    kept, out = rhs.copy(), np.full_like(rhs, np.nan)
+    assert system.solve(rhs, out) is out
+    assert rhs.tobytes() == kept.tobytes()
+    dense = solve_dense_oracle(dataclasses.replace(system, rhs=rhs))
+    for j in range(k):
+        one = system.solve(rhs[:, j].copy(), np.empty(len(rhs)))
+        scale = max(float(np.max(np.abs(dense[:, j]))), 1e-30)
+        assert np.max(np.abs(out[:, j] - one)) <= 1e-13 * scale
+        assert np.max(np.abs(out[:, j] - dense[:, j])) <= 1e-11 * scale
+
+
 @st.composite
 def symmetric_systems(draw):
     """Step systems that :func:`build_step` makes, N in [2, 64].
@@ -808,47 +825,203 @@ def test_block_guard_stops_where_a_per_level_guard_does(where, value):
     assert replay_against_oracle(problem, grid, params, Y) == level
 
 
+# ---------------------------------------------------------------------------
+# the block propagator of narrow marches
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def bodies(monkeypatch):
+    """The bodies (``"block"``, ``"step"``) the marches of a test bind."""
+    bound = []
+    for name in ("block", "step"):
+        body = getattr(stepper, f"_{name}_body")
+        monkeypatch.setattr(stepper, f"_{name}_body",
+                            lambda *args, name=name, body=body: (
+                                bound.append(name), body(*args))[1])
+    return bound
+
+
+def stepped_march(*args, **kwargs):
+    """``march`` on the stepped path: the propagator's width cutoff at 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "_PROPAGATE_WIDTH", 0)
+        return march(*args, **kwargs)
+
+
+@st.composite
+def narrow_marches(draw):
+    """A march that takes the block propagator, and whether pieces come early.
+
+    The width runs from 3 (N=2, whose one-row interior takes band LU) to
+    the cutoff, and Nt from the fewest levels the propagator takes, 16
+    per node, to 40 past the first data block of 256 levels, so the march
+    crosses blocks of 16 levels and memory blocks of 64 and ends inside a
+    block or on its edge.  sigma is 0, the stability threshold, in (0, 1)
+    or 1, and alpha and beta both lie in [0.1, 1] or in [1, 200]; the
+    data are smooth in x and t/T.  The final time is halved until sigma is
+    at least the threshold.  With
+    ``early`` the piece floor is lowered to one memory block, so FFT
+    pieces of 64 levels and more feed the far loads of the blocks.
+    """
+    N = draw(st.integers(2, stepper._PROPAGATE_WIDTH - 1))
+    fewest = stepper._PROPAGATE * (N + 1)
+    Nt = draw(st.integers(fewest, max(fewest, 256) + 40))
+    gamma = draw(st.floats(0.1, 0.9))
+    low, high = draw(st.sampled_from([(0.1, 1.0), (1.0, 200.0)]))
+    alpha, beta = draw(st.floats(low, high)), draw(st.floats(low, high))
+    sigma = draw(st.one_of(st.sampled_from([0.0, 1.0, "threshold"]),
+                           st.floats(0.0, 1.0)))
+    T = 1.0
+    if sigma == "threshold":
+        sigma = min(max(sigma_threshold(gamma, 1.0 / N, T / Nt, math.e), 0.0),
+                    1.0)
+    while sigma_threshold(gamma, 1.0 / N, T / Nt, math.e) > sigma:
+        T /= 2.0
+    problem = Problem(gamma=gamma, alpha=alpha, beta=beta, k=np.exp,
+                      f=lambda x, t: np.sin(3.0 * x) * (1.0 + t / T),
+                      mu=lambda t: math.cos(t / T), u0=np.cos, c1=1.0,
+                      c2=math.e)
+    return problem, Grid(N=N, Nt=Nt, T=T), SchemeParams(sigma), draw(
+        st.booleans())
+
+
+@settings(max_examples=30)
+@given(narrow_marches())
+def test_propagated_march_matches_the_stepped_march_and_the_oracle(case):
+    # Every level the propagator makes is the stepped path's level and the
+    # level that assemble_step and the dense LU solve make from the levels
+    # before it, each to 1e-12 of the level's max norm; every step's
+    # residual against its own system stays at rounding level.
+    problem, grid, params, early = case
+    with pytest.MonkeyPatch.context() as mp:
+        if early:
+            mp.setattr(stepper, "_PIECE_MIN", _BLOCK)
+            mp.setattr(stepper, "_PIECE_GROWTH", 0)
+        bound, body = [], stepper._block_body
+        mp.setattr(stepper, "_block_body",
+                   lambda *args: (bound.append(1), body(*args))[1])
+        outcome = march(problem, grid, params, check_residuals=True)
+        assert bound == [1]
+        stepped = stepped_march(problem, grid, params)
+    Y, Z = outcome.history, stepped.history
+    assert outcome.blow_up is None and stepped.blow_up is None
+    top = np.max(np.abs(Z), axis=1)
+    assert np.all(np.max(np.abs(Y - Z), axis=1) <= 1e-12 * top)
+    assert replay_against_oracle(problem, grid, params, Y) is None
+    assert max(outcome.per_step_residuals) <= 1e-11
+
+
+@pytest.mark.parametrize("sigma, level", [(0.0, 54), (0.2, 182)])
+def test_a_growing_propagated_march_blows_up_where_the_stepped_one_does(
+        bodies, sigma, level):
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=16, Nt=500)
+    outcome = march(problem, grid, SchemeParams(sigma), check_residuals=True)
+    stepped = stepped_march(problem, grid, SchemeParams(sigma))
+    assert bodies == ["block", "step"]
+    assert outcome.blow_up.level == stepped.blow_up.level == level
+    assert outcome.blow_up.norm == pytest.approx(stepped.blow_up.norm,
+                                                 rel=1e-6)
+    assert len(outcome.per_step_residuals) == level
+    assert len(outcome.history) == level + 1
+
+
+def test_an_overflowing_propagator_leaves_the_march_to_the_stepped_path(
+        bodies):
+    # Faces of 1e30 at sigma = 0 grow a level about 1e33-fold per step:
+    # the block's Green's function overflows, and the march steps, byte
+    # for byte the stepped march, to the same blow-up.
+    problem = dataclasses.replace(build_zero(), k=lambda x: np.full_like(
+        x, 1e30), c1=1e30, c2=1e30)
+    grid, params = Grid(N=4, Nt=80), SchemeParams(0.0)
+    y0 = np.array([1.0, 0.5, -0.5, 0.25, 1.0])
+    outcome = march(problem, grid, params, y0=y0)
+    assert bodies == ["block", "step"]
+    stepped = stepped_march(problem, grid, params, y0=y0)
+    assert outcome.blow_up == stepped.blow_up and outcome.blow_up.level < 16
+    assert outcome.history.tobytes() == stepped.history.tobytes()
+
+
+def test_residuals_of_a_propagated_march_see_a_corrupted_level(monkeypatch):
+    # The residuals of a block are taken against the right-hand sides that
+    # the levels in the history give.  Level 18, the second of the block
+    # after level 16, is changed before the block's residuals are taken:
+    # step 17 (its solution) and steps 18..31 (whose memory and explicit
+    # part read it) show it; the next block is made from the changed level,
+    # so its steps do not.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=8, Nt=300)
+    params = SchemeParams(0.5)
+    clean = march(problem, grid, params, check_residuals=True)
+    assert max(clean.per_step_residuals) <= 1e-11
+    residual = StepOperator.residual
+
+    def corrupt(op, rhs, sol):
+        if len(seen) == 16:
+            sol.base[18, 3] += 1e-3         # sol is level 17 in the history
+        seen.append(1)
+        return residual(op, rhs, sol)
+
+    seen = []
+    monkeypatch.setattr(StepOperator, "residual", corrupt)
+    res = np.array(march(problem, grid, params,
+                         check_residuals=True).per_step_residuals)
+    assert np.all(res[17:32] > 1e-8)
+    assert max(res[:17]) <= 1e-11 and max(res[32:]) <= 1e-11
+
+
+@pytest.mark.parametrize("offset, body", [(-1, "block"), (0, "block"),
+                                          (1, "step")])
+def test_the_width_cutoff_picks_the_path(bodies, offset, body):
+    # Widths up to the cutoff take the propagator when the march has at
+    # least 16 levels per node, and steps otherwise.
+    width = stepper._PROPAGATE_WIDTH + offset
+    fewest = stepper._PROPAGATE * width
+    problem = build_manufactured(3.0, 2.0, 0.5)
+    march(problem, Grid(N=width - 1, Nt=fewest), SchemeParams(1.0))
+    march(problem, Grid(N=width - 1, Nt=fewest - 1), SchemeParams(1.0))
+    assert bodies == [body, "step"]
+
+
 def test_cached_memory_weights_are_contiguous_tails(monkeypatch):
-    # Every weight array the load multiplies by is C-contiguous: a
+    # Every weight array the far loads multiply by is C-contiguous: a
     # reversed view makes the product about 30 times slower.  The near
     # weights of level n+1, on the levels from the block's first (from 1
-    # in the first block) to n, are a tail of the differences of
-    # ``l1_weights(n, ...).c``; the far weights, at the first level of
-    # each block, are copied.
+    # in the first block) to n, are a contiguous tail of the memory's
+    # differences, as the step body takes them, and equal those of
+    # ``l1_weights(n, ...).c``.
     gamma, tau, Nt, width = 0.3, 0.01, 2 * _BLOCK + 5, 5
     memory = L1Memory(gamma, tau, Nt, width)
+    memory.history[:] = np.arange(Nt + 1.0)[:, None]     # increments of 1
     seen, matmul = [], np.matmul
 
     def spy(a, b, *args, **kwargs):
-        seen.append((a.flags.c_contiguous, a.ndim, a.copy()))
+        seen.append(a.flags.c_contiguous)
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    buf = np.empty(width)
-    for n in range(Nt):
+    for n0 in range(0, Nt, _BLOCK):
         del seen[:]
-        memory.history[n] = n                   # increments of 1
-        memory.load(n, buf)
-        assert all(contiguous for contiguous, _, _ in seen)
-        near = [w for _, ndim, w in seen if ndim == 1]
-        j = n % _BLOCK
-        lo = max(n - j, 1)
+        memory._far_loads(n0)
+        assert seen and all(seen)
+    d = memory._d
+    for n in range(Nt):
+        lo = max(n - n % _BLOCK, 1)
+        near = d[d.size - 1 - n + lo:]
+        assert near.flags.c_contiguous
         assert np.array_equal(near,
-                              [np.diff(l1_weights(n, gamma, tau).c)[lo - 1:]])
-        far = [w for _, ndim, w in seen if ndim == 2]
-        assert len(far) == (j == 0)
+                              np.diff(l1_weights(n, gamma, tau).c)[lo - 1:])
 
 
 def blocked_load_error(gamma, tau, Nt, width, seed):
-    """Worst error of L1Memory.load against the unblocked contraction.
+    """Worst error of the blocked far loads against the unblocked contraction.
 
-    The levels are a random walk, written into the memory's history and
-    loaded in order, as the march does; at every level the load, written
-    into a caller's buffer, must equal the increment form
-    ``c[:-1] @ inc[:n] - c_new*y^n`` with ``c = l1_weights(n, gamma,
-    tau).c``, the independent weights, and the increments taken here, to
+    The levels are a random walk, written into the memory's history in
+    order, as the march does; at every level n the load, the far row that
+    ``_far_loads`` made at the first level of n's block plus a plain
+    contraction of the near levels with the independent weights ``c =
+    l1_weights(n, gamma, tau).c``, must equal the increment form
+    ``c[:-1] @ inc[:n] - c_new*y^n``, with the increments taken here, to
     1e-13 relative to the sum of the magnitudes of the terms of both
-    forms.  The history's rows past n hold NaN, so a load that read
+    forms.  The history's rows past n hold NaN, so far loads that read
     them would show.
     """
     rng = np.random.default_rng(seed)
@@ -867,9 +1040,11 @@ def blocked_load_error(gamma, tau, Nt, width, seed):
                  + np.abs(np.diff(c)) @ np.abs(levels[1:n + 1])
                  + c[0] * np.abs(levels[0]))             # level form
         memory.history[n] = levels[n]
-        buf = np.full(width, np.nan)
-        got = memory.load(n, buf)
-        assert got is buf
+        j = n % _BLOCK
+        if j == 0:
+            far = memory._far_loads(n)
+        lo = max(n - j, 1)
+        got = -(far[j] + np.diff(c)[lo - 1:] @ levels[lo:n + 1])
         # np.maximum, not max: a NaN error must not be passed over
         worst = np.maximum(worst, np.max(np.abs(got - expected) / scale))
     return float(worst)

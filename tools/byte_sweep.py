@@ -37,15 +37,18 @@ program produces is checked in two ways:
   memory takes FFT pieces at several scales (N = 16, Nt = 4100 of random
   homogeneous data at the stability threshold, pieces of 512 to 2048
   levels; gamma = 0.9, N = 40, Nt = 2100 at sigma = 1, pieces of 512 and
-  1024 levels): 72 marches in all.  The hash
+  1024 levels), and three narrow enough for the block propagator
+  (gamma = 0.9, N = 8, Nt = 2100 at sigma = 0.5, pieces of 512 levels;
+  N = 2, Nt = 600 at sigma = 1; and N = 16, Nt = 500 at sigma = 0.2,
+  which blows up at level 182): 75 marches in all.  The hash
   also covers the blow-up record and, for the blow-ups, one march that
-  finishes, the block-edge marches, the smallest systems and the
-  N = 1000 marches, the per-step residuals.  Each march is labelled
-  bounded or growing: the 16 sigma = 0.3 marches of the gamma/N grid
-  grow by 1e6 to 1e100 and the two blow-ups past 1e100, and the N = 1000
-  march at sigma = 0.5, below that grid's stability threshold, grows
-  from rounding; a growing march amplifies any rounding change, by up
-  to about 1e7.
+  finishes, the block-edge marches, the smallest systems, the N = 1000
+  marches and the last two propagated ones, the per-step residuals.
+  Each march is labelled bounded or growing: the 16 sigma = 0.3 marches
+  of the gamma/N grid grow by 1e6 to 1e100 and the three blow-ups past
+  1e100, and the N = 1000 march at sigma = 0.5, below that grid's
+  stability threshold, grows from rounding; a growing march amplifies
+  any rounding change, by up to about 1e7.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.  The line says what moved: a
@@ -193,6 +196,16 @@ digest("fft pieces random zero-data N=16 Nt=4100 s=threshold", march(
     y0=y0))
 digest("fft pieces mms g=0.9 N=40 Nt=2100 s=1", march(
     build_manufactured(3.0, 2.0, 0.9), Grid(N=40, Nt=2100), SchemeParams(1.0)))
+# narrow marches that the block propagator makes: one whose blocks take far
+# loads from FFT pieces, the smallest system, and one that blows up
+digest("propagated fft pieces mms g=0.9 N=8 Nt=2100 s=0.5", march(
+    build_manufactured(3.0, 2.0, 0.9), Grid(N=8, Nt=2100), SchemeParams(0.5)))
+digest("propagated smallest N=2 Nt=600 s=1", march(
+    build_manufactured(3.0, 2.0, 0.5), Grid(N=2, Nt=600), SchemeParams(1.0),
+    check_residuals=True))
+digest("propagated blow-up N=16 Nt=500 s=0.2", march(
+    build_manufactured(3.0, 2.0, 0.5), Grid(N=16, Nt=500), SchemeParams(0.2),
+    check_residuals=True), True)
 print(json.dumps(out))
 """
 
