@@ -24,14 +24,14 @@ takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
 dyadic FFT pieces on long marches.  A body bound once per march makes
-a data block's levels a step at a time (:func:`_step_body`: a product of
-the memory weights with the block's levels, one addition of the block's
-source minus its far memory, the closure and one in-place tridiagonal
-solve into the level's row), or, on narrow marches, whose steps are
-mostly call overhead, ``_PROPAGATE`` at a time by the step's discrete
-Green's function (:func:`_block_body`); at N=320 its GEMM would cost more
-than the calls it saves.  The march checks for blow-up once per data
-block, dropping any levels it computed past one.
+the levels of a block from its source plus far memory, which the march
+takes, a step at a time (:func:`_step_body`: a product of the memory
+weights with the block's levels, one addition, the closure and one
+in-place tridiagonal solve into the level's row), or, on narrow marches,
+whose steps are mostly call overhead, ``_PROPAGATE`` at a time by the
+step's discrete Green's function (:func:`_block_body`); at N=320 its GEMM
+would cost more than the calls it saves.  The march checks for blow-up
+once per data block, dropping any levels it computed past one.
 
 :func:`march_blocks` is the march: one call that hands each block of
 levels, as it is made and checked, to the caller's folds (error and
@@ -582,19 +582,18 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
-def _step_body(step: Step, memory: L1Memory, alpha: float,
-               residuals: Optional[list[float]]
-               ) -> Callable[[int, np.ndarray, list[float]], None]:
-    """The levels of a data block, a step at a time: ``advance(n0, phi, mu)``.
+def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
+        Callable[[int, np.ndarray, list[float]], None], int]:
+    """A memory block's levels a step at a time: ``(advance, _BLOCK)``.
 
-    Bound once per march, the call writes the levels after n0 into the
-    memory's history from the levels before them, the source rows ``phi``
-    and the flux data ``mu`` of the data block that starts at level n0,
-    and with ``residuals`` appends each step's residual.  As a memory or
-    data block starts, its source rows are added in place to the memory's
-    far loads, so phi - load is one near product and one addition; at
-    sigma < 1 the explicit part is one multiply of pre-scaled bands by a
-    ``(3, N-1)`` window of level n and one sum.  The closure gives y_N (see
+    Bound once per march, ``advance(n0, loads, mu)`` writes the levels
+    after n0 into the memory's history from the levels before them: row
+    j of ``loads`` is the source plus the far memory of level n0+j+1 and
+    ``mu`` the flux data, all of one block of ``_BLOCK`` levels, as
+    :func:`march_blocks` takes them.  So phi - load is one near product,
+    from the block's first level, and one addition; at sigma < 1 the
+    explicit part is one multiply of pre-scaled bands by a ``(3, N-1)``
+    window of level n and one sum.  The closure gives y_N (see
     :attr:`StepOperator._factors`), the border entries take their y_N
     share, and ``dpttrs`` or ``dgbtrs`` solves in place; :func:`_step_rhs`
     and :meth:`StepOperator.solve` give the same level up to rounding.
@@ -602,12 +601,11 @@ def _step_body(step: Step, memory: L1Memory, alpha: float,
     solve, z, denom = step.operator._factors
     m = z.size
     corner, edge = float(step.operator.corner), step.operator.upper.item(-1)
-    H, d, far_loads = memory.history, memory._d, memory._far_loads
+    H, d = memory.history, memory._d
     top = d.size - 1
     two_by_h, beta = step.two_by_h, step.beta
     explicit, flux_N, flux_1 = step.explicit != 0.0, step.flux_N, step.flux_1
     add, zdot = np.add, z.dot
-    rhs = None if residuals is None else np.empty(m + 1)
     if explicit:
         taps = sliding_window_view(H, m, axis=1)
         bands = np.stack((step.a_left, -step.a_mid, step.a_right))
@@ -616,21 +614,14 @@ def _step_body(step: Step, memory: L1Memory, alpha: float,
         products, phi_load = stack[:3, 1:-1], stack[3]
         summands = stack[:, 1:-1]
         multiply, total = np.multiply, np.add.reduce
-    far = first = lo = None
 
-    def advance(n0: int, phi: np.ndarray, mu: list[float]) -> None:
-        nonlocal far, first, lo
-        for n, mu_n in zip(range(n0, n0 + len(mu)), mu):
-            if n % _BLOCK == 0:
-                far, first, lo = far_loads(n), n, max(n, 1)
-            j = n - first
-            if j == 0 or n == n0:   # far rows whose phi is new: add it once
-                k = min(len(far) - j, len(phi) - (n - n0))
-                add(far[j:j + k], phi[n - n0:n - n0 + k], far[j:j + k])
+    def advance(n0: int, loads: np.ndarray, mu: list[float]) -> None:
+        lo = max(n0 - n0 % _BLOCK, 1)
+        for n, row, mu_n in zip(range(n0, n0 + len(mu)), loads, mu):
             level = H[n + 1]
             r = phi_load if explicit else level
             d[top - n + lo:].dot(H[lo:n + 1], r)
-            add(r, far[j], r)
+            add(r, row, r)
             flux = two_by_h * mu_n + r.item(-1) + beta * r.item(0)
             g = level[1:-1]
             if explicit:
@@ -640,23 +631,18 @@ def _step_body(step: Step, memory: L1Memory, alpha: float,
                 flux = (flux - flux_N * (yn.item(-1) - yn.item(-2))
                         + flux_1 * (yn.item(1) - yn.item(0)))
             yN = (flux - zdot(g)) / denom
-            if rhs is not None:
-                rhs[:m], rhs[m] = g, flux
             g[0] = g.item(0) - corner * yN
             g[m - 1] = g.item(m - 1) - edge * yN
             solve(g, overwrite_b=1)             # in place: g is contiguous
             level[-1] = yN
             level[0] = alpha * yN
-            if rhs is not None:
-                residuals.append(step.operator.residual(rhs, level[1:]))
 
-    return advance
+    return advance, _BLOCK
 
 
-def _block_body(step: Step, memory: L1Memory, alpha: float,
-                residuals: Optional[list[float]]
-                ) -> Callable[[int, np.ndarray, list[float]], None]:
-    """As :func:`_step_body`, but ``_PROPAGATE`` levels per GEMM.
+def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
+        Callable[[int, np.ndarray, list[float]], None], int]:
+    """As :func:`_step_body`, but a GEMM per block: ``(advance, _PROPAGATE)``.
 
     A step is affine, y^{n+1} = A_r*r + a_mu*mu + A_y*y^n, r the source
     minus the memory load (A_y = 0 at sigma = 1); A is one solve of 2N+3
@@ -664,10 +650,11 @@ def _block_body(step: Step, memory: L1Memory, alpha: float,
     solve a lower block-triangular Toeplitz system in the weights d_k, whose
     inverse (Lu, Pang and Sun 2015) is R_0 = I, R_k = A_r*S_{k-1} +
     A_y*R_{k-1}, S_k = sum_{i<=k} d_i*R_{k-i}.  With F_i the source plus the
-    far loads of level b0+i+1, level b0+k+1 is one GEMM, sum_{i<=k}
-    R_{k-i}*(A_r*F_i + a_mu*mu_i), plus one GEMV, Q_k*y^{b0} with Q_k =
-    S_k*A_r + R_k*A_y (R_k*A_y first, where level 0 keeps c_n in the far
-    loads).  Residuals read the levels in the history (:func:`_step_rhs`).
+    far loads of level b0+i+1 (row i of ``loads``), level b0+k+1 is one
+    GEMM, sum_{i<=k} R_{k-i}*(A_r*F_i + a_mu*mu_i), plus one GEMV,
+    Q_k*y^{b0} with Q_k = S_k*A_r + R_k*A_y (R_k*A_y first, where level 0
+    keeps c_n in the far loads).  A Green's function that overflows leaves
+    the march to :func:`_step_body`.
     """
     H, B, d = memory.history, _PROPAGATE, memory._d
     W = H.shape[1]
@@ -694,26 +681,19 @@ def _block_body(step: Step, memory: L1Memory, alpha: float,
     Q = np.stack((Z[..., W + 1:], C[..., :W] + Z[..., W + 1:])).transpose(
         0, 3, 1, 2).reshape(2, W, B * W)
     if not (np.isfinite(K).all() and np.isfinite(Q).all()):
-        return _step_body(step, memory, alpha, residuals)
+        return _step_body(step, memory, alpha)
     U = np.zeros((2 * B - 1, W + 1))    # B-1 rows of zeros, then (F_i, mu_i)
     F, toeplitz = U[B - 1:], sliding_window_view(U.ravel(), B * (W + 1))
 
-    def advance(n0: int, phi: np.ndarray, mu: list[float]) -> None:
-        for b0 in range(n0, n0 + len(mu), B):
-            q, lo = min(B, n0 + len(mu) - b0), max(b0, 1)
-            np.add(memory._far_loads(b0, q), phi[b0 - n0:b0 - n0 + q],
-                   F[:q, :W])
-            F[:q, W] = mu[b0 - n0:b0 - n0 + q]
-            X = H[b0 + 1:b0 + 1 + q]
-            np.matmul(toeplitz[:q * (W + 1):W + 1].copy(), K, out=X)
-            X += (H[b0] @ Q[min(b0, 1)])[:q * W].reshape(q, W)
-            X[:, 0] = alpha * X[:, -1]
-            for n in range(b0, b0 + q if residuals is not None else b0):
-                rhs = _step_rhs(step, H[n], -d[d.size - 1 - n + lo:].dot(
-                    H[lo:n + 1]), F[n - b0, :W], F[n - b0, W], np.empty(N))
-                residuals.append(step.operator.residual(rhs, H[n + 1, 1:]))
+    def advance(b0: int, loads: np.ndarray, mu: list[float]) -> None:
+        q = len(mu)
+        F[:q, :W], F[:q, W] = loads, mu
+        X = H[b0 + 1:b0 + 1 + q]
+        np.matmul(toeplitz[:q * (W + 1):W + 1].copy(), K, out=X)
+        X += (H[b0] @ Q[min(b0, 1)])[:q * W].reshape(q, W)
+        X[:, 0] = alpha * X[:, -1]
 
-    return advance
+    return advance, B
 
 
 def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
@@ -737,10 +717,14 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     The levels are made in the memory's history (:class:`L1Memory`), one
     ``(Nt+1, N+1)`` array with level n in row n, which is ``out`` when
     given.  f and mu are sampled a data block (``block_levels``) at a
-    time.  Once the guard has read a block, the folds get it, a view of
-    the history's rows, in the order given, under the caller's numpy
-    error state; the first also holds level 0.  A fold that changes the
-    levels changes the march.
+    time.  As a block of the body starts (``_BLOCK`` levels stepped,
+    ``_PROPAGATE`` propagated), the call takes its far loads once; it adds
+    the source rows to them and hands the body its levels' rows.  Both
+    bodies' residuals are taken against :func:`_step_rhs` of the levels
+    in the history.  Once the guard has read a data block, the folds get
+    it, a view of the history's rows, in the order given, under the
+    caller's numpy error state; the first also holds level 0.  A fold
+    that changes the levels changes the march.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
@@ -766,19 +750,33 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
         raise DomainError(f"initial level: max norm {blow.norm} is not "
                           f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
-    sigma, tau = params.sigma, grid.tau
+    sigma, tau, d = params.sigma, grid.tau, memory._d
     propagate = grid.N + 1 <= min(_PROPAGATE_WIDTH, grid.Nt // _PROPAGATE)
     body = _block_body if propagate else _step_body
     with np.errstate(over="ignore", invalid="ignore"):    # see _block_body
-        advance = body(step, memory, problem.alpha, residuals)
+        advance, B = body(step, memory, problem.alpha)
     for n0 in range(0, grid.Nt, rows):
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             # f and mu at t_n + sigma*tau for the levels of the block
             times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
             phi, mu = step.source.rows(times), list(map(problem.mu, times))
-            advance(n0, phi, mu)
             made = len(times)
+            # A body block begun in an earlier data block keeps its far rows
+            # (a propagated march's data blocks hold whole body blocks).
+            for s in [n0, *range(n0 - n0 % B + B, n0 + made, B)]:
+                if s % B == 0:
+                    far, b0, lo = memory._far_loads(s, B), s, max(s, 1)
+                loads = far[s - b0:n0 + made - b0]
+                k = len(loads)
+                np.add(loads, phi[s - n0:s - n0 + k], loads)
+                advance(s, loads, mu[s - n0:s - n0 + k])
+                for n in range(s, s + k) if check_residuals else ():
+                    near = d[d.size - 1 - n + lo:].dot(levels[lo:n + 1])
+                    rhs = _step_rhs(step, levels[n], -near, loads[n - s],
+                                    mu[n - n0], np.empty(grid.N))
+                    residuals.append(step.operator.residual(
+                        rhs, levels[n + 1, 1:]))
             blow = _first_blow_up(levels[n0 + 1:n0 + 1 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it
             made = blow.level - n0

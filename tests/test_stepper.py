@@ -968,6 +968,47 @@ def test_residuals_of_a_propagated_march_see_a_corrupted_level(monkeypatch):
     assert max(res[:17]) <= 1e-11 and max(res[32:]) <= 1e-11
 
 
+def test_stepped_residuals_see_a_wrong_fused_right_hand_side(monkeypatch):
+    # The stepped body fuses its own right-hand side.  Bound to a step
+    # whose flux weight is off by 1e-6, it makes levels that its own
+    # right-hand side accepts; the residuals, taken against _step_rhs of
+    # the march's step, show every step whose old level has a flux.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=60, Nt=200)
+    params = SchemeParams(0.5)
+    clean = march(problem, grid, params, check_residuals=True)
+    assert max(clean.per_step_residuals) <= 1e-11
+    body = stepper._step_body
+    monkeypatch.setattr(stepper, "_step_body", lambda step, *args: body(
+        dataclasses.replace(step, flux_N=step.flux_N * (1 + 1e-6)), *args))
+    res = march(problem, grid, params, check_residuals=True).per_step_residuals
+    assert len(res) == grid.Nt and min(res[1:]) > 1e-10
+
+
+@pytest.mark.parametrize("N, Nt, rows", [(300, 500, _BLOCK),
+                                         (60, 600, _BLOCK),
+                                         (16, 600, stepper._PROPAGATE)],
+                         ids=["straddled", "aligned", "propagated"])
+def test_each_body_block_takes_its_far_loads_once(monkeypatch, bodies, N,
+                                                  Nt, rows):
+    # At N=300 the data blocks of 217 levels start inside the memory blocks
+    # of 64, at N=60 they hold four whole ones, and at N=16 the propagated
+    # blocks of 16 levels: every march takes a block's far loads exactly
+    # once, at its first level, for the body's rows.  An FFT piece is made
+    # only when the far loads are taken at its level.
+    calls, far_loads = [], L1Memory._far_loads
+
+    def spy(memory, n0, count=_BLOCK):
+        calls.append((n0, count))
+        return far_loads(memory, n0, count)
+
+    monkeypatch.setattr(L1Memory, "_far_loads", spy)
+    outcome = march(build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=Nt),
+                    SchemeParams(1.0))
+    assert outcome.blow_up is None
+    assert bodies == ["step" if rows == _BLOCK else "block"]
+    assert calls == [(n0, rows) for n0 in range(0, Nt, rows)]
+
+
 @pytest.mark.parametrize("offset, body", [(-1, "block"), (0, "block"),
                                           (1, "step")])
 def test_the_width_cutoff_picks_the_path(bodies, offset, body):

@@ -54,13 +54,16 @@ Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.  The line says what moved: a
 call that differs prints its exit codes, or its first changed lines (at
 most 5 of each tree per stream, stdout or the ``--out`` file); a march
-whose hash differs prints its largest relative level difference, the
-largest over its levels of max|y' - y| / max(|y|, |y'|), from the level
-arrays that both trees save to a temporary directory (0 when only the
-blow-up record or the residuals moved), and its label.  Two summary
-lines then give, for the bounded and for the growing marches, how many
-moved and the largest relative level difference among them.  A tree
-against itself reports 0 differences.
+whose hash differs prints its label, which of its parts moved (levels,
+blow-up record, residuals), its largest relative level difference, the
+largest over its levels of max|y' - y| / max(|y|, |y'|), and its
+largest relative residual difference, the largest over its steps of
+|r' - r| / max(|r|, |r'|) (0 for a march run without residuals), from
+the level and residual arrays that both trees save to a temporary
+directory.  Two summary lines then give, for the bounded and for the
+growing marches, how many moved and the largest relative level and
+residual differences among them.  A tree against itself reports 0
+differences.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -115,7 +119,8 @@ EXTRA_CALLS = (
 
 # Prints {key: [sha256 of the level array, blow-up level and norm, and
 # residuals; the file in the folder sys.argv[1] that holds the levels;
-# whether the march grows]}.
+# whether the march grows; the blow-up record; the file of the residuals,
+# or None]}.
 HASH_SCRIPT = """
 import hashlib, json, math, sys
 import numpy as np
@@ -128,13 +133,16 @@ from fracheat.stepper import march
 out = {}
 
 def digest(key, outcome, growing=False):
-    levels = f"{sys.argv[1]}/{len(out)}.npy"
+    levels, residuals = f"{sys.argv[1]}/{len(out)}.npy", None
     np.save(levels, outcome.history)
     h = hashlib.sha256(outcome.history.tobytes())
     h.update(repr(outcome.blow_up).encode())
     if outcome.per_step_residuals is not None:
+        residuals = f"{sys.argv[1]}/{len(out)}-residuals.npy"
+        np.save(residuals, outcome.per_step_residuals)
         h.update(np.array(outcome.per_step_residuals).tobytes())
-    out[key] = [h.hexdigest(), levels, growing]
+    out[key] = [h.hexdigest(), levels, growing, repr(outcome.blow_up),
+                residuals]
 
 for gamma in (0.2, 0.4, 0.5, 0.8):
     for sigma in (1.0, 0.3, 0.5):
@@ -252,8 +260,9 @@ def changed_lines(a: str, b: str, limit: int = 5) -> list[str]:
     return shown + ([f"  ({hidden} more changed lines)"] if hidden else [])
 
 
-def level_hashes(src: Path, folder: Path) -> dict[str, list[str]]:
-    """{march: [hash, file of its levels in ``folder``]} under ``src``."""
+def level_hashes(src: Path, folder: Path) -> dict[str, list]:
+    """{march: [hash, file of its levels in ``folder``, whether it grows,
+    its blow-up record, file of its residuals or None]} under ``src``."""
     with tempfile.TemporaryDirectory() as tmp:
         proc = run(src, ["-c", HASH_SCRIPT, str(folder)], tmp)
     if proc.returncode != 0:
@@ -275,6 +284,13 @@ def level_difference(a: np.ndarray, b: np.ndarray) -> float:
         top = np.maximum(np.abs(a), np.abs(b)).max(axis=1)
         relative = np.where(diff == 0.0, 0.0, diff / top)
     return float(relative.max())
+
+
+def identical(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Whether two arrays, or None, have the same shape and bytes."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def main() -> int:
@@ -305,25 +321,41 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = (level_hashes(src, Path(tempfile.mkdtemp(dir=tmp)))
                           for src in (args.parent_src, args.change_src))
-        # label -> [marches, moved, largest relative level difference]
-        groups = {"bounded": [0, 0, 0.0], "growing": [0, 0, 0.0]}
-        for key, (digest, levels, growing) in sorted(parent.items()):
+        # label -> [marches, moved, largest relative level difference,
+        # largest relative residual difference]
+        groups = {"bounded": [0, 0, 0.0, 0.0], "growing": [0, 0, 0.0, 0.0]}
+        for key, (digest, levels, growing, blow, residuals) in sorted(
+                parent.items()):
             label = "growing" if growing else "bounded"
             group = groups[label]
             group[0] += 1
             if digest != change[key][0]:
                 differences += 1
-                a, b = np.load(levels), np.load(change[key][1])
+                _, levels2, _, blow2, residuals2 = change[key]
+                a, b = np.load(levels), np.load(levels2)
+                # the same marches check residuals under both trees
+                ra, rb = (np.load(f)[:, None] if f else None
+                          for f in (residuals, residuals2))
                 moved = level_difference(a, b)
+                moved_residuals = 0.0 if ra is None else level_difference(
+                    ra, rb)
                 group[1] += 1
                 group[2] = max(group[2], moved)
+                group[3] = max(group[3], moved_residuals)
+                parts = [part for part, same in (
+                    ("levels", identical(a, b)),
+                    ("blow-up record", blow == blow2),
+                    ("residuals", identical(ra, rb))) if not same]
                 what = (f"level arrays of shapes {a.shape} and {b.shape}"
                         if a.shape != b.shape else
                         f"largest relative level difference {moved:.1e}")
-                print(f"DIFF level hash: {key} ({label}, {what})")
-    for label, (count, moved, top) in groups.items():
+                print(f"DIFF level hash: {key} ({label}; moved: "
+                      f"{', '.join(parts)}; {what}, largest relative "
+                      f"residual difference {moved_residuals:.1e})")
+    for label, (count, moved, top, top_residuals) in groups.items():
         print(f"{label} marches: {moved} of {count} moved, largest relative "
-              f"level difference {top:.1e}")
+              f"level difference {top:.1e}, largest relative residual "
+              f"difference {top_residuals:.1e}")
     print(f"{len(calls)} calls, {len(parent)} level hashes: "
           f"{differences} difference(s)")
     return 1 if differences else 0
