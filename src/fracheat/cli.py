@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -204,10 +205,9 @@ class _ErrorNorms:
         with np.errstate(over="ignore", invalid="ignore"):
             z = block - self._exact.rows([n * tau for n in
                                           range(first, first + len(block))])
-            full = norm_trapezoid(z, self._grid.h).tolist()
-            mx = norm_max(z).tolist()
-        self.full += [math.inf if math.isnan(e) else e for e in full]
-        self.max += [math.inf if math.isnan(e) else e for e in mx]
+            full, mx = norm_trapezoid(z, self._grid.h), norm_max(z)
+        self.full += np.where(np.isnan(full), np.inf, full).tolist()
+        self.max += np.where(np.isnan(mx), np.inf, mx).tolist()
 
 
 def run_convergence(config: StudyConfig) -> StudyReport:
@@ -458,26 +458,25 @@ def run_stability(gamma: float, alpha: float, beta: float,
     weights = energy_weights(problem, grid, face)
     u0 = uniform_symmetric(seed, N + 1)
     u0[0] = alpha * u0[-1]
-    norms: list[float] = []
+    blocks: list[np.ndarray] = []
 
     def fold(first: int, block: np.ndarray) -> None:
         with np.errstate(over="ignore"):  # a norm past the float range is inf
-            norms.extend(weights.norms(block, grid.h).tolist())
+            blocks.append(weights.norms(block, grid.h))
 
     march_blocks(problem, grid, SchemeParams(sigma), fold, y0=u0)
-    passed = all(v <= norms[0] * (1.0 + 1e-12) for v in norms)
+    norms = np.concatenate(blocks)
+    passed = bool(np.all(norms <= norms[0] * (1.0 + 1e-12)))
     return StabilityReport(sigma=sigma, threshold=threshold,
-                           norms=tuple(norms), passed=passed)
+                           norms=tuple(norms.tolist()), passed=passed)
 
 
 def render_stability(report: StabilityReport) -> str:
-    lines = [f"sigma={report.sigma!r}",
-             f"threshold={report.threshold!r}",
-             "n,energy_norm"]
-    for n, v in enumerate(report.norms):
-        lines.append(f"{n},{_fmt(v)}")
-    lines.append("PASS" if report.passed else "FAIL")
-    return "\n".join(lines) + "\n"
+    # One format of all the rows: n and the norm as _fmt writes it.
+    rows = ("%d,%.5e\n" * len(report.norms)) % tuple(
+        itertools.chain.from_iterable(enumerate(report.norms)))
+    return (f"sigma={report.sigma!r}\nthreshold={report.threshold!r}\n"
+            f"n,energy_norm\n{rows}{'PASS' if report.passed else 'FAIL'}\n")
 
 
 # ---------------------------------------------------------------------------

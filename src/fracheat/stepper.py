@@ -25,13 +25,17 @@ history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
 dyadic FFT pieces on long marches.  A body bound once per march makes
 the levels of a block from its source plus far memory, which the march
-takes, a step at a time (:func:`_step_body`: a product of the memory
-weights with the block's levels, one addition, the closure and one
-in-place tridiagonal solve into the level's row), or, on narrow marches,
-whose steps are mostly call overhead, ``_PROPAGATE`` at a time by the
-step's discrete Green's function (:func:`_block_body`); at N=320 its GEMM
-would cost more than the calls it saves.  The march checks for blow-up
-once per data block, dropping any levels it computed past one.
+takes, in one of three ways, chosen by the width at the measured
+crossovers of their march times (see ``_PROPAGATE_WIDTH``): on wide
+marches, such as N=320, a banded solve at a time (:func:`_banded_body`:
+a product of the memory weights with the block's levels, one addition,
+the closure and one in-place tridiagonal solve into the level's row);
+on moderate ones, whose steps are mostly call overhead, one product at a
+time by the step's affine solution map (:func:`_step_body`,
+:func:`_solution_map`); and on narrow ones ``_PROPAGATE`` at a time by
+the step's discrete Green's function (:func:`_block_body`).  The march
+checks for blow-up once per data block, dropping any levels it computed
+past one.
 
 :func:`march_blocks` is the march: one call that hands each block of
 levels, as it is made and checked, to the caller's folds (error and
@@ -136,9 +140,16 @@ _PIECE_MIN = 512
 _PIECE_GROWTH = 64
 
 # A march of at most _PROPAGATE_WIDTH nodes and _PROPAGATE levels per node
-# or more makes _PROPAGATE levels per GEMM (_block_body); others step faster.
+# or more makes _PROPAGATE levels per GEMM (_block_body); any other of at
+# most _PRODUCT_WIDTH nodes makes a level per product (_step_body), and a
+# wider one a level per banded solve (_banded_body).  Both widths are the
+# measured crossovers of the bodies' march times (one BLAS thread): the
+# propagator wins up to about 25 nodes and the product up to about 101,
+# where its O(N^2) flops per level and its set-up catch up with the calls
+# of the banded solve.
 _PROPAGATE = 16
-_PROPAGATE_WIDTH = 41
+_PROPAGATE_WIDTH = 25
+_PRODUCT_WIDTH = 101
 
 
 def block_levels(width: int) -> int:
@@ -582,9 +593,34 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
         raise SingularSystemError(f"dense solve failed: {exc}") from exc
 
 
-def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
+def _solution_map(step: Step, alpha: float) -> np.ndarray:
+    """The step as one affine map: y^{n+1} = A @ (r, mu, y^n).
+
+    r is the source minus the memory load on the N+1 nodes, mu the flux
+    data and y^n the old level.  The ``(N+1, 2N+3)`` matrix A is one
+    :meth:`StepOperator.solve` of the right-hand sides that :func:`_step_rhs`
+    makes of each unit vector, lifted by the row y_0 = alpha*y_N on top.
+    At sigma = 1 the columns of y^n are zero and are not solved for.
+    """
+    W = step.operator.diag.size + 2
+    N, inner = W - 1, np.arange(W - 2)
+    cols = np.zeros((N, 2 * W + 1))     # the load r, mu, then level n
+    cols[inner, inner + 1] = 1.0
+    cols[-1, [0, N, W]] = step.beta, 1.0, step.two_by_h
+    cols[inner[:, None], W + 1 + inner[:, None] + np.arange(3)] = np.stack(
+        (step.a_left, -step.a_mid, step.a_right)).T * (step.explicit / step.h2)
+    np.add.at(cols[-1], W + 1 + np.array([N, N - 1, 1, 0]),
+              [-step.flux_N, step.flux_N, step.flux_1, -step.flux_1])
+    k = 2 * W + 1 if step.explicit else W + 1
+    A = np.zeros((W, 2 * W + 1))
+    step.operator.solve(cols[:, :k], A[1:, :k])
+    A[0] = alpha * A[-1]
+    return A
+
+
+def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
         Callable[[int, np.ndarray, list[float]], None], int]:
-    """A memory block's levels a step at a time: ``(advance, _BLOCK)``.
+    """A memory block's levels a banded solve at a time: ``(advance, _BLOCK)``.
 
     Bound once per march, ``advance(n0, loads, mu)`` writes the levels
     after n0 into the memory's history from the levels before them: row
@@ -640,34 +676,61 @@ def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     return advance, _BLOCK
 
 
+def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
+        Callable[[int, np.ndarray, list[float]], None], int]:
+    """A memory block's levels a product at a time: ``(advance, _BLOCK)``.
+
+    As :func:`_banded_body`, a level's r = phi - load is one near product,
+    from the block's first level, and one addition, here into a buffer;
+    mu (and at sigma < 1 level n) is written beside it, and one GEMV by
+    the step's :func:`_solution_map` (its first N+2 columns at sigma = 1,
+    which read no level) writes the level.  A map that overflows leaves
+    the march to :func:`_banded_body`.
+    """
+    A = _solution_map(step, alpha)
+    if not np.isfinite(A).all():
+        return _banded_body(step, memory, alpha)
+    H, d = memory.history, memory._d
+    W, top = H.shape[1], d.size - 1
+    explicit = step.explicit != 0.0
+    if not explicit:
+        A = A[:, :W + 1].copy()
+    buf = np.empty(A.shape[1])          # r, mu, then level n at sigma < 1
+    r, old = buf[:W], buf[W + 1:]
+    add, dot = np.add, np.dot
+
+    def advance(n0: int, loads: np.ndarray, mu: list[float]) -> None:
+        lo = max(n0 - n0 % _BLOCK, 1)
+        for n, row, mu_n in zip(range(n0, n0 + len(mu)), loads, mu):
+            d[top - n + lo:].dot(H[lo:n + 1], r)
+            add(r, row, r)
+            buf[W] = mu_n
+            if explicit:
+                old[:] = H[n]
+            dot(A, buf, H[n + 1])
+
+    return advance, _BLOCK
+
+
 def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
         Callable[[int, np.ndarray, list[float]], None], int]:
     """As :func:`_step_body`, but a GEMM per block: ``(advance, _PROPAGATE)``.
 
-    A step is affine, y^{n+1} = A_r*r + a_mu*mu + A_y*y^n, r the source
-    minus the memory load (A_y = 0 at sigma = 1); A is one solve of 2N+3
-    columns, lifted by y_0 = alpha*y_N.  The levels of a block after b0
-    solve a lower block-triangular Toeplitz system in the weights d_k, whose
-    inverse (Lu, Pang and Sun 2015) is R_0 = I, R_k = A_r*S_{k-1} +
-    A_y*R_{k-1}, S_k = sum_{i<=k} d_i*R_{k-i}.  With F_i the source plus the
-    far loads of level b0+i+1 (row i of ``loads``), level b0+k+1 is one
-    GEMM, sum_{i<=k} R_{k-i}*(A_r*F_i + a_mu*mu_i), plus one GEMV,
-    Q_k*y^{b0} with Q_k = S_k*A_r + R_k*A_y (R_k*A_y first, where level 0
-    keeps c_n in the far loads).  A Green's function that overflows leaves
-    the march to :func:`_step_body`.
+    A step is affine, y^{n+1} = A_r*r + a_mu*mu + A_y*y^n (the columns of
+    :func:`_solution_map`), r the source minus the memory load (A_y = 0 at
+    sigma = 1).  The levels of a block after b0 solve a lower
+    block-triangular Toeplitz system in the weights d_k, whose inverse (Lu,
+    Pang and Sun 2015) is R_0 = I, R_k = A_r*S_{k-1} + A_y*R_{k-1}, S_k =
+    sum_{i<=k} d_i*R_{k-i}.  With F_i the source plus the far loads of
+    level b0+i+1 (row i of ``loads``), level b0+k+1 is one GEMM,
+    sum_{i<=k} R_{k-i}*(A_r*F_i + a_mu*mu_i), plus one GEMV, Q_k*y^{b0}
+    with Q_k = S_k*A_r + R_k*A_y (R_k*A_y first, where level 0 keeps c_n
+    in the far loads).  A Green's function that overflows leaves the
+    march to :func:`_banded_body`.
     """
     H, B, d = memory.history, _PROPAGATE, memory._d
     W = H.shape[1]
-    N, inner = W - 1, np.arange(W - 2)
-    cols = np.zeros((N, 2 * W + 1))     # the load r, mu, then level n
-    cols[inner, inner + 1] = 1.0
-    cols[-1, [0, N, W]] = step.beta, 1.0, step.two_by_h
-    cols[inner[:, None], W + 1 + inner[:, None] + np.arange(3)] = np.stack(
-        (step.a_left, -step.a_mid, step.a_right)).T * (step.explicit / step.h2)
-    np.add.at(cols[-1], W + 1 + np.array([N, N - 1, 1, 0]),
-              [-step.flux_N, step.flux_N, step.flux_1, -step.flux_1])
-    A = step.operator.solve(cols, np.empty_like(cols))
-    A = np.vstack((alpha * A[-1], A))
+    A = _solution_map(step, alpha)
     taps = np.concatenate((np.zeros(B), d))[-B:]     # d_{B-1}..d_0
     Z, C = np.empty((2, B, W, 2 * W + 1))     # R_k*A and S_k*A
     Z[0] = A
@@ -681,7 +744,7 @@ def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     Q = np.stack((Z[..., W + 1:], C[..., :W] + Z[..., W + 1:])).transpose(
         0, 3, 1, 2).reshape(2, W, B * W)
     if not (np.isfinite(K).all() and np.isfinite(Q).all()):
-        return _step_body(step, memory, alpha)
+        return _banded_body(step, memory, alpha)
     U = np.zeros((2 * B - 1, W + 1))    # B-1 rows of zeros, then (F_i, mu_i)
     F, toeplitz = U[B - 1:], sliding_window_view(U.ravel(), B * (W + 1))
 
@@ -707,20 +770,24 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     stability experiments pass random data).  The call first builds the
     step and factors its matrix (an overflowing one raises DomainError,
     a singular one SingularSystemError) and checks level 0 (a bad one
-    raises DomainError), so a refused march calls no fold.  A march of at
-    most ``_PROPAGATE_WIDTH`` nodes and ``_PROPAGATE`` levels per node or
-    more makes ``_PROPAGATE`` levels per GEMM (:func:`_block_body`); any
-    other, such as N=320, steps (:func:`_step_body`, the oracle of both):
-    the memory load and right-hand side, the closure and one tridiagonal
-    solve in place, with y_0 from the value coupling.
+    raises DomainError), so a refused march calls no fold.  A level is
+    made in one of three ways.  A march of at most ``_PROPAGATE_WIDTH``
+    nodes and ``_PROPAGATE`` levels per node or more makes ``_PROPAGATE``
+    levels per GEMM (:func:`_block_body`); any other of at most
+    ``_PRODUCT_WIDTH`` nodes makes a level per product by the step's
+    solution map (:func:`_step_body`); a wider one, such as N=320, takes
+    a banded solve per level (:func:`_banded_body`, the oracle of both,
+    and their fallback when their matrices overflow): the memory load and
+    right-hand side, the closure and one tridiagonal solve in place, with
+    y_0 from the value coupling.
 
     The levels are made in the memory's history (:class:`L1Memory`), one
     ``(Nt+1, N+1)`` array with level n in row n, which is ``out`` when
     given.  f and mu are sampled a data block (``block_levels``) at a
     time.  As a block of the body starts (``_BLOCK`` levels stepped,
     ``_PROPAGATE`` propagated), the call takes its far loads once; it adds
-    the source rows to them and hands the body its levels' rows.  Both
-    bodies' residuals are taken against :func:`_step_rhs` of the levels
+    the source rows to them and hands the body its levels' rows.  Every
+    body's residuals are taken against :func:`_step_rhs` of the levels
     in the history.  Once the guard has read a data block, the folds get
     it, a view of the history's rows, in the order given, under the
     caller's numpy error state; the first also holds level 0.  A fold
@@ -751,8 +818,9 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
                           f"finite or exceeds {BLOWUP_LIMIT}")
     residuals: Optional[list[float]] = [] if check_residuals else None
     sigma, tau, d = params.sigma, grid.tau, memory._d
-    propagate = grid.N + 1 <= min(_PROPAGATE_WIDTH, grid.Nt // _PROPAGATE)
-    body = _block_body if propagate else _step_body
+    W = grid.N + 1
+    body = (_block_body if W <= min(_PROPAGATE_WIDTH, grid.Nt // _PROPAGATE)
+            else _step_body if W <= _PRODUCT_WIDTH else _banded_body)
     with np.errstate(over="ignore", invalid="ignore"):    # see _block_body
         advance, B = body(step, memory, problem.alpha)
     for n0 in range(0, grid.Nt, rows):

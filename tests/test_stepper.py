@@ -829,43 +829,38 @@ def test_block_guard_stops_where_a_per_level_guard_does(where, value):
 # the block propagator of narrow marches
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def bodies(monkeypatch):
-    """The bodies (``"block"``, ``"step"``) the marches of a test bind."""
-    bound = []
-    for name in ("block", "step"):
+def record_bodies(mp, bound):
+    """Append to ``bound`` the body (``"block"``, ``"step"``, ``"banded"``)
+    that each march binds, while ``mp`` holds."""
+    for name in ("block", "step", "banded"):
         body = getattr(stepper, f"_{name}_body")
-        monkeypatch.setattr(stepper, f"_{name}_body",
-                            lambda *args, name=name, body=body: (
-                                bound.append(name), body(*args))[1])
+        mp.setattr(stepper, f"_{name}_body",
+                   lambda *args, name=name, body=body: (
+                       bound.append(name), body(*args))[1])
     return bound
 
 
+@pytest.fixture
+def bodies(monkeypatch):
+    """The bodies the marches of a test bind (see :func:`record_bodies`)."""
+    return record_bodies(monkeypatch, [])
+
+
 def stepped_march(*args, **kwargs):
-    """``march`` on the stepped path: the propagator's width cutoff at 0."""
+    """``march`` on the banded path, the oracle: both width cutoffs at 0."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stepper, "_PROPAGATE_WIDTH", 0)
+        mp.setattr(stepper, "_PRODUCT_WIDTH", 0)
         return march(*args, **kwargs)
 
 
-@st.composite
-def narrow_marches(draw):
-    """A march that takes the block propagator, and whether pieces come early.
+def smooth_march(draw, N, Nt):
+    """A march of smooth data on N intervals and Nt steps, drawn by ``draw``.
 
-    The width runs from 3 (N=2, whose one-row interior takes band LU) to
-    the cutoff, and Nt from the fewest levels the propagator takes, 16
-    per node, to 40 past the first data block of 256 levels, so the march
-    crosses blocks of 16 levels and memory blocks of 64 and ends inside a
-    block or on its edge.  sigma is 0, the stability threshold, in (0, 1)
-    or 1, and alpha and beta both lie in [0.1, 1] or in [1, 200]; the
-    data are smooth in x and t/T.  The final time is halved until sigma is
-    at least the threshold.  With
-    ``early`` the piece floor is lowered to one memory block, so FFT
-    pieces of 64 levels and more feed the far loads of the blocks.
+    sigma is 0, the stability threshold, in (0, 1) or 1, and alpha and
+    beta both lie in [0.1, 1] or in [1, 200]; the data are smooth in x and
+    t/T.  The final time is halved until sigma is at least the threshold.
     """
-    N = draw(st.integers(2, stepper._PROPAGATE_WIDTH - 1))
-    fewest = stepper._PROPAGATE * (N + 1)
-    Nt = draw(st.integers(fewest, max(fewest, 256) + 40))
     gamma = draw(st.floats(0.1, 0.9))
     low, high = draw(st.sampled_from([(0.1, 1.0), (1.0, 200.0)]))
     alpha, beta = draw(st.floats(low, high)), draw(st.floats(low, high))
@@ -881,14 +876,45 @@ def narrow_marches(draw):
                       f=lambda x, t: np.sin(3.0 * x) * (1.0 + t / T),
                       mu=lambda t: math.cos(t / T), u0=np.cos, c1=1.0,
                       c2=math.e)
-    return problem, Grid(N=N, Nt=Nt, T=T), SchemeParams(sigma), draw(
-        st.booleans())
+    return problem, Grid(N=N, Nt=Nt, T=T), SchemeParams(sigma)
+
+
+@st.composite
+def narrow_marches(draw):
+    """A march that takes the block propagator, and whether pieces come early.
+
+    The width runs from 3 (N=2, whose one-row interior takes band LU) to
+    the cutoff, and Nt from the fewest levels the propagator takes, 16
+    per node, to 40 past the first data block of 256 levels, so the march
+    crosses blocks of 16 levels and memory blocks of 64 and ends inside a
+    block or on its edge; the data are :func:`smooth_march`'s.  With
+    ``early`` the piece floor is lowered to one memory block, so FFT
+    pieces of 64 levels and more feed the far loads of the blocks.
+    """
+    N = draw(st.integers(2, stepper._PROPAGATE_WIDTH - 1))
+    fewest = stepper._PROPAGATE * (N + 1)
+    Nt = draw(st.integers(fewest, max(fewest, 256) + 40))
+    return (*smooth_march(draw, N, Nt), draw(st.booleans()))
+
+
+@st.composite
+def moderate_marches(draw):
+    """A march that makes a level per product, when the propagator is off.
+
+    The width runs from 3 to the product's cutoff, N=2 (band LU) and N=3
+    (the smallest LDL^T interior) drawn on their own too, and Nt from 1
+    to 40 past the first data block of 256 levels, so the march crosses
+    memory blocks of 64; the data are :func:`smooth_march`'s.
+    """
+    N = draw(st.one_of(st.sampled_from([2, 3]),
+                       st.integers(2, stepper._PRODUCT_WIDTH - 1)))
+    return smooth_march(draw, N, draw(st.integers(1, 296)))
 
 
 @settings(max_examples=30)
 @given(narrow_marches())
 def test_propagated_march_matches_the_stepped_march_and_the_oracle(case):
-    # Every level the propagator makes is the stepped path's level and the
+    # Every level the propagator makes is the banded path's level and the
     # level that assemble_step and the dense LU solve make from the levels
     # before it, each to 1e-12 of the level's max norm; every step's
     # residual against its own system stays at rounding level.
@@ -897,11 +923,9 @@ def test_propagated_march_matches_the_stepped_march_and_the_oracle(case):
         if early:
             mp.setattr(stepper, "_PIECE_MIN", _BLOCK)
             mp.setattr(stepper, "_PIECE_GROWTH", 0)
-        bound, body = [], stepper._block_body
-        mp.setattr(stepper, "_block_body",
-                   lambda *args: (bound.append(1), body(*args))[1])
+        bound = record_bodies(mp, [])
         outcome = march(problem, grid, params, check_residuals=True)
-        assert bound == [1]
+        assert bound == ["block"]
         stepped = stepped_march(problem, grid, params)
     Y, Z = outcome.history, stepped.history
     assert outcome.blow_up is None and stepped.blow_up is None
@@ -911,13 +935,56 @@ def test_propagated_march_matches_the_stepped_march_and_the_oracle(case):
     assert max(outcome.per_step_residuals) <= 1e-11
 
 
+@settings(max_examples=30)
+@given(moderate_marches())
+def test_product_march_matches_the_banded_march_and_the_oracle(case):
+    # Every level that one product by the step's solution map makes is the
+    # banded march's level and the level that assemble_step and the dense
+    # LU solve make from the levels before it, each to 1e-12 of the level's
+    # max norm; every step's residual stays at rounding level.
+    problem, grid, params = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "_PROPAGATE_WIDTH", 0)
+        bound = record_bodies(mp, [])
+        outcome = march(problem, grid, params, check_residuals=True)
+        assert bound == ["step"]
+    stepped = stepped_march(problem, grid, params)
+    Y, Z = outcome.history, stepped.history
+    assert outcome.blow_up is None and stepped.blow_up is None
+    top = np.max(np.abs(Z), axis=1)
+    assert np.all(np.max(np.abs(Y - Z), axis=1) <= 1e-12 * top)
+    assert replay_against_oracle(problem, grid, params, Y) is None
+    assert max(outcome.per_step_residuals) <= 1e-11
+
+
+def test_an_overflowing_solution_map_leaves_the_march_to_banded_solves(
+        bodies):
+    # Faces of 1e307 on 4 intervals at sigma = 0: the operator is finite,
+    # but the explicit part of the step, 2*a_N/h^2 in the flux row,
+    # overflows, so the solution map is not finite.  The march takes banded
+    # solves, byte for byte the banded march, to the same blow-up.
+    problem = dataclasses.replace(build_zero(), k=lambda x: np.full_like(
+        x, 1e307), c1=1e307, c2=1e307)
+    grid, params = Grid(N=4, Nt=20), SchemeParams(0.0)
+    step = build_step(problem, grid, params.sigma, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(stepper._solution_map(step,
+                                                     problem.alpha)).all()
+    y0 = np.array([1.0, 0.5, -0.5, 0.25, 1.0])
+    outcome = march(problem, grid, params, y0=y0)
+    assert bodies == ["step", "banded"]
+    stepped = stepped_march(problem, grid, params, y0=y0)
+    assert outcome.blow_up == stepped.blow_up is not None
+    assert outcome.history.tobytes() == stepped.history.tobytes()
+
+
 @pytest.mark.parametrize("sigma, level", [(0.0, 54), (0.2, 182)])
 def test_a_growing_propagated_march_blows_up_where_the_stepped_one_does(
         bodies, sigma, level):
     problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=16, Nt=500)
     outcome = march(problem, grid, SchemeParams(sigma), check_residuals=True)
     stepped = stepped_march(problem, grid, SchemeParams(sigma))
-    assert bodies == ["block", "step"]
+    assert bodies == ["block", "banded"]
     assert outcome.blow_up.level == stepped.blow_up.level == level
     assert outcome.blow_up.norm == pytest.approx(stepped.blow_up.norm,
                                                  rel=1e-6)
@@ -928,14 +995,14 @@ def test_a_growing_propagated_march_blows_up_where_the_stepped_one_does(
 def test_an_overflowing_propagator_leaves_the_march_to_the_stepped_path(
         bodies):
     # Faces of 1e30 at sigma = 0 grow a level about 1e33-fold per step:
-    # the block's Green's function overflows, and the march steps, byte
-    # for byte the stepped march, to the same blow-up.
+    # the block's Green's function overflows, and the march takes banded
+    # solves, byte for byte the banded march, to the same blow-up.
     problem = dataclasses.replace(build_zero(), k=lambda x: np.full_like(
         x, 1e30), c1=1e30, c2=1e30)
     grid, params = Grid(N=4, Nt=80), SchemeParams(0.0)
     y0 = np.array([1.0, 0.5, -0.5, 0.25, 1.0])
     outcome = march(problem, grid, params, y0=y0)
-    assert bodies == ["block", "step"]
+    assert bodies == ["block", "banded"]
     stepped = stepped_march(problem, grid, params, y0=y0)
     assert outcome.blow_up == stepped.blow_up and outcome.blow_up.level < 16
     assert outcome.history.tobytes() == stepped.history.tobytes()
@@ -969,27 +1036,33 @@ def test_residuals_of_a_propagated_march_see_a_corrupted_level(monkeypatch):
 
 
 def test_stepped_residuals_see_a_wrong_fused_right_hand_side(monkeypatch):
-    # The stepped body fuses its own right-hand side.  Bound to a step
-    # whose flux weight is off by 1e-6, it makes levels that its own
+    # Both stepped bodies fuse their own right-hand side: the banded one in
+    # its loop, the product one in its solution map.  Bound to a step
+    # whose flux weight is off by 1e-6, each makes levels that its own
     # right-hand side accepts; the residuals, taken against _step_rhs of
     # the march's step, show every step whose old level has a flux.
     problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=60, Nt=200)
     params = SchemeParams(0.5)
-    clean = march(problem, grid, params, check_residuals=True)
-    assert max(clean.per_step_residuals) <= 1e-11
-    body = stepper._step_body
-    monkeypatch.setattr(stepper, "_step_body", lambda step, *args: body(
-        dataclasses.replace(step, flux_N=step.flux_N * (1 + 1e-6)), *args))
-    res = march(problem, grid, params, check_residuals=True).per_step_residuals
-    assert len(res) == grid.Nt and min(res[1:]) > 1e-10
+    for clean in (march(problem, grid, params, check_residuals=True),
+                  stepped_march(problem, grid, params, check_residuals=True)):
+        assert max(clean.per_step_residuals) <= 1e-11
+    for name in ("_step_body", "_banded_body"):
+        monkeypatch.setattr(stepper, name, lambda step, *args, body=getattr(
+            stepper, name): body(dataclasses.replace(
+                step, flux_N=step.flux_N * (1 + 1e-6)), *args))
+    for width in (stepper._PRODUCT_WIDTH, 0):
+        monkeypatch.setattr(stepper, "_PRODUCT_WIDTH", width)
+        res = march(problem, grid, params,
+                    check_residuals=True).per_step_residuals
+        assert len(res) == grid.Nt and min(res[1:]) > 1e-10
 
 
-@pytest.mark.parametrize("N, Nt, rows", [(300, 500, _BLOCK),
-                                         (60, 600, _BLOCK),
-                                         (16, 600, stepper._PROPAGATE)],
-                         ids=["straddled", "aligned", "propagated"])
+@pytest.mark.parametrize("N, Nt, rows, body", [
+    (300, 500, _BLOCK, "banded"), (60, 600, _BLOCK, "step"),
+    (16, 600, stepper._PROPAGATE, "block")],
+    ids=["straddled", "aligned", "propagated"])
 def test_each_body_block_takes_its_far_loads_once(monkeypatch, bodies, N,
-                                                  Nt, rows):
+                                                  Nt, rows, body):
     # At N=300 the data blocks of 217 levels start inside the memory blocks
     # of 64, at N=60 they hold four whole ones, and at N=16 the propagated
     # blocks of 16 levels: every march takes a block's far loads exactly
@@ -1005,21 +1078,26 @@ def test_each_body_block_takes_its_far_loads_once(monkeypatch, bodies, N,
     outcome = march(build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=Nt),
                     SchemeParams(1.0))
     assert outcome.blow_up is None
-    assert bodies == ["step" if rows == _BLOCK else "block"]
+    assert bodies == [body]
     assert calls == [(n0, rows) for n0 in range(0, Nt, rows)]
 
 
-@pytest.mark.parametrize("offset, body", [(-1, "block"), (0, "block"),
-                                          (1, "step")])
-def test_the_width_cutoff_picks_the_path(bodies, offset, body):
-    # Widths up to the cutoff take the propagator when the march has at
-    # least 16 levels per node, and steps otherwise.
-    width = stepper._PROPAGATE_WIDTH + offset
+@pytest.mark.parametrize("cutoff, offset, body", [
+    pytest.param("_PROPAGATE_WIDTH", offset, body, id=f"{offset}-{body}")
+    for offset, body in [(-1, "block"), (0, "block"), (1, "step")]] + [
+    pytest.param("_PRODUCT_WIDTH", offset, body,
+                 id=f"product{offset:+d}-{body}")
+    for offset, body in [(-1, "step"), (0, "step"), (1, "banded")]])
+def test_the_width_cutoff_picks_the_path(bodies, cutoff, offset, body):
+    # Widths up to the propagator's cutoff take it when the march has at
+    # least 16 levels per node, and make a level per product otherwise, up
+    # to the product's cutoff; wider marches take banded solves.
+    width = getattr(stepper, cutoff) + offset
     fewest = stepper._PROPAGATE * width
     problem = build_manufactured(3.0, 2.0, 0.5)
     march(problem, Grid(N=width - 1, Nt=fewest), SchemeParams(1.0))
     march(problem, Grid(N=width - 1, Nt=fewest - 1), SchemeParams(1.0))
-    assert bodies == [body, "step"]
+    assert bodies == [body, "step" if body == "block" else body]
 
 
 def test_cached_memory_weights_are_contiguous_tails(monkeypatch):

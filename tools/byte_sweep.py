@@ -40,10 +40,14 @@ program produces is checked in two ways:
   1024 levels), and three narrow enough for the block propagator
   (gamma = 0.9, N = 8, Nt = 2100 at sigma = 0.5, pieces of 512 levels;
   N = 2, Nt = 600 at sigma = 1; and N = 16, Nt = 500 at sigma = 0.2,
-  which blows up at level 182): 75 marches in all.  The hash
-  also covers the blow-up record and, for the blow-ups, one march that
-  finishes, the block-edge marches, the smallest systems, the N = 1000
-  marches and the last two propagated ones, the per-step residuals.
+  which blows up at level 182), and twelve on each side of the march's
+  two width cutoffs, at sigma in {1, 0.5}: 24, 25 and 26 nodes with Nt =
+  416 (the propagator's cutoff of 25 nodes, with 16 levels per node or
+  more) and 100, 101 and 102 nodes with Nt = 130 (the product's cutoff
+  of 101 nodes): 87 marches in all.  The hash also covers the blow-up
+  record and, for the blow-ups, one march that finishes, the block-edge
+  marches, the smallest systems, the N = 1000 marches, the last two
+  propagated ones and the cutoff marches, the per-step residuals.
   Each march is labelled bounded or growing: the 16 sigma = 0.3 marches
   of the gamma/N grid grow by 1e6 to 1e100 and the three blow-ups past
   1e100, and the N = 1000 march at sigma = 0.5, below that grid's
@@ -214,6 +218,13 @@ digest("propagated smallest N=2 Nt=600 s=1", march(
 digest("propagated blow-up N=16 Nt=500 s=0.2", march(
     build_manufactured(3.0, 2.0, 0.5), Grid(N=16, Nt=500), SchemeParams(0.2),
     check_residuals=True), True)
+# the widths on each side of the propagator's and the product's cutoffs
+for W, Nt in ((24, 416), (25, 416), (26, 416), (100, 130), (101, 130),
+              (102, 130)):
+    for sigma in (1.0, 0.5):
+        digest(f"cutoff W={W} Nt={Nt} s={sigma}", march(
+            build_manufactured(3.0, 2.0, 0.5), Grid(N=W - 1, Nt=Nt),
+            SchemeParams(sigma), check_residuals=True))
 print(json.dumps(out))
 """
 
