@@ -46,7 +46,7 @@ from .manufactured import CATALOG, time_profile, time_profile_d1
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .prng import uniform_symmetric
-from .stepper import BlowUp, SingularSystemError, march_blocks
+from .stepper import BlowUp, SingularSystemError, _step_residuals, march_blocks
 
 __all__ = [
     "UsageError",
@@ -223,14 +223,17 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     rows = []
     for grid in [_study_grid(N, config) for N in config.levels]:
         errors = _ErrorNorms(problem, grid)
-        blow, res = march_blocks(problem, grid, params, errors,
-                                 check_residuals=config.check_residuals)
+        levels = (np.empty((grid.Nt + 1, grid.N + 1))
+                  if config.check_residuals else None)
+        blow = march_blocks(problem, grid, params, errors, out=levels)
+        last = grid.Nt if blow is None else blow.level
         rows.append(StudyRow(
             h=grid.h, Nt=grid.Nt, tau=grid.tau,
             err_full=max(errors.full) if "full" in config.norms else None,
             err_max=max(errors.max) if "max" in config.norms else None,
             blew_up=blow is not None,
-            max_residual=max(res) if res else None,
+            max_residual=None if levels is None else max(_step_residuals(
+                problem, grid, params, levels[:last + 1])),
         ))
     return StudyReport(config=config, rows=tuple(rows),
                        wall_time=time.perf_counter() - start)
@@ -294,7 +297,7 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
     folds = [errors, lambda first, block: np.copyto(final, block[-1])]
     if sink is not None:
         folds.append(functools.partial(sink, grid))
-    blow, _ = march_blocks(problem, grid, SchemeParams(sigma), *folds)
+    blow = march_blocks(problem, grid, SchemeParams(sigma), *folds)
     return SolveResult(grid=grid, final=final, blow_up=blow,
                        err_full=errors.full, err_max=errors.max)
 

@@ -44,9 +44,11 @@ energy norms, a CSV writer) as views of the history's rows;
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array by the increment form, independently of
-:class:`L1Memory`, through :func:`_step_rhs` and :meth:`StepOperator.solve`;
-a dense LU solve of the same system is kept as a test oracle, and the
-march can optionally record the relative residual of every step.
+:class:`L1Memory` (:func:`_oracle_rhs`); a dense LU solve of the same
+system is kept as a test oracle.  The march makes levels only: with
+``check_residuals``, :func:`march` replays the finished history through
+the same oracle right-hand side and records the relative residual of
+every step (:func:`_step_residuals`).
 """
 
 from __future__ import annotations
@@ -548,27 +550,36 @@ def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
     return out
 
 
+def _oracle_rhs(step: Step, problem: Problem, grid: Grid, sigma: float,
+                levels: np.ndarray) -> np.ndarray:
+    """Right-hand side of the step after ``levels``, y^0..y^n, as an oracle.
+
+    The memory load is the increment form of :func:`split_implicit` over
+    all the levels, independently of :class:`L1Memory`, and f and mu are
+    sampled at t_n + sigma*tau; :func:`_step_rhs` forms the rest.
+    """
+    t = (len(levels) - 1 + sigma) * grid.tau
+    return _step_rhs(step, levels[-1], split_implicit(
+        levels, problem.gamma, grid.tau)[1], step.source.rows([t])[0],
+        problem.mu(t), np.empty(grid.N))
+
+
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
                   levels) -> StepSystem:
     """Assemble the linear system advancing a level array by one level.
 
     ``levels`` has shape ``(n+1, N+1)``, row s holding level s; the
     system produces level n+1 and is built as a march builds it, except
-    that the memory split (c_new, load) is recomputed from all the levels
-    by :func:`split_implicit`, independently of :class:`L1Memory`.
+    that its right-hand side is :func:`_oracle_rhs`.
     """
     Y = np.asarray(levels, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != grid.N + 1:
-        raise DimensionError(
-            f"levels have shape {Y.shape}, expected (n+1, {grid.N + 1})"
-        )
-    n = Y.shape[0] - 1
-    c_new, load = split_implicit(Y, problem.gamma, grid.tau)
-    step = build_step(problem, grid, params.sigma, c_new)
-    t = (n + params.sigma) * grid.tau
-    return StepSystem(**vars(step.operator), rhs=_step_rhs(
-        step, Y[n], load, step.source.rows([t])[0], problem.mu(t),
-        np.empty(grid.N)))
+        raise DimensionError(f"levels have shape {Y.shape}, "
+                             f"expected (n+1, {grid.N + 1})")
+    c_new = l1_weights(Y.shape[0] - 1, problem.gamma, grid.tau).c[-1]
+    step = build_step(problem, grid, params.sigma, float(c_new))
+    return StepSystem(**vars(step.operator), rhs=_oracle_rhs(
+        step, problem, grid, params.sigma, Y))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -761,9 +772,7 @@ def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
 
 def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
                  *folds: Callable[[int, np.ndarray], object], y0=None,
-                 check_residuals: bool = False,
-                 out: Optional[np.ndarray] = None
-                 ) -> tuple[Optional[BlowUp], Optional[list[float]]]:
+                 out: Optional[np.ndarray] = None) -> Optional[BlowUp]:
     """March the scheme, calling each ``fold(first level, block)`` in turn.
 
     Level 0 samples ``problem.u0`` on the grid, or is ``y0`` verbatim (the
@@ -786,19 +795,17 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     given.  f and mu are sampled a data block (``block_levels``) at a
     time.  As a block of the body starts (``_BLOCK`` levels stepped,
     ``_PROPAGATE`` propagated), the call takes its far loads once; it adds
-    the source rows to them and hands the body its levels' rows.  Every
-    body's residuals are taken against :func:`_step_rhs` of the levels
-    in the history.  Once the guard has read a data block, the folds get
-    it, a view of the history's rows, in the order given, under the
-    caller's numpy error state; the first also holds level 0.  A fold
-    that changes the levels changes the march.
+    the source rows to them and hands the body its levels' rows.  Once
+    the guard has read a data block, the folds get it, a view of the
+    history's rows, in the order given, under the caller's numpy error
+    state; the first also holds level 0.  A fold that changes the levels
+    changes the march.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
-    and residuals computed past it are dropped, as a check after every
-    level would.  The call returns ``(blow_up, per_step_residuals)``:
-    the :class:`BlowUp` or None, and with ``check_residuals`` the relative
-    residual of every step taken (else None).
+    computed past it are dropped, as a check after every level would.
+    The call returns the :class:`BlowUp`, or None.  The march checks no
+    residual: :func:`march` replays the finished history for that.
     """
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1, out)
     step = build_step(problem, grid, params.sigma, memory.c_new)
@@ -816,9 +823,7 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     if blow is not None:
         raise DomainError(f"initial level: max norm {blow.norm} is not "
                           f"finite or exceeds {BLOWUP_LIMIT}")
-    residuals: Optional[list[float]] = [] if check_residuals else None
-    sigma, tau, d = params.sigma, grid.tau, memory._d
-    W = grid.N + 1
+    sigma, tau, W = params.sigma, grid.tau, grid.N + 1
     body = (_block_body if W <= min(_PROPAGATE_WIDTH, grid.Nt // _PROPAGATE)
             else _step_body if W <= _PRODUCT_WIDTH else _banded_body)
     with np.errstate(over="ignore", invalid="ignore"):    # see _block_body
@@ -834,28 +839,38 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
             # (a propagated march's data blocks hold whole body blocks).
             for s in [n0, *range(n0 - n0 % B + B, n0 + made, B)]:
                 if s % B == 0:
-                    far, b0, lo = memory._far_loads(s, B), s, max(s, 1)
+                    far, b0 = memory._far_loads(s, B), s
                 loads = far[s - b0:n0 + made - b0]
-                k = len(loads)
-                np.add(loads, phi[s - n0:s - n0 + k], loads)
-                advance(s, loads, mu[s - n0:s - n0 + k])
-                for n in range(s, s + k) if check_residuals else ():
-                    near = d[d.size - 1 - n + lo:].dot(levels[lo:n + 1])
-                    rhs = _step_rhs(step, levels[n], -near, loads[n - s],
-                                    mu[n - n0], np.empty(grid.N))
-                    residuals.append(step.operator.residual(
-                        rhs, levels[n + 1, 1:]))
+                np.add(loads, phi[s - n0:s - n0 + len(loads)], loads)
+                advance(s, loads, mu[s - n0:s - n0 + len(loads)])
             blow = _first_blow_up(levels[n0 + 1:n0 + 1 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it
             made = blow.level - n0
-            if residuals is not None:
-                del residuals[blow.level:]
         first = 0 if n0 == 0 else n0 + 1
         for fold in folds:
             fold(first, levels[first:n0 + 1 + made])
         if blow is not None:
             break
-    return blow, residuals
+    return blow
+
+
+def _step_residuals(problem: Problem, grid: Grid, params: SchemeParams,
+                    levels: np.ndarray) -> list[float]:
+    """The relative residual of every step of a finished history.
+
+    ``levels`` holds the levels 0..last of a march (after a blow-up, the
+    bad level last).  The residual of step n is that of level n+1 in the
+    march's matrix against :func:`_oracle_rhs` of the levels 0..n, which
+    reads nothing of :class:`L1Memory`: a wrong far load, FFT piece or
+    fused right-hand side shows in it as a wrong solve does.  The step is
+    built once; each right-hand side costs O(n*N).
+    """
+    c_new = l1_weights(grid.Nt - 1, problem.gamma, grid.tau).c[-1]
+    step = build_step(problem, grid, params.sigma, float(c_new))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [step.operator.residual(_oracle_rhs(
+            step, problem, grid, params.sigma, levels[:n + 1]),
+            levels[n + 1, 1:]) for n in range(len(levels) - 1)]
 
 
 def march(problem: Problem, grid: Grid, params: SchemeParams,
@@ -864,14 +879,15 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
 
     :func:`march_blocks` (which documents the march, its refusals and its
     blow-up guard) makes the levels in one ``(Nt+1, N+1)`` array; the
-    outcome's history holds the rows produced.
+    outcome's history holds the rows produced.  With ``check_residuals``
+    the finished history is replayed step by step against the oracle
+    right-hand side (:func:`_step_residuals`), O(Nt^2*N) per march.
     """
     levels = np.empty((grid.Nt + 1, grid.N + 1))
-    blow, residuals = march_blocks(problem, grid, params, y0=y0,
-                                   check_residuals=check_residuals, out=levels)
-    last = grid.Nt if blow is None else blow.level
-    return SolveOutcome(history=levels[:last + 1], blow_up=blow,
-                        per_step_residuals=residuals)
+    blow = march_blocks(problem, grid, params, y0=y0, out=levels)
+    history = levels[:grid.Nt + 1 if blow is None else blow.level + 1]
+    return SolveOutcome(history, blow, _step_residuals(
+        problem, grid, params, history) if check_residuals else None)
 
 
 def _first_blow_up(levels: np.ndarray, first: int) -> Optional[BlowUp]:

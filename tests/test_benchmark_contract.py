@@ -10,7 +10,7 @@ catalog's by the last test.  The tracer also looks up ``march`` in
 ``fracheat.cli``; the commands call ``stepper.march_blocks`` with their
 folds and import no ``march``, so its ``stepper.march`` layer reads as
 absent and is not pinned.  ``march_blocks`` is one plain call that
-returns ``(blow_up, per_step_residuals)``, so a tracer that wraps
+returns the blow-up record or None, so a tracer that wraps
 ``fracheat.cli.march_blocks`` by name times each whole march.
 """
 

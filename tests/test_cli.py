@@ -712,7 +712,7 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
 
 def test_a_wrapper_by_name_sees_every_march(monkeypatch, capsys):
     # A tracer wraps the name the commands call; it times each whole march
-    # and reads its result, (blow_up, per_step_residuals).
+    # and reads its result, the blow-up record or None.
     results = []
 
     def traced(*args, **kwargs):
@@ -721,12 +721,11 @@ def test_a_wrapper_by_name_sees_every_march(monkeypatch, capsys):
 
     monkeypatch.setattr("fracheat.cli.march_blocks", traced)
     assert main(["convergence", "--levels", "4,8"]) == 0
-    assert results == [(None, None), (None, None)]
+    assert results == [None, None]
     results.clear()
     assert main(["solve", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
                  "--n", "80"]) == 0
-    [(blow, residuals)] = results
-    assert residuals is None
+    [blow] = results
     assert f"blow_up_level={blow.level}\n" in capsys.readouterr().out
 
 

@@ -611,8 +611,7 @@ def test_a_bad_initial_level_is_reported_at_level_0(value):
               SchemeParams(1.0), y0=y0, check_residuals=True)
     assert_refused_with_no_fold(DomainError, re.escape(message),
                                 build_zero(alpha=1.0, beta=1.0, gamma=0.5),
-                                grid, SchemeParams(1.0), y0=y0,
-                                check_residuals=True)
+                                grid, SchemeParams(1.0), y0=y0)
 
 
 @pytest.mark.parametrize("alpha, beta, sigma", [(1e154, 1e154, 1.0),
@@ -1008,39 +1007,77 @@ def test_an_overflowing_propagator_leaves_the_march_to_the_stepped_path(
     assert outcome.history.tobytes() == stepped.history.tobytes()
 
 
-def test_residuals_of_a_propagated_march_see_a_corrupted_level(monkeypatch):
-    # The residuals of a block are taken against the right-hand sides that
-    # the levels in the history give.  Level 18, the second of the block
-    # after level 16, is changed before the block's residuals are taken:
-    # step 17 (its solution) and steps 18..31 (whose memory and explicit
-    # part read it) show it; the next block is made from the changed level,
-    # so its steps do not.
+def test_residuals_of_a_propagated_march_see_a_corrupted_level():
+    # The residuals replay a finished history against right-hand sides
+    # formed from its own levels.  With level 18 changed, step 17 (its
+    # solution) and every later step (whose memory reads it, from 1e-4
+    # down to 5e-10 at the last) show it; steps 0..16 do not read it.
     problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=8, Nt=300)
     params = SchemeParams(0.5)
     clean = march(problem, grid, params, check_residuals=True)
     assert max(clean.per_step_residuals) <= 1e-11
-    residual = StepOperator.residual
+    Y = clean.history.copy()
+    Y[18, 3] += 1e-3
+    res = np.array(stepper._step_residuals(problem, grid, params, Y))
+    assert res[:17].tobytes() == np.array(
+        clean.per_step_residuals[:17]).tobytes()
+    assert min(res[17:]) > 1e-10
 
-    def corrupt(op, rhs, sol):
-        if len(seen) == 16:
-            sol.base[18, 3] += 1e-3         # sol is level 17 in the history
-        seen.append(1)
-        return residual(op, rhs, sol)
 
-    seen = []
-    monkeypatch.setattr(StepOperator, "residual", corrupt)
-    res = np.array(march(problem, grid, params,
+@pytest.mark.parametrize("N, Nt, sigma, body, bound", [
+    (60, 200, 0.5, "step", 1e-10), (16, 600, 0.5, "block", 1e-10),
+    (300, 300, 1.0, "banded", 1e-11)])
+def test_residuals_see_wrong_far_loads(monkeypatch, bodies, N, Nt, sigma,
+                                       body, bound):
+    # The far loads are the memory's alone: the march adds the source to
+    # them and hands them to the body.  Scaled by 1 + 1e-6, they move the
+    # levels, and the replay, whose loads share no code with L1Memory,
+    # shows it on every body (worst residual 2.2e-9, 4.6e-8 and 5.4e-11).
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=Nt)
+    params = SchemeParams(sigma)
+    clean = march(problem, grid, params, check_residuals=True)
+    assert max(clean.per_step_residuals) <= 1e-11
+    far_loads = L1Memory._far_loads
+    monkeypatch.setattr(L1Memory, "_far_loads", lambda self, *args: (
+        far_loads(self, *args) * (1 + 1e-6)))
+    res = march(problem, grid, params, check_residuals=True).per_step_residuals
+    assert bodies == [body, body]
+    assert max(res) > bound
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def test_residuals_see_a_wrong_fft_piece(monkeypatch, made_pieces, sigma):
+    # With the floor lowered to one block, the piece made at level 192
+    # adds the terms of the levels [128, 192) to the far loads of levels
+    # 193..256.  With what it adds scaled by 1 + 1e-6, the steps that make
+    # those levels show it (above 4e-10), and no other step does.
+    monkeypatch.setattr(stepper, "_PIECE_MIN", _BLOCK)
+    monkeypatch.setattr(stepper, "_PIECE_GROWTH", 0)
+    add_piece = L1Memory._add_piece
+
+    def wrong_piece(memory, L):
+        rows = memory.history[L + 1:L + 1 + (L & -L)]
+        before = rows.copy()
+        add_piece(memory, L)
+        if L == 192:
+            rows[:] = before + (rows - before) * (1 + 1e-6)
+
+    monkeypatch.setattr(L1Memory, "_add_piece", wrong_piece)
+    problem, params = build_manufactured(3.0, 2.0, 0.5), SchemeParams(sigma)
+    res = np.array(march(problem, Grid(N=12, Nt=300), params,
                          check_residuals=True).per_step_residuals)
-    assert np.all(res[17:32] > 1e-8)
-    assert max(res[:17]) <= 1e-11 and max(res[32:]) <= 1e-11
+    assert made_pieces == [64, 128, 192]
+    assert min(res[192:256]) > 1e-11
+    assert max(res[:192]) <= 1e-11 and max(res[256:]) <= 1e-11
 
 
 def test_stepped_residuals_see_a_wrong_fused_right_hand_side(monkeypatch):
     # Both stepped bodies fuse their own right-hand side: the banded one in
     # its loop, the product one in its solution map.  Bound to a step
     # whose flux weight is off by 1e-6, each makes levels that its own
-    # right-hand side accepts; the residuals, taken against _step_rhs of
-    # the march's step, show every step whose old level has a flux.
+    # right-hand side accepts; the residuals, replayed against the oracle
+    # right-hand side of a step built anew, show every step whose old
+    # level has a flux.
     problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=60, Nt=200)
     params = SchemeParams(0.5)
     for clean in (march(problem, grid, params, check_residuals=True),
@@ -1467,16 +1504,13 @@ def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
         firsts.append(first)
         kept.append(block.copy())
 
-    blow, residuals = march_blocks(problem, grid, params, keep,
-                                   check_residuals=True)
-    outcome = march(problem, grid, params, check_residuals=True)
+    blow = march_blocks(problem, grid, params, keep)
+    outcome = march(problem, grid, params)
     assert np.concatenate(kept).tobytes() == outcome.history.tobytes()
     assert firsts == [0] + list(np.cumsum([len(b) for b in kept])[:-1])
     assert 1 <= len(kept[0]) <= rows + 1
     assert all(1 <= len(b) <= rows for b in kept[1:])
     assert blow == outcome.blow_up and (blow is None or unstable)
-    assert (np.array(residuals).tobytes()
-            == np.array(outcome.per_step_residuals).tobytes())
 
 
 def test_folds_run_in_order_under_the_callers_error_state():
@@ -1491,9 +1525,9 @@ def test_folds_run_in_order_under_the_callers_error_state():
 
     with np.errstate(all="raise"):
         caller = np.geterr()
-        blow, residuals = march_blocks(problem, grid, SchemeParams(1.0),
-                                       fold("a"), fold("b"))
-    assert (blow, residuals) == (None, None)
+        blow = march_blocks(problem, grid, SchemeParams(1.0), fold("a"),
+                            fold("b"))
+    assert blow is None
     assert [c[:3] for c in calls] == [
         (name, first, size) for first, size in ((0, 257), (257, 256),
                                                 (513, 88))
