@@ -456,20 +456,18 @@ class Step:
     The scheme's spatial operator, the conservative second difference
     (a*y_xbar)_x with the flux row, weighs the new level by sigma, in
     ``operator``, and the old level by ``explicit`` = 1-sigma, through
-    the face coefficients ``a_left`` (a_i of rows i = 1..N-1), ``a_mid``
-    (a_i + a_{i+1}) and ``a_right`` (a_{i+1}), ``h2`` = h*h and the flux
-    weights ``flux_N`` = (1-sigma)*2*a_N/h^2 and ``flux_1`` =
-    (1-sigma)*2*beta*a_1/h^2.  At sigma = 1 (``explicit`` == 0) the
-    right-hand side reads none of the explicit fields (see
-    :func:`_step_rhs`).  ``source`` samples f on the nodes, so separable
-    data cost only their time factors; the march samples it.
+    the stencil ``bands``, the ``(3, N-1)`` rows (a_i, -(a_i + a_{i+1}),
+    a_{i+1}) of rows i = 1..N-1 times (1-sigma)/h^2, and the flux weights
+    ``flux_N`` = (1-sigma)*2*a_N/h^2 and ``flux_1`` = (1-sigma)*2*beta*a_1/h^2.
+    The stencil is stated here once: :func:`_step_rhs`, the banded loop
+    and the solution map all read it.  At sigma = 1 (``explicit`` == 0)
+    the right-hand side reads none of the explicit fields.  ``source``
+    samples f on the nodes, so separable data cost only their time
+    factors; the march samples it.
     """
 
     operator: StepOperator
-    a_left: np.ndarray
-    a_mid: np.ndarray
-    a_right: np.ndarray
-    h2: float
+    bands: np.ndarray
     explicit: float
     two_by_h: float
     flux_N: float
@@ -494,6 +492,8 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
     a_mid = a_left + a_right
     lower = np.zeros(N - 1)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        bands = np.stack((a_left, -a_mid, a_right))
+        bands *= (1.0 - sigma) / h2
         lower[1:] = -sigma * a_left[1:] / h2
         diag = c_new + sigma * a_mid / h2
         upper = -sigma * a_right / h2
@@ -511,57 +511,48 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
                           f"beta={beta}, sigma={sigma} on {N} intervals")
     operator = StepOperator(lower=lower, diag=diag, upper=upper,
                             corner=corner, last_row=(b1, bNm1, bN))
-    return Step(operator=operator, a_left=a_left, a_mid=a_mid,
-                a_right=a_right, h2=h2, explicit=1.0 - sigma,
+    return Step(operator=operator, bands=bands, explicit=1.0 - sigma,
                 two_by_h=2.0 / h, flux_N=flux_N, flux_1=flux_1, beta=beta,
                 source=NodeSampler(problem.f, grid.x))
 
 
-def _step_rhs(step: Step, yn: np.ndarray, load: np.ndarray,
-              phi: np.ndarray, mu: float, out: np.ndarray) -> np.ndarray:
+def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray, mu: float,
+              out: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
 
-    Interior rows carry phi_i + (1-sigma)*(a*y_xbar)_{x,i}^n - load_i, with
-    phi = f(x, t_n + sigma*tau) and the memory ``load`` at every node; the
-    flux row carries (2/h)*mu(t_n + sigma*tau) + phi_N + beta*phi_0, the
-    memory loads of both endpoints and the explicit part of both fluxes.
-    It is written into ``out`` (length N) and returned.
+    ``r`` is the source f(x, t_n + sigma*tau) minus the memory load at
+    every node, as every body forms it.  Interior rows carry r_i +
+    (1-sigma)*(a*y_xbar)_{x,i}^n; the flux row carries (2/h)*mu(t_n +
+    sigma*tau) + r_N + beta*r_0 and the explicit part of both fluxes.  It
+    is written into ``out`` (length N) and returned.
 
-    The interior is evaluated as ((a_r*y_{i+1} - a_m*y_i) + a_l*y_{i-1})
-    / h^2, then (phi_i - load_i) + (1-sigma)*that, one operation at a time.
-    At sigma = 1 the scheme has no explicit part, so none is formed: the
-    interior is phi_i - load_i and the flux row ends with its loads.
+    The interior is evaluated with the pre-scaled ``bands`` b as r_i +
+    ((b0*y_{i-1} + b1*y_i) + b2*y_{i+1}), and the flux row as its data minus
+    the flux_N term plus the flux_1 term, in the banded loop's order
+    (:func:`_banded_body`).  At sigma = 1 the scheme has no explicit part,
+    so none is formed: the interior is r_i, signed zeros and all.
     """
-    flux = (step.two_by_h * mu + phi.item(-1) + step.beta * phi.item(0)
-            - step.beta * load.item(0) - load.item(-1))
-    if step.explicit == 0.0:
-        np.subtract(phi[1:-1], load[1:-1], out[:-1])
-        out[-1] = flux
-        return out
-    inner, tmp = out[:-1], np.empty(yn.size - 2)
-    np.multiply(step.a_right, yn[2:], inner)
-    np.subtract(inner, np.multiply(step.a_mid, yn[1:-1], tmp), inner)
-    np.add(inner, np.multiply(step.a_left, yn[:-2], tmp), inner)
-    np.divide(inner, step.h2, inner)
-    np.multiply(step.explicit, inner, inner)
-    np.add(np.subtract(phi[1:-1], load[1:-1], tmp), inner, inner)
-    out[-1] = (flux - step.flux_N * (yn.item(-1) - yn.item(-2))
-               + step.flux_1 * (yn.item(1) - yn.item(0)))
+    out[:-1] = r[1:-1]
+    out[-1] = step.two_by_h * mu + r.item(-1) + step.beta * r.item(0)
+    if step.explicit != 0.0:
+        b0, b1, b2 = step.bands
+        out[:-1] += (b0 * yn[:-2] + b1 * yn[1:-1]) + b2 * yn[2:]
+        out[-1] -= step.flux_N * (yn.item(-1) - yn.item(-2))
+        out[-1] += step.flux_1 * (yn.item(1) - yn.item(0))
     return out
 
 
 def _oracle_rhs(step: Step, problem: Problem, grid: Grid, sigma: float,
-                levels: np.ndarray) -> np.ndarray:
+                levels: np.ndarray, load: np.ndarray) -> np.ndarray:
     """Right-hand side of the step after ``levels``, y^0..y^n, as an oracle.
 
-    The memory load is the increment form of :func:`split_implicit` over
-    all the levels, independently of :class:`L1Memory`, and f and mu are
-    sampled at t_n + sigma*tau; :func:`_step_rhs` forms the rest.
+    ``load`` is the memory load of the increment form (:func:`split_implicit`)
+    over all the levels, independently of :class:`L1Memory`; f and mu are
+    sampled at t_n + sigma*tau, and :func:`_step_rhs` forms the rest.
     """
     t = (len(levels) - 1 + sigma) * grid.tau
-    return _step_rhs(step, levels[-1], split_implicit(
-        levels, problem.gamma, grid.tau)[1], step.source.rows([t])[0],
-        problem.mu(t), np.empty(grid.N))
+    return _step_rhs(step, levels[-1], step.source.rows([t])[0] - load,
+                     problem.mu(t), np.empty(grid.N))
 
 
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
@@ -576,10 +567,10 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != grid.N + 1:
         raise DimensionError(f"levels have shape {Y.shape}, "
                              f"expected (n+1, {grid.N + 1})")
-    c_new = l1_weights(Y.shape[0] - 1, problem.gamma, grid.tau).c[-1]
-    step = build_step(problem, grid, params.sigma, float(c_new))
+    c_new, load = split_implicit(Y, problem.gamma, grid.tau)
+    step = build_step(problem, grid, params.sigma, c_new)
     return StepSystem(**vars(step.operator), rhs=_oracle_rhs(
-        step, problem, grid, params.sigma, Y))
+        step, problem, grid, params.sigma, Y, load))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -610,16 +601,17 @@ def _solution_map(step: Step, alpha: float) -> np.ndarray:
     r is the source minus the memory load on the N+1 nodes, mu the flux
     data and y^n the old level.  The ``(N+1, 2N+3)`` matrix A is one
     :meth:`StepOperator.solve` of the right-hand sides that :func:`_step_rhs`
-    makes of each unit vector, lifted by the row y_0 = alpha*y_N on top.
-    At sigma = 1 the columns of y^n are zero and are not solved for.
+    makes of each unit vector, lifted by the row y_0 = alpha*y_N on top:
+    the columns are written by hand, the stencil as ``step.bands``, and
+    are byte for byte what :func:`_step_rhs` makes of them.  At sigma = 1
+    the columns of y^n are zero and are not solved for.
     """
     W = step.operator.diag.size + 2
     N, inner = W - 1, np.arange(W - 2)
     cols = np.zeros((N, 2 * W + 1))     # the load r, mu, then level n
     cols[inner, inner + 1] = 1.0
     cols[-1, [0, N, W]] = step.beta, 1.0, step.two_by_h
-    cols[inner[:, None], W + 1 + inner[:, None] + np.arange(3)] = np.stack(
-        (step.a_left, -step.a_mid, step.a_right)).T * (step.explicit / step.h2)
+    cols[inner[:, None], W + 1 + inner[:, None] + np.arange(3)] = step.bands.T
     np.add.at(cols[-1], W + 1 + np.array([N, N - 1, 1, 0]),
               [-step.flux_N, step.flux_N, step.flux_1, -step.flux_1])
     k = 2 * W + 1 if step.explicit else W + 1
@@ -639,11 +631,12 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     ``mu`` the flux data, all of one block of ``_BLOCK`` levels, as
     :func:`march_blocks` takes them.  So phi - load is one near product,
     from the block's first level, and one addition; at sigma < 1 the
-    explicit part is one multiply of pre-scaled bands by a ``(3, N-1)``
+    explicit part is one multiply of ``step.bands`` by a ``(3, N-1)``
     window of level n and one sum.  The closure gives y_N (see
     :attr:`StepOperator._factors`), the border entries take their y_N
-    share, and ``dpttrs`` or ``dgbtrs`` solves in place; :func:`_step_rhs`
-    and :meth:`StepOperator.solve` give the same level up to rounding.
+    share, and ``dpttrs`` or ``dgbtrs`` solves in place.  The loop is
+    :func:`_step_rhs` and :meth:`StepOperator.solve` fused: they give the
+    same level byte for byte.
     """
     solve, z, denom = step.operator._factors
     m = z.size
@@ -654,9 +647,7 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     explicit, flux_N, flux_1 = step.explicit != 0.0, step.flux_N, step.flux_1
     add, zdot = np.add, z.dot
     if explicit:
-        taps = sliding_window_view(H, m, axis=1)
-        bands = np.stack((step.a_left, -step.a_mid, step.a_right))
-        bands *= step.explicit / step.h2
+        taps, bands = sliding_window_view(H, m, axis=1), step.bands
         stack = np.empty((4, m + 2))        # three band products, phi - load
         products, phi_load = stack[:3, 1:-1], stack[3]
         summands = stack[:, 1:-1]
@@ -862,14 +853,18 @@ def _step_residuals(problem: Problem, grid: Grid, params: SchemeParams,
     bad level last).  The residual of step n is that of level n+1 in the
     march's matrix against :func:`_oracle_rhs` of the levels 0..n, which
     reads nothing of :class:`L1Memory`: a wrong far load, FFT piece or
-    fused right-hand side shows in it as a wrong solve does.  The step is
-    built once; each right-hand side costs O(n*N).
+    fused right-hand side shows in it as a wrong solve does.  The step,
+    the weights and the increments are taken once: the weights of step n
+    are the tail of the last step's, and its load is that of
+    :func:`split_implicit`, in O(n*N).
     """
-    c_new = l1_weights(grid.Nt - 1, problem.gamma, grid.tau).c[-1]
-    step = build_step(problem, grid, params.sigma, float(c_new))
+    c = l1_weights(grid.Nt - 1, problem.gamma, grid.tau).c
+    step = build_step(problem, grid, params.sigma, float(c[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(levels, axis=0)
         return [step.operator.residual(_oracle_rhs(
-            step, problem, grid, params.sigma, levels[:n + 1]),
+            step, problem, grid, params.sigma, levels[:n + 1],
+            c[-n - 1:-1] @ diffs[:n] - c[-1] * levels[n]),
             levels[n + 1, 1:]) for n in range(len(levels) - 1)]
 
 

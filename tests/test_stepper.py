@@ -105,23 +105,25 @@ def loop_rhs(problem, grid, sigma, n, yn, load):
     """The right-hand side node by node, in the documented operation order.
 
     The source is sampled by one vectorised call, as a march samples it;
-    the rest is Python float arithmetic on one node at a time.  At
-    sigma = 1 the scheme has no explicit part, and no explicit term is
-    added: adding 0.0*second would turn a -0.0 into +0.0 where second >= 0.
+    the rest is Python float arithmetic on one node at a time: r = phi - q
+    first, then the stencil scaled by (1-sigma)/h^2 before it meets the
+    level.  At sigma = 1 the scheme has no explicit part, and no explicit
+    term is added: adding 0.0*stencil would turn a -0.0 into +0.0.
     """
     face = [float(a) for a in face_coefficients(problem, grid)]
     h, beta, N = grid.h, problem.beta, grid.N
     t = (n + sigma) * grid.tau
     phi = [float(v) for v in problem.f(grid.x, t)]
     y, q = [float(v) for v in yn], [float(v) for v in load]
+    r = [p - q_i for p, q_i in zip(phi, q)]
     h2, rhs = h * h, []
+    scale = (1.0 - sigma) / h2
     for i in range(1, N):
         a_l, a_r = face[i - 1], face[i]
-        second = (a_r * y[i + 1] - (a_l + a_r) * y[i] + a_l * y[i - 1]) / h2
-        rhs.append(phi[i] - q[i] if sigma == 1.0
-                   else phi[i] - q[i] + (1.0 - sigma) * second)
-    flux = (2.0 / h * problem.mu(t) + phi[N] + beta * phi[0]
-            - beta * q[0] - q[N])
+        b0, b1, b2 = a_l * scale, -(a_l + a_r) * scale, a_r * scale
+        rhs.append(r[i] if sigma == 1.0
+                   else r[i] + (b0 * y[i - 1] + b1 * y[i] + b2 * y[i + 1]))
+    flux = 2.0 / h * problem.mu(t) + r[N] + beta * r[0]
     if sigma != 1.0:
         flux = (flux
                 - (1.0 - sigma) * 2.0 * face[-1] / h2 * (y[N] - y[N - 1])
@@ -160,7 +162,7 @@ def test_step_rhs_matches_a_per_node_loop_bit_for_bit(problem, bend, sigma):
     # The right-hand side is written into the caller's buffer, which
     # starts as NaN so that an entry left unwritten shows.
     buf = np.full(grid.N, np.nan)
-    got = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t), buf)
+    got = _step_rhs(step, yn, problem.f(grid.x, t) - load, problem.mu(t), buf)
     assert got is buf
     assert buf.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
                                      load).tobytes()
@@ -197,7 +199,7 @@ def test_step_rhs_matches_a_per_node_loop_property(case):
     problem, grid, sigma, yn, load = case
     step = build_step(problem, grid, sigma, c_new=3.7)
     t = (4 + sigma) * grid.tau
-    got = _step_rhs(step, yn, load, problem.f(grid.x, t), problem.mu(t),
+    got = _step_rhs(step, yn, problem.f(grid.x, t) - load, problem.mu(t),
                     np.full(grid.N, np.nan))
     assert got.tobytes() == loop_rhs(problem, grid, sigma, 4, yn,
                                      load).tobytes()
@@ -825,6 +827,62 @@ def test_block_guard_stops_where_a_per_level_guard_does(where, value):
 
 
 # ---------------------------------------------------------------------------
+# the fused forms of the step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, beta", [(3.0, 2.0), (-2.0, -3.0)],
+                         ids=["positive", "negative"])
+@pytest.mark.parametrize("sigma", [1.0, 0.61, 0.0])
+@pytest.mark.parametrize("N", [2, 3, 12, 150])
+def test_a_banded_level_is_the_step_rhs_and_solve_byte_for_byte(N, sigma,
+                                                                alpha, beta):
+    # The banded loop fuses _step_rhs and StepOperator.solve.  From level
+    # 0 the near memory sum is empty, so r is the row handed in; level 2's
+    # r adds the near sum over level 1.  Each level is the solve of
+    # _step_rhs's right-hand side, lifted by y_0 = alpha*y_N, byte for
+    # byte.  N=2 takes band LU, the others LDL^T.
+    problem, grid = build_manufactured(alpha, beta, 0.5), Grid(N=N, Nt=10)
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, N + 1)
+    step = build_step(problem, grid, sigma, memory.c_new)
+    rng = np.random.default_rng(N)
+    H = memory.history
+    H[0] = rng.uniform(-1.0, 1.0, N + 1)
+    loads = rng.uniform(-1.0, 1.0, (2, N + 1))
+    mu = rng.uniform(-1.0, 1.0, 2).tolist()
+    advance, _ = stepper._banded_body(step, memory, alpha)
+    advance(0, loads, mu)
+    for n, r in enumerate([loads[0], memory._d[-1:].dot(H[1:2]) + loads[1]]):
+        level = np.empty(N + 1)
+        step.operator.solve(_step_rhs(step, H[n], r, mu[n], np.empty(N)),
+                            level[1:])
+        level[0] = alpha * level[-1]
+        assert level.tobytes() == H[n + 1].tobytes(), n
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("N", [2, 3, 20, 100])
+def test_the_solution_map_is_the_step_rhs_and_solve_byte_for_byte(N, sigma):
+    # The map's columns are written by hand.  They are _step_rhs of the
+    # unit inputs, r = e_j, mu = 1 and y^n = e_j, and the map is one
+    # multi-column solve of them (a single-column dpttrs may differ in its
+    # last bits), lifted by y_0 = alpha*y_N, byte for byte.  At sigma = 1
+    # the columns of y^n are zero and are not solved for.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=10)
+    step, W = build_step(problem, grid, sigma, c_new=3.7), N + 1
+    zero, units = np.zeros(W), np.eye(W)
+    cols = np.column_stack(
+        [_step_rhs(step, zero, e, 0.0, np.empty(N)) for e in units]
+        + [_step_rhs(step, zero, zero, 1.0, np.empty(N))]
+        + [_step_rhs(step, e, zero, 0.0, np.empty(N)) for e in units])
+    k = W + 1 if sigma == 1.0 else 2 * W + 1
+    assert not cols[:, k:].any()
+    A = np.zeros((W, 2 * W + 1))
+    step.operator.solve(cols[:, :k], A[1:, :k])
+    A[0] = problem.alpha * A[-1]
+    assert stepper._solution_map(step, problem.alpha).tobytes() == A.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the block propagator of narrow marches
 # ---------------------------------------------------------------------------
 
@@ -1022,6 +1080,21 @@ def test_residuals_of_a_propagated_march_see_a_corrupted_level():
     assert res[:17].tobytes() == np.array(
         clean.per_step_residuals[:17]).tobytes()
     assert min(res[17:]) > 1e-10
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def test_the_replay_is_the_residual_of_each_assembled_step(sigma):
+    # The replay takes the weights and the increments once, from the last
+    # step's; each step's residual is exactly that of the system that
+    # assemble_step builds anew from the levels before it.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=12, Nt=150)
+    params = SchemeParams(sigma)
+    outcome = march(problem, grid, params, check_residuals=True)
+    Y = outcome.history
+    systems = [assemble_step(problem, grid, params, Y[:n + 1])
+               for n in range(grid.Nt)]
+    assert outcome.per_step_residuals == [
+        s.residual(s.rhs, Y[n + 1, 1:]) for n, s in enumerate(systems)]
 
 
 @pytest.mark.parametrize("N, Nt, sigma, body, bound", [
