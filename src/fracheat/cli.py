@@ -201,10 +201,9 @@ class _ErrorNorms:
         self.max: list[float] = []
 
     def __call__(self, first: int, block: np.ndarray) -> None:
-        tau = self._grid.tau
+        times = np.arange(first, first + len(block)) * self._grid.tau
         with np.errstate(over="ignore", invalid="ignore"):
-            z = block - self._exact.rows([n * tau for n in
-                                          range(first, first + len(block))])
+            z = block - self._exact.rows(times)
             full, mx = norm_trapezoid(z, self._grid.h), norm_max(z)
         self.full += np.where(np.isnan(full), np.inf, full).tolist()
         self.max += np.where(np.isnan(mx), np.inf, mx).tolist()

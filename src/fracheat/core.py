@@ -181,10 +181,12 @@ class Problem:
     k : callable
         Diffusivity ``k(x)`` on [0, 1].
     f : callable
-        Source term ``f(x, t)``; a :class:`Separable` has its space
-        factors sampled once per march.
+        Source term ``f(x, t)``, sampled a block of times at a time (see
+        :class:`NodeSampler`); a :class:`Separable` has its space factors
+        sampled once per march.
     mu : callable
-        Flux boundary datum ``mu(t)``.
+        Flux boundary datum ``mu(t)``, called once on a block's time array
+        when it takes arrays (see :func:`sample_space`).
     u0 : callable
         Initial condition ``u0(x)``.
     c1, c2 : float
@@ -232,10 +234,11 @@ class SchemeParams:
 
 
 def sample_space(func: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function of x on an array of nodes.
+    """Evaluate a scalar function of one variable on an array of points.
 
-    Tries a single vectorised call first and falls back to per-point
-    evaluation for callbacks written against plain floats.
+    The points are space nodes or times.  Tries a single vectorised call
+    first and falls back to per-point evaluation for callbacks written
+    against plain floats, or whose result lacks the points' shape.
     """
     try:
         out = np.asarray(func(x), dtype=float)
@@ -273,10 +276,15 @@ class NodeSampler:
     """A function of (x, t) on fixed nodes, a block of times at a time.
 
     A :class:`Separable` has its space factors sampled once, here; each
-    time then costs one multiply and one add per term, with the time
-    factor evaluated at one Python scalar, as in a pointwise call, and
-    data without terms give zeros.  Other callbacks go through
-    :func:`sample_space` at every time.
+    block then evaluates every time factor once, on the block's time
+    array (through :func:`sample_space`), and costs one multiply and one
+    add per term; data without terms give zeros.  Another callback is
+    called once per block as ``func(x[None, :], t[:, None])``; a result
+    of any other shape than ``(len(t), x.size)``, or a callback that
+    refuses arrays, is sampled one time at a time through
+    :func:`sample_space`, which falls back to one call per point.  Either
+    way the rows are the same bits as the callback evaluated on the same
+    time array; a call at one scalar time may differ by rounding.
     """
 
     def __init__(self, func: Callable, x: np.ndarray):
@@ -284,14 +292,22 @@ class NodeSampler:
         self._factors = ([(sample_space(s, x), q) for s, q in func.terms]
                          if isinstance(func, Separable) else None)
 
-    def rows(self, times) -> np.ndarray:
-        """Values at several times, row j holding time ``times[j]``."""
-        if self._factors is None:
-            return np.array([sample_space(lambda xs: self._func(xs, t),
-                                          self._x) for t in times])
-        return _term_sum((s * np.array([q(t) for t in times])[:, None]
-                          for s, q in self._factors),
-                         np.zeros((len(times), self._x.size)))
+    def rows(self, times: np.ndarray) -> np.ndarray:
+        """Values at an array of times, row j holding time ``times[j]``."""
+        times = np.asarray(times, dtype=float)
+        x, shape = self._x, (times.size, self._x.size)
+        if self._factors is not None:
+            return _term_sum((s * sample_space(q, times)[:, None]
+                              for s, q in self._factors), np.zeros(shape))
+        try:
+            out = np.asarray(self._func(x[None, :], times[:, None]),
+                             dtype=float)
+            if out.shape == shape:
+                return out
+        except (TypeError, ValueError):
+            pass
+        return np.array([sample_space(lambda xs: self._func(xs, t), x)
+                         for t in times.tolist()])
 
 
 def face_coefficients(problem: Problem, grid: Grid) -> np.ndarray:

@@ -51,11 +51,16 @@ class OracleFailureError(RuntimeError):
 def _power_increments(n: int, gamma: float, tau: float) -> np.ndarray:
     """Increments t_{j+1}**(1-gamma) - t_j**(1-gamma) for j = 0..n.
 
-    t_0 = 0 contributes an exact zero, so no special casing is needed at
-    the first step.
+    The first is t_1**(1-gamma) itself.  Each later one is taken as
+    t_j**(1-gamma)*expm1((1-gamma)*log1p(1/j)), which loses nothing to
+    cancellation: it stays within a few ulps, where the difference of the
+    two powers loses digits as t_j grows and as gamma nears 1.
     """
-    t = np.arange(n + 2, dtype=float) * tau
-    return np.diff(t ** (1.0 - gamma))
+    e = 1.0 - gamma
+    j = np.arange(n + 1, dtype=float)
+    inc = (np.maximum(j, 1.0) * tau) ** e
+    inc[1:] *= np.expm1(e * np.log1p(1.0 / j[1:]))
+    return inc
 
 
 @dataclass(frozen=True)

@@ -209,12 +209,14 @@ def build_zero(alpha: float = 1.0, beta: float = 1.0, gamma: float = 0.5,
     """Fully homogeneous problem; the zero function is its exact solution.
 
     Source and exact solution are separable with no terms, so a march
-    spends nothing on the source.
+    spends nothing on the source; mu gives zeros of its argument's shape,
+    so a march samples it once per block of times.
 
     k(x) = exp(x) with c1 = 1, c2 = e, as in the manufactured family.
     """
     return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=np.exp, f=Separable(), mu=lambda t: 0.0,
+                   k=np.exp, f=Separable(),
+                   mu=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                    u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                    c1=1.0, c2=math.e, exact=Separable())
 

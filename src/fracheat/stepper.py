@@ -19,23 +19,25 @@ The scheme has constant coefficients in time, so a march derives its
 same operator on the old level, and the source on the nodes
 (:class:`~fracheat.core.NodeSampler`, which samples the space factors of
 :class:`~fracheat.core.Separable` data once).  The march samples f and mu a
-block of levels at a time (:func:`block_levels`).  :class:`L1Memory`
+block of levels at a time (:func:`block_levels`), one sampler call each on
+the block's time array (:func:`_step_data`).  :class:`L1Memory`
 takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
-dyadic FFT pieces on long marches.  A body bound once per march makes
-the levels of a block from its source plus far memory, which the march
-takes, in one of three ways, chosen by the width at the measured
-crossovers of their march times (see ``_PROPAGATE_WIDTH``): on wide
-marches, such as N=320, a banded solve at a time (:func:`_banded_body`:
-a product of the memory weights with the block's levels, one addition,
-the closure and one in-place tridiagonal solve into the level's row);
-on moderate ones, whose steps are mostly call overhead, one product at a
-time by the step's affine solution map (:func:`_step_body`,
-:func:`_solution_map`); and on narrow ones ``_PROPAGATE`` at a time by
-the step's discrete Green's function (:func:`_block_body`).  The march
-checks for blow-up once per data block, dropping any levels it computed
-past one.
+dyadic FFT pieces on long marches.  The march writes each level's load,
+its source plus far memory, into the level's row of the history, and a
+body bound once per march makes the levels of a block over their loads
+in one of three ways, chosen by the width at the measured crossovers of
+their march times (see ``_PROPAGATE_WIDTH``): on wide marches, such as
+N=320, a banded solve at a time (:func:`_banded_body`: a product of the
+memory weights with the block's levels, one addition, the closure and
+one in-place tridiagonal solve into the level's row); on moderate ones,
+whose steps are mostly call overhead, two BLAS calls at a time, a near
+product that takes the load with a unit weight and one product by the
+step's affine solution map (:func:`_step_body`, :func:`_solution_map`);
+and on narrow ones ``_PROPAGATE`` at a time by the step's discrete
+Green's function (:func:`_block_body`).  The march checks for blow-up
+once per data block, dropping any levels it computed past one.
 
 :func:`march_blocks` is the march: one call that hands each block of
 levels, as it is made and checked, to the caller's folds (error and
@@ -44,11 +46,11 @@ energy norms, a CSV writer) as views of the history's rows;
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array by the increment form, independently of
-:class:`L1Memory` (:func:`_oracle_rhs`); a dense LU solve of the same
-system is kept as a test oracle.  The march makes levels only: with
-``check_residuals``, :func:`march` replays the finished history through
-the same oracle right-hand side and records the relative residual of
-every step (:func:`_step_residuals`).
+:class:`L1Memory`; a dense LU solve of the same system is kept as a test
+oracle.  The march makes levels only: with ``check_residuals``,
+:func:`march` replays the finished history through the same oracle
+right-hand side and records the relative residual of every step
+(:func:`_step_residuals`).
 """
 
 from __future__ import annotations
@@ -542,17 +544,17 @@ def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray, mu: float,
     return out
 
 
-def _oracle_rhs(step: Step, problem: Problem, grid: Grid, sigma: float,
-                levels: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """Right-hand side of the step after ``levels``, y^0..y^n, as an oracle.
+def _step_data(step: Step, problem: Problem, grid: Grid, sigma: float,
+               first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """f on the nodes and mu, at t_n + sigma*tau for the steps first..stop-1.
 
-    ``load`` is the memory load of the increment form (:func:`split_implicit`)
-    over all the levels, independently of :class:`L1Memory`; f and mu are
-    sampled at t_n + sigma*tau, and :func:`_step_rhs` forms the rest.
+    The times are one array expression and each datum one sampler call on
+    them (:class:`~fracheat.core.NodeSampler`, :func:`sample_space`), so
+    the march, :func:`assemble_step` and the replay of a history give a
+    step the same data bits.
     """
-    t = (len(levels) - 1 + sigma) * grid.tau
-    return _step_rhs(step, levels[-1], step.source.rows([t])[0] - load,
-                     problem.mu(t), np.empty(grid.N))
+    times = (np.arange(first, stop) + sigma) * grid.tau
+    return step.source.rows(times), sample_space(problem.mu, times)
 
 
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
@@ -561,7 +563,10 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
 
     ``levels`` has shape ``(n+1, N+1)``, row s holding level s; the
     system produces level n+1 and is built as a march builds it, except
-    that its right-hand side is :func:`_oracle_rhs`.
+    that its right-hand side is an oracle: the memory load is the
+    increment form's (:func:`split_implicit`) over all the levels,
+    independently of :class:`L1Memory`, and :func:`_step_rhs` forms the
+    rest from the data of :func:`_step_data`.
     """
     Y = np.asarray(levels, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] != grid.N + 1:
@@ -569,8 +574,10 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
                              f"expected (n+1, {grid.N + 1})")
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     step = build_step(problem, grid, params.sigma, c_new)
-    return StepSystem(**vars(step.operator), rhs=_oracle_rhs(
-        step, problem, grid, params.sigma, Y, load))
+    n = len(Y) - 1
+    phi, mu = _step_data(step, problem, grid, params.sigma, n, n + 1)
+    return StepSystem(**vars(step.operator), rhs=_step_rhs(
+        step, Y[-1], phi[0] - load, mu.item(0), np.empty(grid.N)))
 
 
 def solve_bordered(system: StepSystem) -> np.ndarray:
@@ -622,17 +629,17 @@ def _solution_map(step: Step, alpha: float) -> np.ndarray:
 
 
 def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
-        Callable[[int, np.ndarray, list[float]], None], int]:
+        Callable[[int, np.ndarray], None], int]:
     """A memory block's levels a banded solve at a time: ``(advance, _BLOCK)``.
 
-    Bound once per march, ``advance(n0, loads, mu)`` writes the levels
-    after n0 into the memory's history from the levels before them: row
-    j of ``loads`` is the source plus the far memory of level n0+j+1 and
-    ``mu`` the flux data, all of one block of ``_BLOCK`` levels, as
-    :func:`march_blocks` takes them.  So phi - load is one near product,
-    from the block's first level, and one addition; at sigma < 1 the
-    explicit part is one multiply of ``step.bands`` by a ``(3, N-1)``
-    window of level n and one sum.  The closure gives y_N (see
+    Bound once per march, ``advance(n0, mu)`` makes the levels after n0,
+    one per entry of the flux data ``mu``, all of one block of ``_BLOCK``
+    levels, in the memory's history, from the levels before them: as
+    :func:`march_blocks` leaves them, each level's row holds its load, the
+    source plus the far memory.  So phi - load is one near product, from
+    the block's first level, and one addition; at sigma < 1 the explicit
+    part is one multiply of ``step.bands`` by a ``(3, N-1)`` window of
+    level n and one sum.  The closure gives y_N (see
     :attr:`StepOperator._factors`), the border entries take their y_N
     share, and ``dpttrs`` or ``dgbtrs`` solves in place.  The loop is
     :func:`_step_rhs` and :meth:`StepOperator.solve` fused: they give the
@@ -646,20 +653,19 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     two_by_h, beta = step.two_by_h, step.beta
     explicit, flux_N, flux_1 = step.explicit != 0.0, step.flux_N, step.flux_1
     add, zdot = np.add, z.dot
+    stack = np.empty((4, m + 2))    # band products; near sum, phi - load
+    products, near, summands = stack[:3, 1:-1], stack[3], stack[:, 1:-1]
     if explicit:
         taps, bands = sliding_window_view(H, m, axis=1), step.bands
-        stack = np.empty((4, m + 2))        # three band products, phi - load
-        products, phi_load = stack[:3, 1:-1], stack[3]
-        summands = stack[:, 1:-1]
         multiply, total = np.multiply, np.add.reduce
 
-    def advance(n0: int, loads: np.ndarray, mu: list[float]) -> None:
+    def advance(n0: int, mu: np.ndarray) -> None:
         lo = max(n0 - n0 % _BLOCK, 1)
-        for n, row, mu_n in zip(range(n0, n0 + len(mu)), loads, mu):
+        for n, mu_n in zip(range(n0, n0 + len(mu)), mu.tolist()):
             level = H[n + 1]
-            r = phi_load if explicit else level
-            d[top - n + lo:].dot(H[lo:n + 1], r)
-            add(r, row, r)
+            r = near if explicit else level
+            d[top - n + lo:].dot(H[lo:n + 1], near)
+            add(near, level, r)
             flux = two_by_h * mu_n + r.item(-1) + beta * r.item(0)
             g = level[1:-1]
             if explicit:
@@ -679,33 +685,34 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
 
 
 def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
-        Callable[[int, np.ndarray, list[float]], None], int]:
+        Callable[[int, np.ndarray], None], int]:
     """A memory block's levels a product at a time: ``(advance, _BLOCK)``.
 
-    As :func:`_banded_body`, a level's r = phi - load is one near product,
-    from the block's first level, and one addition, here into a buffer;
-    mu (and at sigma < 1 level n) is written beside it, and one GEMV by
-    the step's :func:`_solution_map` (its first N+2 columns at sigma = 1,
-    which read no level) writes the level.  A map that overflows leaves
-    the march to :func:`_banded_body`.
+    As in :func:`_banded_body`, each level's row of the history holds its
+    load when ``advance(n0, mu)`` starts.  A level is two BLAS calls: the
+    near product, from the block's first level, takes the load too, with a
+    unit weight after d_0, and writes r = phi - load into a buffer; mu
+    (and at sigma < 1 level n) is written beside it, and one GEMV by the
+    step's :func:`_solution_map` (its first N+2 columns at sigma = 1,
+    which read no level) writes the level over its load.  A map that
+    overflows leaves the march to :func:`_banded_body`.
     """
     A = _solution_map(step, alpha)
     if not np.isfinite(A).all():
         return _banded_body(step, memory, alpha)
-    H, d = memory.history, memory._d
-    W, top = H.shape[1], d.size - 1
+    H, weights = memory.history, np.append(memory._d, 1.0)
+    W, top = H.shape[1], weights.size - 2
     explicit = step.explicit != 0.0
     if not explicit:
         A = A[:, :W + 1].copy()
     buf = np.empty(A.shape[1])          # r, mu, then level n at sigma < 1
     r, old = buf[:W], buf[W + 1:]
-    add, dot = np.add, np.dot
+    dot = np.dot
 
-    def advance(n0: int, loads: np.ndarray, mu: list[float]) -> None:
+    def advance(n0: int, mu: np.ndarray) -> None:
         lo = max(n0 - n0 % _BLOCK, 1)
-        for n, row, mu_n in zip(range(n0, n0 + len(mu)), loads, mu):
-            d[top - n + lo:].dot(H[lo:n + 1], r)
-            add(r, row, r)
+        for n, mu_n in zip(range(n0, n0 + len(mu)), mu.tolist()):
+            weights[top - n + lo:].dot(H[lo:n + 2], r)
             buf[W] = mu_n
             if explicit:
                 old[:] = H[n]
@@ -715,7 +722,7 @@ def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
 
 
 def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
-        Callable[[int, np.ndarray, list[float]], None], int]:
+        Callable[[int, np.ndarray], None], int]:
     """As :func:`_step_body`, but a GEMM per block: ``(advance, _PROPAGATE)``.
 
     A step is affine, y^{n+1} = A_r*r + a_mu*mu + A_y*y^n (the columns of
@@ -724,11 +731,11 @@ def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     block-triangular Toeplitz system in the weights d_k, whose inverse (Lu,
     Pang and Sun 2015) is R_0 = I, R_k = A_r*S_{k-1} + A_y*R_{k-1}, S_k =
     sum_{i<=k} d_i*R_{k-i}.  With F_i the source plus the far loads of
-    level b0+i+1 (row i of ``loads``), level b0+k+1 is one GEMM,
-    sum_{i<=k} R_{k-i}*(A_r*F_i + a_mu*mu_i), plus one GEMV, Q_k*y^{b0}
-    with Q_k = S_k*A_r + R_k*A_y (R_k*A_y first, where level 0 keeps c_n
-    in the far loads).  A Green's function that overflows leaves the
-    march to :func:`_banded_body`.
+    level b0+i+1 (which its row of the history holds as ``advance(b0,
+    mu)`` starts), level b0+k+1 is one GEMM, sum_{i<=k} R_{k-i}*(A_r*F_i +
+    a_mu*mu_i), plus one GEMV, Q_k*y^{b0} with Q_k = S_k*A_r + R_k*A_y
+    (R_k*A_y first, where level 0 keeps c_n in the far loads).  A Green's
+    function that overflows leaves the march to :func:`_banded_body`.
     """
     H, B, d = memory.history, _PROPAGATE, memory._d
     W = H.shape[1]
@@ -750,10 +757,10 @@ def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     U = np.zeros((2 * B - 1, W + 1))    # B-1 rows of zeros, then (F_i, mu_i)
     F, toeplitz = U[B - 1:], sliding_window_view(U.ravel(), B * (W + 1))
 
-    def advance(b0: int, loads: np.ndarray, mu: list[float]) -> None:
+    def advance(b0: int, mu: np.ndarray) -> None:
         q = len(mu)
-        F[:q, :W], F[:q, W] = loads, mu
         X = H[b0 + 1:b0 + 1 + q]
+        F[:q, :W], F[:q, W] = X, mu
         np.matmul(toeplitz[:q * (W + 1):W + 1].copy(), K, out=X)
         X += (H[b0] @ Q[min(b0, 1)])[:q * W].reshape(q, W)
         X[:, 0] = alpha * X[:, -1]
@@ -784,9 +791,11 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     The levels are made in the memory's history (:class:`L1Memory`), one
     ``(Nt+1, N+1)`` array with level n in row n, which is ``out`` when
     given.  f and mu are sampled a data block (``block_levels``) at a
-    time.  As a block of the body starts (``_BLOCK`` levels stepped,
-    ``_PROPAGATE`` propagated), the call takes its far loads once; it adds
-    the source rows to them and hands the body its levels' rows.  Once
+    time, one sampler call each on the block's times (:func:`_step_data`).
+    As a block of the body starts (``_BLOCK`` levels stepped,
+    ``_PROPAGATE`` propagated), the call takes its far loads once; it
+    writes them plus the source rows into the history rows of the levels
+    they make, and hands the body its levels' mu.  Once
     the guard has read a data block, the folds get it, a view of the
     history's rows, in the order given, under the caller's numpy error
     state; the first also holds level 0.  A fold that changes the levels
@@ -814,7 +823,7 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     if blow is not None:
         raise DomainError(f"initial level: max norm {blow.norm} is not "
                           f"finite or exceeds {BLOWUP_LIMIT}")
-    sigma, tau, W = params.sigma, grid.tau, grid.N + 1
+    sigma, W = params.sigma, grid.N + 1
     body = (_block_body if W <= min(_PROPAGATE_WIDTH, grid.Nt // _PROPAGATE)
             else _step_body if W <= _PRODUCT_WIDTH else _banded_body)
     with np.errstate(over="ignore", invalid="ignore"):    # see _block_body
@@ -822,18 +831,17 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
     for n0 in range(0, grid.Nt, rows):
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
-            # f and mu at t_n + sigma*tau for the levels of the block
-            times = [(n + sigma) * tau for n in range(n0, grid.Nt)[:rows]]
-            phi, mu = step.source.rows(times), list(map(problem.mu, times))
-            made = len(times)
+            made = min(rows, grid.Nt - n0)
+            phi, mu = _step_data(step, problem, grid, sigma, n0, n0 + made)
             # A body block begun in an earlier data block keeps its far rows
             # (a propagated march's data blocks hold whole body blocks).
             for s in [n0, *range(n0 - n0 % B + B, n0 + made, B)]:
                 if s % B == 0:
                     far, b0 = memory._far_loads(s, B), s
-                loads = far[s - b0:n0 + made - b0]
-                np.add(loads, phi[s - n0:s - n0 + len(loads)], loads)
-                advance(s, loads, mu[s - n0:s - n0 + len(loads)])
+                stop = min(b0 + len(far), n0 + made)
+                np.add(far[s - b0:stop - b0], phi[s - n0:stop - n0],
+                       levels[s + 1:stop + 1])
+                advance(s, mu[s - n0:stop - n0])
             blow = _first_blow_up(levels[n0 + 1:n0 + 1 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it
             made = blow.level - n0
@@ -851,21 +859,26 @@ def _step_residuals(problem: Problem, grid: Grid, params: SchemeParams,
 
     ``levels`` holds the levels 0..last of a march (after a blow-up, the
     bad level last).  The residual of step n is that of level n+1 in the
-    march's matrix against :func:`_oracle_rhs` of the levels 0..n, which
-    reads nothing of :class:`L1Memory`: a wrong far load, FFT piece or
-    fused right-hand side shows in it as a wrong solve does.  The step,
-    the weights and the increments are taken once: the weights of step n
-    are the tail of the last step's, and its load is that of
+    march's matrix against the right-hand side that :func:`assemble_step`
+    makes of the levels 0..n, which reads nothing of :class:`L1Memory`: a
+    wrong far load, FFT piece or fused right-hand side shows in it as a
+    wrong solve does.  The step, the data, the weights and the increments
+    are taken once: the data of every step in one :func:`_step_data` call,
+    the same bits as the march's and each assembled step's; the weights of
+    step n are the tail of the last step's, and its load is that of
     :func:`split_implicit`, in O(n*N).
     """
     c = l1_weights(grid.Nt - 1, problem.gamma, grid.tau).c
     step = build_step(problem, grid, params.sigma, float(c[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
+        phi, mu = _step_data(step, problem, grid, params.sigma, 0,
+                             len(levels) - 1)
         diffs = np.diff(levels, axis=0)
-        return [step.operator.residual(_oracle_rhs(
-            step, problem, grid, params.sigma, levels[:n + 1],
-            c[-n - 1:-1] @ diffs[:n] - c[-1] * levels[n]),
-            levels[n + 1, 1:]) for n in range(len(levels) - 1)]
+        return [step.operator.residual(_step_rhs(
+            step, levels[n], phi[n] - (c[-n - 1:-1] @ diffs[:n]
+                                       - c[-1] * levels[n]),
+            mu.item(n), np.empty(grid.N)), levels[n + 1, 1:])
+            for n in range(len(levels) - 1)]
 
 
 def march(problem: Problem, grid: Grid, params: SchemeParams,

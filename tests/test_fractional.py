@@ -1,19 +1,24 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracheat.core import DimensionError, DomainError
 from fracheat.fractional import (
     OracleFailureError,
+    _power_increments,
     caputo_oracle,
     discrete_caputo,
     energy_identity_remainders,
     l1_weights,
     split_implicit,
 )
+
+
+LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def caputo_monomial(m: int, t: float, gamma: float) -> float:
@@ -48,18 +53,43 @@ def test_weights_positive_increasing_and_telescoping():
         assert total == pytest.approx(expect, rel=1e-13)
 
 
-@given(st.floats(0.0, 1.0 - 1e-10, exclude_min=True), st.integers(3, 20_000),
-       st.floats(1e-6, 1.0))
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(3, 20_000), st.floats(1e-9, 1.0))
+@example(LAST_BELOW_ONE, 20_000, 1e-9)
+@example(1.0 - 1e-12, 20_000, 1e-9)
+@example(1.0 - 1e-13, 20_000, 1e-6)
 def test_weight_differences_past_the_newest_are_exact(gamma, Nt, tau):
     # The memory's level form (stepper.L1Memory) weighs the levels by
     # d_k = c_k - c_{k+1}, c_k the weight of lag k (c[-1 - k] of the
     # newest-last array).  For k >= 1 the weights lie within a factor 2
     # of each other, so d_k is exact (Sterbenz) and adding c_{k+1} back
-    # gives c_k.  The computed weights keep that bound up to gamma = 1 -
-    # 1e-10; at 1 - gamma <= 1e-12 the cancellation in t**(1-gamma)
-    # increments breaks it for long marches (see CHANGES.md).
+    # gives c_k.  The weights keep that bound for every gamma up to the
+    # largest double below 1, where a difference of the powers of
+    # t**(1-gamma) broke it from 1 - gamma <= 1e-12 on.
     c = l1_weights(Nt - 1, gamma, tau).c[::-1]
     assert np.array_equal((c[1:-1] - c[2:]) + c[2:], c[1:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(1, 40_000), st.floats(1e-9, 1.0),
+       st.lists(st.integers(0, 40_000), max_size=10))
+@example(0.5, 2_189, 1.0 / 2_189, [1_000])
+@example(0.9, 35_878, 1.0 / 35_878, [20_000])
+@example(LAST_BELOW_ONE, 20_000, 1e-9, [])
+def test_power_increments_match_forty_digit_values(gamma, Nt, tau, picks):
+    # Each increment (j+1)*tau and j*tau raised to 1-gamma, against mpmath
+    # at 40 digits, is within 2e-15 relative (at most 6.7e-16 in a scan of
+    # gamma from 1e-9 to the largest double below 1).  The difference of
+    # the two powers was off by 4.7e-13 at gamma = 0.5, Nt = 2,189, by
+    # 3.6e-11 at gamma = 0.9, Nt = 35,878, and by orders of magnitude near
+    # gamma = 1.
+    inc = _power_increments(Nt - 1, gamma, tau)
+    with mpmath.workdps(40):
+        e, step = 1 - mpmath.mpf(gamma), mpmath.mpf(tau)
+        for j in {0, Nt // 2, Nt - 1, *(p % Nt for p in picks)}:
+            want = ((j + 1) * step) ** e - (j * step) ** e
+            assert abs(mpmath.mpf(inc[j]) - want) <= 2e-15 * want, j
 
 
 def test_weights_reject_bad_order():

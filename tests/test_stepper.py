@@ -837,9 +837,9 @@ def test_block_guard_stops_where_a_per_level_guard_does(where, value):
 def test_a_banded_level_is_the_step_rhs_and_solve_byte_for_byte(N, sigma,
                                                                 alpha, beta):
     # The banded loop fuses _step_rhs and StepOperator.solve.  From level
-    # 0 the near memory sum is empty, so r is the row handed in; level 2's
-    # r adds the near sum over level 1.  Each level is the solve of
-    # _step_rhs's right-hand side, lifted by y_0 = alpha*y_N, byte for
+    # 0 the near memory sum is empty, so r is the load in the level's row;
+    # level 2's r adds the near sum over level 1.  Each level is the solve
+    # of _step_rhs's right-hand side, lifted by y_0 = alpha*y_N, byte for
     # byte.  N=2 takes band LU, the others LDL^T.
     problem, grid = build_manufactured(alpha, beta, 0.5), Grid(N=N, Nt=10)
     memory = L1Memory(problem.gamma, grid.tau, grid.Nt, N + 1)
@@ -848,9 +848,10 @@ def test_a_banded_level_is_the_step_rhs_and_solve_byte_for_byte(N, sigma,
     H = memory.history
     H[0] = rng.uniform(-1.0, 1.0, N + 1)
     loads = rng.uniform(-1.0, 1.0, (2, N + 1))
-    mu = rng.uniform(-1.0, 1.0, 2).tolist()
+    mu = rng.uniform(-1.0, 1.0, 2)
+    H[1:3] = loads                  # as march_blocks leaves them
     advance, _ = stepper._banded_body(step, memory, alpha)
-    advance(0, loads, mu)
+    advance(0, mu)
     for n, r in enumerate([loads[0], memory._d[-1:].dot(H[1:2]) + loads[1]]):
         level = np.empty(N + 1)
         step.operator.solve(_step_rhs(step, H[n], r, mu[n], np.empty(N)),
@@ -880,6 +881,35 @@ def test_the_solution_map_is_the_step_rhs_and_solve_byte_for_byte(N, sigma):
     step.operator.solve(cols[:, :k], A[1:, :k])
     A[0] = problem.alpha * A[-1]
     assert stepper._solution_map(step, problem.alpha).tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+@pytest.mark.parametrize("N", [2, 3, 20, 100])
+def test_a_product_level_is_the_solution_map_of_load_plus_near_sum(N, sigma):
+    # The product body makes a level in two BLAS calls: the near product
+    # takes the load in the level's row with a unit weight after d_0, and
+    # the solution map multiplies (r, mu, y^n).  Each level equals
+    # _solution_map(step, alpha) @ (row + near, mu, y^n), the near sum
+    # d @ levels added to the load apart, to rounding of the terms.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=10)
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, N + 1)
+    step = build_step(problem, grid, sigma, memory.c_new)
+    rng = np.random.default_rng(N)
+    H, d, W = memory.history, memory._d, N + 1
+    H[0] = rng.uniform(-1.0, 1.0, W)
+    loads = rng.uniform(-1.0, 1.0, (6, W))
+    mu = rng.uniform(-1.0, 1.0, 6)
+    H[1:7] = loads                  # as march_blocks leaves them
+    advance, B = stepper._step_body(step, memory, problem.alpha)
+    assert B == _BLOCK
+    advance(0, mu)
+    A = stepper._solution_map(step, problem.alpha)
+    for n in range(6):
+        near = d[d.size - n:].dot(H[1:n + 1])
+        x = np.concatenate((loads[n] + near, [mu[n]], H[n]))
+        scale = np.abs(A) @ np.abs(x) + np.abs(A[:, :W]) @ (
+            np.abs(d[d.size - n:]) @ np.abs(H[1:n + 1]))
+        assert np.all(np.abs(A @ x - H[n + 1]) <= 1e-14 * scale), n
 
 
 # ---------------------------------------------------------------------------

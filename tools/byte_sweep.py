@@ -24,13 +24,16 @@ program produces is checked in two ways:
   {20, 40, 80, 160} on balanced grids, plus two marches that blow up
   (one in its first block of 256 levels, one after it), one of random
   homogeneous data, one of plain-callback data whose source takes
-  plain floats only, so it is sampled point by point, and one at
-  sigma = 1 whose source is -0.0 everywhere on a concave level 0, so
-  right-hand sides meet signed zeros, and ten at N = 12 whose step
-  counts (64, 65, 256, 257 and 577, at sigma in {1, 0.5}) end on a block
-  edge of the memory sum (64, 577) or of the march's data blocks (256),
-  or one step past it, and four of the smallest systems, N in {2, 3}
-  (interiors of 1 and 2 unknowns) at sigma in {1, 0.5} with Nt = 130,
+  plain floats only, so it is sampled point by point, one of plain
+  vectorised callbacks, sampled a data block at a time, one of the
+  manufactured data with a mu that takes plain floats only, so it is
+  sampled point by point, and one at sigma = 1 whose source is -0.0
+  everywhere on a concave level 0, so right-hand sides meet signed
+  zeros, and ten at N = 12 whose step counts (64, 65, 256, 257 and
+  577, at sigma in {1, 0.5}) end on a block edge of the memory sum (64,
+  577) or of the march's data blocks (256), or one step past it, and
+  four of the smallest systems, N in {2, 3} (interiors of 1 and 2
+  unknowns) at sigma in {1, 0.5} with Nt = 130,
   which crosses two block edges of the memory sum, and two at N = 1000
   (Nt = 140, sigma in {1, 0.5}), whose data blocks of 65 levels start
   inside the memory sum's blocks of 64, and two long marches whose far
@@ -44,7 +47,7 @@ program produces is checked in two ways:
   two width cutoffs, at sigma in {1, 0.5}: 24, 25 and 26 nodes with Nt =
   416 (the propagator's cutoff of 25 nodes, with 16 levels per node or
   more) and 100, 101 and 102 nodes with Nt = 130 (the product's cutoff
-  of 101 nodes): 87 marches in all.  The hash also covers the blow-up
+  of 101 nodes): 89 marches in all.  The hash also covers the blow-up
   record and, for the blow-ups, one march that finishes, the block-edge
   marches, the smallest systems, the N = 1000 marches, the last two
   propagated ones and the cutoff marches, the per-step residuals.
@@ -173,6 +176,23 @@ digest("plain callbacks N=24 Nt=300 s=0.7", march(Problem(
     f=lambda x, t: math.sin(3.0 * x) * (1.0 + t), mu=lambda t: math.cos(t),
     u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
     Grid(N=24, Nt=300), SchemeParams(0.7)))
+# plain vectorised callbacks: the march samples f once per data block, as
+# f(x[None, :], t[:, None]), and mu on the block's time array
+digest("vectorised callbacks N=30 Nt=600 s=0.7", march(Problem(
+    gamma=0.6, alpha=2.0, beta=3.0, k=np.exp,
+    f=lambda x, t: np.sin(3.0 * x) * (1.0 + t**3), mu=lambda t: np.cos(t),
+    u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
+    Grid(N=30, Nt=600), SchemeParams(0.7)))
+# separable data with a scalar-only mu, which is sampled point by point
+mms = build_manufactured(3.0, 2.0, 0.5)
+
+def scalar_mu(t):
+    if np.ndim(t):
+        raise TypeError("a scalar time only")
+    return mms.mu(t)
+
+digest("scalar-only mu N=20 Nt=300 s=1", march(Problem(**{
+    **vars(mms), "mu": scalar_mu}), Grid(N=20, Nt=300), SchemeParams(1.0)))
 # sigma = 1 with a -0.0 source on a concave level 0
 digest("negative-zero source N=12 Nt=300 s=1", march(Problem(
     gamma=0.5, alpha=1.0, beta=2.0, k=np.exp,
