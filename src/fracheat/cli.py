@@ -41,12 +41,13 @@ import numpy as np
 
 from .core import (DomainError, Grid, NodeSampler, Problem, SchemeParams,
                    check_steps, check_time, face_coefficients)
-from .fractional import OracleFailureError, caputo_oracle, discrete_caputo
+from .fractional import (ORACLE_TOL, OracleFailureError, caputo_oracle,
+                         discrete_caputo)
 from .manufactured import CATALOG, time_profile, time_profile_d1
 from .norms import (UndefinedNormError, convergence_order, energy_weights,
                     norm_max, norm_trapezoid, sigma_threshold)
 from .prng import uniform_symmetric
-from .stepper import BlowUp, SingularSystemError, _step_residuals, march_blocks
+from .stepper import BlowUp, SingularSystemError, march
 
 __all__ = [
     "UsageError",
@@ -222,18 +223,17 @@ def run_convergence(config: StudyConfig) -> StudyReport:
     rows = []
     for grid in [_study_grid(N, config) for N in config.levels]:
         errors = _ErrorNorms(problem, grid)
-        levels = (np.empty((grid.Nt + 1, grid.N + 1))
-                  if config.check_residuals else None)
-        blow = march_blocks(problem, grid, params, errors, out=levels)
-        last = grid.Nt if blow is None else blow.level
+        outcome = march(problem, grid, params, errors,
+                        check_residuals=config.check_residuals)
+        residuals = outcome.per_step_residuals
         rows.append(StudyRow(
             h=grid.h, Nt=grid.Nt, tau=grid.tau,
             err_full=max(errors.full) if "full" in config.norms else None,
             err_max=max(errors.max) if "max" in config.norms else None,
-            blew_up=blow is not None,
-            max_residual=None if levels is None else max(_step_residuals(
-                problem, grid, params, levels[:last + 1])),
+            blew_up=outcome.blow_up is not None,
+            max_residual=None if residuals is None else max(residuals),
         ))
+        del outcome             # its history goes before the next level's
     return StudyReport(config=config, rows=tuple(rows),
                        wall_time=time.perf_counter() - start)
 
@@ -284,21 +284,20 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
     """One march on the given or the balanced grid, with its errors.
 
     The levels are folded a block at a time as the march makes them (see
-    ``stepper.march_blocks``): into the error norms, the last level and,
-    if given, ``sink(grid, first level, block)``.  Only the march holds
-    every level, while it runs.
+    ``stepper.march``): into the error norms and, if given, ``sink(grid,
+    first level, block)``.  The result keeps a copy of the last level, not
+    the march's history of every level.
     """
     _check_problem(problem_name)
     problem = CATALOG[problem_name](alpha=alpha, beta=beta, gamma=gamma, T=T)
     grid = (Grid(N=N, Nt=Nt, T=T) if Nt is not None
             else Grid.balanced(N, gamma, T))
-    errors, final = _ErrorNorms(problem, grid), np.empty(grid.N + 1)
-    folds = [errors, lambda first, block: np.copyto(final, block[-1])]
-    if sink is not None:
-        folds.append(functools.partial(sink, grid))
-    blow = march_blocks(problem, grid, SchemeParams(sigma), *folds)
-    return SolveResult(grid=grid, final=final, blow_up=blow,
-                       err_full=errors.full, err_max=errors.max)
+    errors = _ErrorNorms(problem, grid)
+    sinks = () if sink is None else (functools.partial(sink, grid),)
+    outcome = march(problem, grid, SchemeParams(sigma), errors, *sinks)
+    return SolveResult(grid=grid, final=outcome.history[-1].copy(),
+                       blow_up=outcome.blow_up, err_full=errors.full,
+                       err_max=errors.max)
 
 
 def _final_lines(result: SolveResult) -> Iterator[str]:
@@ -363,7 +362,10 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
     function not equal at t_final and 0) the test function is sampled on
     the time grid, the discrete operator is evaluated at
     t_final, and the difference to the oracle is tabulated together with
-    the observed order between consecutive tau values.
+    the observed order between consecutive tau values.  An order is
+    omitted where either error is within ``ORACLE_TOL``, the oracle's
+    guaranteed accuracy: such an error is the oracle's and the rounding's,
+    not the operator's (the L1 sum of a linear function is exact).
     """
     if function not in ORDER_FUNCTIONS:
         raise UsageError(f"function: unknown id {function!r} "
@@ -402,7 +404,7 @@ def run_caputo_order(gammas: Sequence[float], taus: Sequence[float],
             err = abs(discrete_caputo(series, gamma, t_final / steps)
                       - reference)
             order = None
-            if prev_err is not None and err > 0.0 and prev_err > 0.0:
+            if prev_err is not None and min(err, prev_err) > ORACLE_TOL:
                 order = convergence_order(prev_err, err, prev_tau, tau)
             rows.append(OrderRow(gamma=gamma, tau=t_final / steps,
                                  error=err, order=order))
@@ -466,7 +468,7 @@ def run_stability(gamma: float, alpha: float, beta: float,
         with np.errstate(over="ignore"):  # a norm past the float range is inf
             blocks.append(weights.norms(block, grid.h))
 
-    march_blocks(problem, grid, SchemeParams(sigma), fold, y0=u0)
+    march(problem, grid, SchemeParams(sigma), fold, y0=u0)
     norms = np.concatenate(blocks)
     passed = bool(np.all(norms <= norms[0] * (1.0 + 1e-12)))
     return StabilityReport(sigma=sigma, threshold=threshold,

@@ -35,6 +35,7 @@ __all__ = [
     "l1_weights",
     "discrete_caputo",
     "split_implicit",
+    "ORACLE_TOL",
     "caputo_oracle",
     "energy_identity_remainders",
 ]
@@ -143,7 +144,7 @@ def split_implicit(series, gamma: float,
 
 
 # Absolute accuracy that caputo_oracle guarantees, or else raises.
-_ORACLE_TOL = 1e-10
+ORACLE_TOL = 1e-10
 
 
 def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
@@ -157,12 +158,12 @@ def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
                                   v'(t - s**(1/(1-gamma))) ds.
 
     The transformed integrand is evaluated with adaptive Gauss-Kronrod
-    quadrature to absolute accuracy ``_ORACLE_TOL`` (1e-10).
+    quadrature to absolute accuracy ``ORACLE_TOL`` (1e-10).
 
     Raises
     ------
     OracleFailureError
-        If the quadrature error estimate exceeds ``_ORACLE_TOL``; the
+        If the quadrature error estimate exceeds ``ORACLE_TOL``; the
         achieved accuracy is attached to the exception.
     """
     # Imported here: scipy.integrate, with the scipy.linalg package it
@@ -181,12 +182,12 @@ def caputo_oracle(v, v_prime, t: float, gamma: float) -> float:
     scale = math.gamma(2.0 - gamma)
     # full_output silences quad's IntegrationWarning, which would only repeat
     # the error raised below; unlike a warnings filter it is thread-safe.
-    val, err = quad(integrand, 0.0, s_max, epsabs=_ORACLE_TOL * scale * 0.1,
+    val, err = quad(integrand, 0.0, s_max, epsabs=ORACLE_TOL * scale * 0.1,
                     epsrel=1e-13, limit=400, full_output=1)[:2]
     achieved = err / scale
-    if achieved > _ORACLE_TOL:
+    if achieved > ORACLE_TOL:
         raise OracleFailureError(f"Caputo quadrature reached {achieved:.3e}, "
-                                 f"wanted {_ORACLE_TOL:.3e}", achieved)
+                                 f"wanted {ORACLE_TOL:.3e}", achieved)
     return val / scale
 
 

@@ -39,18 +39,18 @@ and on narrow ones ``_PROPAGATE`` at a time by the step's discrete
 Green's function (:func:`_block_body`).  The march checks for blow-up
 once per data block, dropping any levels it computed past one.
 
-:func:`march_blocks` is the march: one call that hands each block of
-levels, as it is made and checked, to the caller's folds (error and
-energy norms, a CSV writer) as views of the history's rows;
-:func:`march` passes its own array as the history and returns it.
+:func:`march` is the march: one call that hands each block of levels,
+as it is made and checked, to the caller's folds (error and energy
+norms, a CSV writer) as views of the history's rows, and returns the
+history with its blow-up record (:class:`SolveOutcome`).
 
 :func:`assemble_step` is the one-shot form of a step, recomputing the
 memory term from a level array by the increment form, independently of
 :class:`L1Memory`; a dense LU solve of the same system is kept as a test
-oracle.  The march makes levels only: with ``check_residuals``,
-:func:`march` replays the finished history through the same oracle
-right-hand side and records the relative residual of every step
-(:func:`_step_residuals`).
+oracle.  The march makes levels only: with ``check_residuals`` it
+replays the finished history through the same oracle right-hand side,
+every step in one stacked call, and records the relative residual of
+every step (:func:`_step_residuals`).
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ __all__ = [
     "build_step",
     "solve_bordered",
     "solve_dense_oracle",
-    "march_blocks",
     "march",
 ]
 
@@ -263,11 +262,18 @@ class StepOperator:
         return out
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        """The product A @ y for a vector y of length N, in O(N)."""
-        out = self.diag * y[:-1] + self.upper * y[1:]
-        out[1:] += self.lower[1:] * y[:-2]
-        out[0] += self.corner * y[-1]
-        return np.append(out, np.dot(self.last_row, y[[0, -2, -1]]))
+        """The product A @ y in O(N), y of length N or a stack of such rows.
+
+        Each row of a stack takes the same operations as a single row, so
+        the two give the same bits; the flux row is (b1*y_1 + b_{N-1}*y_{N-1})
+        + b_N*y_N.
+        """
+        b1, bNm1, bN = self.last_row
+        out = self.diag * y[..., :-1] + self.upper * y[..., 1:]
+        out[..., 1:] += self.lower[1:] * y[..., :-2]
+        out[..., 0] += self.corner * y[..., -1]
+        flux = (b1 * y[..., 0] + bNm1 * y[..., -2]) + bN * y[..., -1]
+        return np.concatenate((out, np.expand_dims(flux, -1)), axis=-1)
 
     @cached_property
     def _cells(self) -> tuple[StepOperator, StepOperator]:
@@ -284,12 +290,16 @@ class StepOperator:
         return (StepOperator(*cells),
                 StepOperator(*(np.abs(c) for c in cells)))
 
-    def residual(self, rhs: np.ndarray, sol: np.ndarray) -> float:
-        """Max residual of a candidate solution, relative to row scale."""
+    def residual(self, rhs: np.ndarray, sol: np.ndarray) -> float | np.ndarray:
+        """Max residual of a candidate solution, relative to row scale.
+
+        Stacks of right-hand sides and solutions (along the last axis) give
+        each row's residual, bit for bit as one row at a time.
+        """
         cells, magnitude = self._cells
         r = cells @ sol - rhs
         scale = magnitude @ np.abs(sol) + np.abs(rhs)
-        return float(np.max(np.abs(r) / np.maximum(scale, 1e-300)))
+        return np.max(np.abs(r) / np.maximum(scale, 1e-300), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -341,9 +351,9 @@ class L1Memory:
     same weights.
 
     The memory holds the march's one level history, ``history`` (row l
-    holds level l; ``(Nt+1, width)``, or the caller's ``out``), which the
-    march writes and the far loads read: those of the levels after n0 read
-    the rows 0..n0, and the rows past n0 are scratch.
+    holds level l; ``(Nt+1, width)``), which the march writes and the far
+    loads read: those of the levels after n0 read the rows 0..n0, and the
+    rows past n0 are scratch.
 
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
@@ -366,8 +376,7 @@ class L1Memory:
     exceeds its 1,024-level piece; 141 levels follow its 2,048-level one).
     """
 
-    def __init__(self, gamma: float, tau: float, Nt: int, width: int,
-                 out: Optional[np.ndarray] = None):
+    def __init__(self, gamma: float, tau: float, Nt: int, width: int):
         self._c = l1_weights(Nt - 1, gamma, tau).c
         self.c_new = float(self._c[-1])
         self._d = self._c[1:] - self._c[:-1]        # d_k in self._d[-1 - k]
@@ -377,7 +386,7 @@ class L1Memory:
         # and it reads only their first columns, which lie inside d.
         self._windows = sliding_window_view(
             np.concatenate(([0.0], self._d, np.zeros(_SPAN))), _SPAN)
-        self.history = np.empty((Nt + 1, width)) if out is None else out
+        self.history = np.empty((Nt + 1, width))
         self._floor = max(_PIECE_MIN, _PIECE_GROWTH * width**0.5)
         self._spectra: dict[int, np.ndarray] = {}
 
@@ -518,15 +527,17 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
                 source=NodeSampler(problem.f, grid.x))
 
 
-def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray, mu: float,
-              out: np.ndarray) -> np.ndarray:
+def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray,
+              mu: float | np.ndarray, out: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from level n (``yn``) to level n+1.
 
     ``r`` is the source f(x, t_n + sigma*tau) minus the memory load at
     every node, as every body forms it.  Interior rows carry r_i +
     (1-sigma)*(a*y_xbar)_{x,i}^n; the flux row carries (2/h)*mu(t_n +
     sigma*tau) + r_N + beta*r_0 and the explicit part of both fluxes.  It
-    is written into ``out`` (length N) and returned.
+    is written into ``out`` (length N) and returned.  Stacks of rows (the
+    last axis; ``mu`` one value per row) take the same operations row by
+    row, so they give the same bits as one step at a time.
 
     The interior is evaluated with the pre-scaled ``bands`` b as r_i +
     ((b0*y_{i-1} + b1*y_i) + b2*y_{i+1}), and the flux row as its data minus
@@ -534,13 +545,14 @@ def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray, mu: float,
     (:func:`_banded_body`).  At sigma = 1 the scheme has no explicit part,
     so none is formed: the interior is r_i, signed zeros and all.
     """
-    out[:-1] = r[1:-1]
-    out[-1] = step.two_by_h * mu + r.item(-1) + step.beta * r.item(0)
+    out[..., :-1] = r[..., 1:-1]
+    out[..., -1] = step.two_by_h * mu + r[..., -1] + step.beta * r[..., 0]
     if step.explicit != 0.0:
         b0, b1, b2 = step.bands
-        out[:-1] += (b0 * yn[:-2] + b1 * yn[1:-1]) + b2 * yn[2:]
-        out[-1] -= step.flux_N * (yn.item(-1) - yn.item(-2))
-        out[-1] += step.flux_1 * (yn.item(1) - yn.item(0))
+        out[..., :-1] += ((b0 * yn[..., :-2] + b1 * yn[..., 1:-1])
+                          + b2 * yn[..., 2:])
+        out[..., -1] -= step.flux_N * (yn[..., -1] - yn[..., -2])
+        out[..., -1] += step.flux_1 * (yn[..., 1] - yn[..., 0])
     return out
 
 
@@ -595,7 +607,7 @@ def solve_dense_oracle(system: StepSystem) -> np.ndarray:
     Reference path for :func:`solve_bordered`; O(N^3), tests only.  An
     ``(N, k)`` rhs holds k right-hand sides, solved with one factorisation.
     """
-    A = np.column_stack([system @ e for e in np.eye(len(system.rhs))])
+    A = (system @ np.eye(len(system.rhs))).T
     try:
         return np.linalg.solve(A, system.rhs)
     except np.linalg.LinAlgError as exc:
@@ -608,22 +620,17 @@ def _solution_map(step: Step, alpha: float) -> np.ndarray:
     r is the source minus the memory load on the N+1 nodes, mu the flux
     data and y^n the old level.  The ``(N+1, 2N+3)`` matrix A is one
     :meth:`StepOperator.solve` of the right-hand sides that :func:`_step_rhs`
-    makes of each unit vector, lifted by the row y_0 = alpha*y_N on top:
-    the columns are written by hand, the stencil as ``step.bands``, and
-    are byte for byte what :func:`_step_rhs` makes of them.  At sigma = 1
-    the columns of y^n are zero and are not solved for.
+    makes of the unit vectors, one stacked call, lifted by the row y_0 =
+    alpha*y_N on top.  At sigma = 1 the columns of y^n are zero and are
+    not solved for.
     """
     W = step.operator.diag.size + 2
-    N, inner = W - 1, np.arange(W - 2)
-    cols = np.zeros((N, 2 * W + 1))     # the load r, mu, then level n
-    cols[inner, inner + 1] = 1.0
-    cols[-1, [0, N, W]] = step.beta, 1.0, step.two_by_h
-    cols[inner[:, None], W + 1 + inner[:, None] + np.arange(3)] = step.bands.T
-    np.add.at(cols[-1], W + 1 + np.array([N, N - 1, 1, 0]),
-              [-step.flux_N, step.flux_N, step.flux_1, -step.flux_1])
     k = 2 * W + 1 if step.explicit else W + 1
+    E = np.eye(k, 2 * W + 1)            # the load r, mu, then level n
+    cols = _step_rhs(step, E[:, W + 1:], E[:, :W], E[:, W],
+                     np.empty((k, W - 1)))
     A = np.zeros((W, 2 * W + 1))
-    step.operator.solve(cols[:, :k], A[1:, :k])
+    step.operator.solve(cols.T, A[1:, :k])
     A[0] = alpha * A[-1]
     return A
 
@@ -635,7 +642,7 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     Bound once per march, ``advance(n0, mu)`` makes the levels after n0,
     one per entry of the flux data ``mu``, all of one block of ``_BLOCK``
     levels, in the memory's history, from the levels before them: as
-    :func:`march_blocks` leaves them, each level's row holds its load, the
+    :func:`march` leaves them, each level's row holds its load, the
     source plus the far memory.  So phi - load is one near product, from
     the block's first level, and one addition; at sigma < 1 the explicit
     part is one multiply of ``step.bands`` by a ``(3, N-1)`` window of
@@ -768,57 +775,51 @@ def _block_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     return advance, B
 
 
-def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
-                 *folds: Callable[[int, np.ndarray], object], y0=None,
-                 out: Optional[np.ndarray] = None) -> Optional[BlowUp]:
+def march(problem: Problem, grid: Grid, params: SchemeParams,
+          *folds: Callable[[int, np.ndarray], object], y0=None,
+          check_residuals: bool = False) -> SolveOutcome:
     """March the scheme, calling each ``fold(first level, block)`` in turn.
 
     Level 0 samples ``problem.u0`` on the grid, or is ``y0`` verbatim (the
     stability experiments pass random data).  The call first builds the
     step and factors its matrix (an overflowing one raises DomainError,
     a singular one SingularSystemError) and checks level 0 (a bad one
-    raises DomainError), so a refused march calls no fold.  A level is
-    made in one of three ways.  A march of at most ``_PROPAGATE_WIDTH``
-    nodes and ``_PROPAGATE`` levels per node or more makes ``_PROPAGATE``
-    levels per GEMM (:func:`_block_body`); any other of at most
-    ``_PRODUCT_WIDTH`` nodes makes a level per product by the step's
-    solution map (:func:`_step_body`); a wider one, such as N=320, takes
-    a banded solve per level (:func:`_banded_body`, the oracle of both,
-    and their fallback when their matrices overflow): the memory load and
-    right-hand side, the closure and one tridiagonal solve in place, with
-    y_0 from the value coupling.
+    raises DomainError), so a refused march calls no fold.  The width
+    picks the body (see ``_PROPAGATE_WIDTH``): ``_PROPAGATE`` levels per
+    GEMM (:func:`_block_body`), a level per product by the step's solution
+    map (:func:`_step_body`) or, as at N=320, a banded solve per level
+    (:func:`_banded_body`, the oracle of both and their fallback when
+    their matrices overflow).
 
     The levels are made in the memory's history (:class:`L1Memory`), one
-    ``(Nt+1, N+1)`` array with level n in row n, which is ``out`` when
-    given.  f and mu are sampled a data block (``block_levels``) at a
-    time, one sampler call each on the block's times (:func:`_step_data`).
-    As a block of the body starts (``_BLOCK`` levels stepped,
-    ``_PROPAGATE`` propagated), the call takes its far loads once; it
-    writes them plus the source rows into the history rows of the levels
-    they make, and hands the body its levels' mu.  Once
-    the guard has read a data block, the folds get it, a view of the
-    history's rows, in the order given, under the caller's numpy error
+    ``(Nt+1, N+1)`` array with level n in row n.  f and mu are sampled a
+    data block (``block_levels``) at a time, one sampler call each on the
+    block's times (:func:`_step_data`).  As a block of the body starts
+    (``_BLOCK`` levels stepped, ``_PROPAGATE`` propagated), the call takes
+    its far loads once; it writes them plus the source rows into the
+    history rows of the levels they make, and hands the body its levels'
+    mu.  Once the guard has read a data block, the folds get it, a view of
+    the history's rows, in the order given, under the caller's numpy error
     state; the first also holds level 0.  A fold that changes the levels
     changes the march.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
     computed past it are dropped, as a check after every level would.
-    The call returns the :class:`BlowUp`, or None.  The march checks no
-    residual: :func:`march` replays the finished history for that.
+    The outcome's history holds the rows produced, after a blow-up the
+    offending level last.  The march checks no residual: with
+    ``check_residuals`` the finished history is replayed against the
+    oracle right-hand side (:func:`_step_residuals`), O(Nt^2*N) per march.
     """
-    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1, out)
+    memory = L1Memory(problem.gamma, grid.tau, grid.Nt, grid.N + 1)
     step = build_step(problem, grid, params.sigma, memory.c_new)
     step.operator._factors      # factor and check the closure before any load
     rows = block_levels(grid.N + 1)
     levels = memory.history
-    if y0 is None:
-        levels[0] = sample_space(problem.u0, grid.x)
-    elif np.shape(y0) != (grid.N + 1,):
+    if y0 is not None and np.shape(y0) != (grid.N + 1,):
         raise DimensionError(f"y0 has shape {np.shape(y0)}, "
                              f"expected ({grid.N + 1},)")
-    else:
-        levels[0] = y0
+    levels[0] = sample_space(problem.u0, grid.x) if y0 is None else y0
     blow = _first_blow_up(levels[:1], 0)
     if blow is not None:
         raise DomainError(f"initial level: max norm {blow.norm} is not "
@@ -849,8 +850,10 @@ def march_blocks(problem: Problem, grid: Grid, params: SchemeParams,
         for fold in folds:
             fold(first, levels[first:n0 + 1 + made])
         if blow is not None:
+            levels = levels[:blow.level + 1]
             break
-    return blow
+    return SolveOutcome(levels, blow, _step_residuals(
+        problem, grid, params, levels) if check_residuals else None)
 
 
 def _step_residuals(problem: Problem, grid: Grid, params: SchemeParams,
@@ -862,40 +865,24 @@ def _step_residuals(problem: Problem, grid: Grid, params: SchemeParams,
     march's matrix against the right-hand side that :func:`assemble_step`
     makes of the levels 0..n, which reads nothing of :class:`L1Memory`: a
     wrong far load, FFT piece or fused right-hand side shows in it as a
-    wrong solve does.  The step, the data, the weights and the increments
-    are taken once: the data of every step in one :func:`_step_data` call,
-    the same bits as the march's and each assembled step's; the weights of
-    step n are the tail of the last step's, and its load is that of
-    :func:`split_implicit`, in O(n*N).
+    wrong solve does.  The step, the data (one :func:`_step_data` call),
+    the weights and the increments are taken once; the load of step n is
+    :func:`split_implicit`'s, one product of the tail of the last step's
+    weights with the increments, O(n*N); one stacked :func:`_step_rhs`
+    and :meth:`StepOperator.residual` then give each assembled step's bits.
     """
     c = l1_weights(grid.Nt - 1, problem.gamma, grid.tau).c
     step = build_step(problem, grid, params.sigma, float(c[-1]))
+    old = levels[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, mu = _step_data(step, problem, grid, params.sigma, 0,
-                             len(levels) - 1)
-        diffs = np.diff(levels, axis=0)
-        return [step.operator.residual(_step_rhs(
-            step, levels[n], phi[n] - (c[-n - 1:-1] @ diffs[:n]
-                                       - c[-1] * levels[n]),
-            mu.item(n), np.empty(grid.N)), levels[n + 1, 1:])
-            for n in range(len(levels) - 1)]
-
-
-def march(problem: Problem, grid: Grid, params: SchemeParams,
-          y0=None, check_residuals: bool = False) -> SolveOutcome:
-    """March the scheme from the initial condition to the final time.
-
-    :func:`march_blocks` (which documents the march, its refusals and its
-    blow-up guard) makes the levels in one ``(Nt+1, N+1)`` array; the
-    outcome's history holds the rows produced.  With ``check_residuals``
-    the finished history is replayed step by step against the oracle
-    right-hand side (:func:`_step_residuals`), O(Nt^2*N) per march.
-    """
-    levels = np.empty((grid.Nt + 1, grid.N + 1))
-    blow = march_blocks(problem, grid, params, y0=y0, out=levels)
-    history = levels[:grid.Nt + 1 if blow is None else blow.level + 1]
-    return SolveOutcome(history, blow, _step_residuals(
-        problem, grid, params, history) if check_residuals else None)
+        phi, mu = _step_data(step, problem, grid, params.sigma, 0, len(old))
+        diffs, loads = np.diff(levels, axis=0), np.empty(old.shape)
+        for n in range(len(old)):
+            np.matmul(c[-n - 1:-1], diffs[:n], out=loads[n])
+        loads -= c[-1] * old
+        rhs = _step_rhs(step, old, np.subtract(phi, loads, out=loads), mu,
+                        np.empty((len(old), grid.N)))
+        return step.operator.residual(rhs, levels[1:, 1:]).tolist()
 
 
 def _first_blow_up(levels: np.ndarray, first: int) -> Optional[BlowUp]:

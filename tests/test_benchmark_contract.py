@@ -6,12 +6,10 @@ command line, the catalog, ``Grid`` and ``face_coefficients`` to build
 the workloads (``benchmarks/worker.py``).  A refactor that drops or
 renames one of these names blinds a traced layer or breaks the
 benchmark's set-up, so exactly these names are pinned here, the
-catalog's by the last test.  The tracer also looks up ``march`` in
-``fracheat.cli``; the commands call ``stepper.march_blocks`` with their
-folds and import no ``march``, so its ``stepper.march`` layer reads as
-absent and is not pinned.  ``march_blocks`` is one plain call that
-returns the blow-up record or None, so a tracer that wraps
-``fracheat.cli.march_blocks`` by name times each whole march.
+catalog's by the last test.  The commands call ``march`` through
+``fracheat.cli``, one plain call per march that returns its outcome, so
+the tracer's ``stepper.march`` layer times each whole march and its
+``stepper.blow_ups`` counter reads the outcome's blow-up record.
 """
 
 import importlib
@@ -23,7 +21,7 @@ from fracheat.core import Problem
 
 LOOKED_UP = {
     "fracheat.cli": ("main", "run_solve", "run_convergence", "run_stability",
-                     "uniform_symmetric", "face_coefficients",
+                     "march", "uniform_symmetric", "face_coefficients",
                      "norm_trapezoid", "norm_max"),
     "fracheat.stepper": ("assemble_step", "solve_bordered", "l1_weights",
                          "sample_space", "face_coefficients"),

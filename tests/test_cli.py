@@ -5,6 +5,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from fracheat.core import (MAX_NODES, DomainError, Grid, SchemeParams,
 from fracheat.norms import (UndefinedNormError, energy_weights,
                             sigma_threshold)
 from fracheat.prng import splitmix64, uniform_symmetric
-from fracheat.stepper import block_levels, march, march_blocks
+from fracheat.stepper import block_levels, march
 
 QUICK = dict(gamma=0.5, alpha=2.0, beta=5.0, levels=(5, 10, 20))
 
@@ -215,9 +216,8 @@ def test_blocked_error_history_matches_the_per_level_loop(case):
                                           exact=lambda x, t: exact(x, t))
         # the errors fold the march's own blocks, as the studies do
         errors = _ErrorNorms(problem, grid)
-        march_blocks(problem, grid, SchemeParams(1.0), errors)
+        history = march(problem, grid, SchemeParams(1.0), errors).history
         full, mx = errors.full, errors.max
-        history = march(problem, grid, SchemeParams(1.0)).history
     assert (full, mx) == per_level_errors(history, problem, grid)
     assert len(full) == len(history)
 
@@ -436,9 +436,11 @@ def test_caputo_order_report_orders():
 
 
 def test_caputo_order_linear_function_is_exact():
+    # The errors are rounding, so no order is computed from them.
     report = run_caputo_order([0.5], [0.05, 0.025, 0.0125], "linear")
     for row in report.rows:
         assert row.error <= 1e-12
+        assert row.order is None
 
 
 def test_caputo_order_rejects_unknown_function():
@@ -718,21 +720,41 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
 
 def test_a_wrapper_by_name_sees_every_march(monkeypatch, capsys):
     # A tracer wraps the name the commands call; it times each whole march
-    # and reads its result, the blow-up record or None.
-    results = []
+    # and reads the blow-up record of its outcome, as the benchmark's
+    # stepper.blow_ups counter does.
+    outcomes = []
 
     def traced(*args, **kwargs):
-        results.append(march_blocks(*args, **kwargs))
-        return results[-1]
+        outcomes.append(march(*args, **kwargs))
+        return outcomes[-1]
 
-    monkeypatch.setattr("fracheat.cli.march_blocks", traced)
+    monkeypatch.setattr("fracheat.cli.march", traced)
     assert main(["convergence", "--levels", "4,8"]) == 0
-    assert results == [None, None]
-    results.clear()
+    assert main(["stability", "--n", "8", "--nt", "5"]) == 0
+    assert [o.blow_up for o in outcomes] == [None, None, None]
+    outcomes.clear()
     assert main(["solve", "--alpha", "0.1", "--beta", "10", "--gamma", "0.4",
                  "--n", "80"]) == 0
-    [blow] = results
+    [blow] = [o.blow_up for o in outcomes]
     assert f"blow_up_level={blow.level}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_a_study_drops_each_history_before_the_next_march(monkeypatch,
+                                                          check):
+    # A level's outcome holds its march's whole history; two of them never
+    # coexist, so a study's peak is that of its largest march.
+    histories = []
+
+    def traced(*args, **kwargs):
+        assert all(history() is None for history in histories)
+        outcome = march(*args, **kwargs)
+        histories.append(weakref.ref(outcome.history))
+        return outcome
+
+    monkeypatch.setattr("fracheat.cli.march", traced)
+    report = run_convergence(StudyConfig(**QUICK, check_residuals=check))
+    assert len(histories) == 3 and not any(r.blew_up for r in report.rows)
 
 
 @pytest.mark.parametrize("out", ["missing/x.csv", ".", "file/x.csv", ""],
@@ -743,7 +765,7 @@ def test_unwritable_out_is_refused_before_the_march(out, tmp_path,
     def no_march(*args, **kwargs):
         raise AssertionError("march ran before --out was checked")
 
-    monkeypatch.setattr("fracheat.cli.march_blocks", no_march)
+    monkeypatch.setattr("fracheat.cli.march", no_march)
     (tmp_path / "file").write_text("a regular file\n")
     assert exit_code(["solve", "--n", "640",
                       "--out", str(tmp_path / out) if out else ""]) == 2

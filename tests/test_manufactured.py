@@ -23,7 +23,7 @@ from fracheat.manufactured import (
     time_profile_d1,
     verify_compatibility,
 )
-from fracheat.stepper import block_levels, march, march_blocks
+from fracheat.stepper import block_levels, march
 
 
 def test_space_profile_endpoint_identities():
@@ -98,8 +98,7 @@ def test_largest_final_time_marches_to_its_last_level():
     grid = Grid(N=2, Nt=305, T=_LARGEST_T)
     assert grid.Nt * grid.tau > grid.T
     errors = _ErrorNorms(problem, grid)
-    march_blocks(problem, grid, SchemeParams(0.0), errors)
-    outcome = march(problem, grid, SchemeParams(0.0))
+    outcome = march(problem, grid, SchemeParams(0.0), errors)
     assert len(errors.full) == len(errors.max) == len(outcome.history)
 
 
@@ -285,9 +284,9 @@ def test_a_march_samples_each_time_factor_and_mu_once_per_data_block(name):
     grid = Grid(N=20, Nt=600)
     rows = block_levels(grid.N + 1)
     assert (rows, grid.Nt - 2 * rows) == (256, 88)
-    blow = march_blocks(problem, grid, SchemeParams(1.0),
-                        _ErrorNorms(problem, grid))
-    assert blow is None
+    outcome = march(problem, grid, SchemeParams(1.0),
+                    _ErrorNorms(problem, grid))
+    assert outcome.blow_up is None
     assert len(shapes) == {"mms-cubic": 4, "zero": 1}[name]
     for key, calls in shapes.items():
         assert calls == ([(257,), (256,), (88,)] if key.startswith("u") else

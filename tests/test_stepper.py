@@ -37,7 +37,6 @@ from fracheat.stepper import (
     build_step,
     lapack,
     march,
-    march_blocks,
     solve_bordered,
     solve_dense_oracle,
 )
@@ -233,14 +232,14 @@ def test_assemble_step_rejects_malformed_level_arrays():
 
 
 def assert_refused_with_no_fold(error, match, *args, **kwargs):
-    """``march_blocks(*args, record, **kwargs)`` raises, and calls no fold."""
+    """``march(*args, record, **kwargs)`` raises, and calls no fold."""
     calls = []
 
     def record(first, block):
         calls.append(first)
 
     with pytest.raises(error, match=match):
-        march_blocks(*args, record, **kwargs)
+        march(*args, record, **kwargs)
     assert calls == []
 
 
@@ -535,6 +534,39 @@ def test_residual_matches_the_dense_formula(case):
     assert abs(op.residual(rhs, sol) - want) <= 1e-15
 
 
+@st.composite
+def stacked_step_cases(draw):
+    """A step as in step_rhs_cases with 1-4 stacked rows of each input.
+
+    The levels, loads, flux data and candidate solutions hold entries of
+    both signs, some +0.0 or -0.0; N starts at 2.
+    """
+    problem, grid, sigma, _, _ = draw(step_rhs_cases())
+    k, W = draw(st.integers(1, 4)), grid.N + 1
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]))
+    yn, r, sol = (draw(hnp.arrays(float, (k, W), elements=entry))
+                  for _ in range(3))
+    mu = draw(hnp.arrays(float, k, elements=entry))
+    return build_step(problem, grid, sigma, c_new=3.7), yn, r, mu, sol[:, 1:]
+
+
+@given(stacked_step_cases())
+def test_stacked_step_calls_equal_per_row_calls_bit_for_bit(case):
+    # The replay of a history and the solution map call _step_rhs, the
+    # operator's product and its residual once on a stack of rows; each
+    # row gets the bits of a call on that row alone.
+    step, yn, r, mu, sol = case
+    k, N = sol.shape
+    rhs = _step_rhs(step, yn, r, mu, np.full((k, N), np.nan))
+    assert rhs.tobytes() == np.array([
+        _step_rhs(step, y, q, m, np.full(N, np.nan))
+        for y, q, m in zip(yn, r, mu.tolist())]).tobytes()
+    op = step.operator
+    assert (op @ sol).tobytes() == np.array([op @ s for s in sol]).tobytes()
+    assert op.residual(rhs, sol).tobytes() == np.array([
+        op.residual(b, s) for b, s in zip(rhs, sol)]).tobytes()
+
+
 def test_residual_sums_shared_cells_before_their_magnitude():
     # N=2 with mixed signs: the corner and the upper band share cell
     # (1, 2), and b1 and b_{N-1} share cell (2, 1).  The row scale takes
@@ -779,14 +811,13 @@ def test_every_march_level_matches_the_independent_step(case):
     # place.  Each level it makes must be the level that assemble_step
     # (the increment form of split_implicit, and _step_rhs) and the dense
     # LU solve make from the levels before it, to 1e-12 of the level's
-    # max norm (at most 1.3e-14 over these draws).  The streamed blocks,
-    # which run the same body, give the same bytes.
+    # max norm (at most 1.3e-14 over these draws).  The blocks the folds
+    # get as they are made are the history's final bytes.
     problem, grid, params, y0, source, mu = case
-    Y = march(problem, grid, params, y0=y0).history
-    assert len(Y) == grid.Nt + 1
     blocks = []
-    march_blocks(problem, grid, params,
-                 lambda first, block: blocks.append(block.copy()), y0=y0)
+    Y = march(problem, grid, params,
+              lambda first, block: blocks.append(block.copy()), y0=y0).history
+    assert len(Y) == grid.Nt + 1
     assert np.concatenate(blocks).tobytes() == Y.tobytes()
     assert replay_against_oracle(problem, grid, params, Y) is None
 
@@ -849,7 +880,7 @@ def test_a_banded_level_is_the_step_rhs_and_solve_byte_for_byte(N, sigma,
     H[0] = rng.uniform(-1.0, 1.0, N + 1)
     loads = rng.uniform(-1.0, 1.0, (2, N + 1))
     mu = rng.uniform(-1.0, 1.0, 2)
-    H[1:3] = loads                  # as march_blocks leaves them
+    H[1:3] = loads                  # as march leaves them
     advance, _ = stepper._banded_body(step, memory, alpha)
     advance(0, mu)
     for n, r in enumerate([loads[0], memory._d[-1:].dot(H[1:2]) + loads[1]]):
@@ -863,8 +894,8 @@ def test_a_banded_level_is_the_step_rhs_and_solve_byte_for_byte(N, sigma,
 @pytest.mark.parametrize("sigma", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("N", [2, 3, 20, 100])
 def test_the_solution_map_is_the_step_rhs_and_solve_byte_for_byte(N, sigma):
-    # The map's columns are written by hand.  They are _step_rhs of the
-    # unit inputs, r = e_j, mu = 1 and y^n = e_j, and the map is one
+    # The map's columns are one stacked _step_rhs of the unit inputs, the
+    # calls r = e_j, mu = 1 and y^n = e_j one at a time, and the map is one
     # multi-column solve of them (a single-column dpttrs may differ in its
     # last bits), lifted by y_0 = alpha*y_N, byte for byte.  At sigma = 1
     # the columns of y^n are zero and are not solved for.
@@ -899,7 +930,7 @@ def test_a_product_level_is_the_solution_map_of_load_plus_near_sum(N, sigma):
     H[0] = rng.uniform(-1.0, 1.0, W)
     loads = rng.uniform(-1.0, 1.0, (6, W))
     mu = rng.uniform(-1.0, 1.0, 6)
-    H[1:7] = loads                  # as march_blocks leaves them
+    H[1:7] = loads                  # as march leaves them
     advance, B = stepper._step_body(step, memory, problem.alpha)
     assert B == _BLOCK
     advance(0, mu)
@@ -1592,14 +1623,15 @@ def test_data_blocks_hold_at_most_256_levels_and_about_2_16_entries():
 def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
                                                        sigma, unstable, data):
     # Nt ends on, one level before or past a data-block edge; the blocks
-    # are views of the memory's history, the history is march's array.
+    # are views of the memory's history, which the same call returns, with
+    # one residual per step when it checks them.
     rows = block_levels(N + 1)
     grid = Grid(N=N, Nt=max(1, blocks * rows + offset))
     problem = build_manufactured(3.0, 2.0, 0.5)
     if unstable:
         problem = source_turning(data.draw(st.sampled_from([1e200, math.nan])),
                                  data.draw(st.integers(1, grid.Nt)), grid)
-    params = SchemeParams(sigma)
+    params, check = SchemeParams(sigma), data.draw(st.booleans())
     firsts, kept = [], []
 
     def keep(first, block):
@@ -1607,13 +1639,15 @@ def test_march_blocks_concatenate_to_the_march_history(N, blocks, offset,
         firsts.append(first)
         kept.append(block.copy())
 
-    blow = march_blocks(problem, grid, params, keep)
-    outcome = march(problem, grid, params)
+    outcome = march(problem, grid, params, keep, check_residuals=check)
     assert np.concatenate(kept).tobytes() == outcome.history.tobytes()
     assert firsts == [0] + list(np.cumsum([len(b) for b in kept])[:-1])
     assert 1 <= len(kept[0]) <= rows + 1
     assert all(1 <= len(b) <= rows for b in kept[1:])
-    assert blow == outcome.blow_up and (blow is None or unstable)
+    assert outcome.blow_up is None or unstable
+    residuals = outcome.per_step_residuals
+    assert (residuals is None if not check
+            else len(residuals) == len(outcome.history) - 1)
 
 
 def test_folds_run_in_order_under_the_callers_error_state():
@@ -1628,9 +1662,9 @@ def test_folds_run_in_order_under_the_callers_error_state():
 
     with np.errstate(all="raise"):
         caller = np.geterr()
-        blow = march_blocks(problem, grid, SchemeParams(1.0), fold("a"),
-                            fold("b"))
-    assert blow is None
+        outcome = march(problem, grid, SchemeParams(1.0), fold("a"),
+                        fold("b"))
+    assert outcome.blow_up is None
     assert [c[:3] for c in calls] == [
         (name, first, size) for first, size in ((0, 257), (257, 256),
                                                 (513, 88))
@@ -1647,8 +1681,8 @@ def test_folds_run_in_order_under_the_callers_error_state():
             raise KeyError("second block")
 
     with pytest.raises(KeyError, match="second block"):
-        march_blocks(problem, grid, SchemeParams(1.0), fail_second,
-                     lambda first, block: calls.append(("after", first)))
+        march(problem, grid, SchemeParams(1.0), fail_second,
+              lambda first, block: calls.append(("after", first)))
     assert calls == [("fail", 0), ("after", 0), ("fail", 257)]
 
 
