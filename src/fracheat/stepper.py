@@ -24,20 +24,21 @@ the block's time array (:func:`_step_data`).  :class:`L1Memory`
 takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
-dyadic FFT pieces on long marches.  The march writes each level's load,
-its source plus far memory, into the level's row of the history, and a
-body bound once per march makes the levels of a block over their loads
-in one of three ways, chosen by the width at the measured crossovers of
-their march times (see ``_PROPAGATE_WIDTH``): on wide marches, such as
-N=320, a banded solve at a time (:func:`_banded_body`: a product of the
-memory weights with the block's levels, one addition, the closure and
-one in-place tridiagonal solve into the level's row); on moderate ones,
-whose steps are mostly call overhead, two BLAS calls at a time, a near
-product that takes the load with a unit weight and one product by the
-step's affine solution map (:func:`_step_body`, :func:`_solution_map`);
-and on narrow ones ``_PROPAGATE`` at a time by the step's discrete
-Green's function (:func:`_block_body`).  The march checks for blow-up
-once per data block, dropping any levels it computed past one.
+dyadic FFT pieces on long marches.  It writes a block's far loads once
+per block into the history rows of the levels they load, and the march
+adds their source there; a body bound once per march makes the levels of
+a block over their loads in one of three ways, chosen by the width at
+the measured crossovers of their march times (see ``_PROPAGATE_WIDTH``):
+on wide marches, such as N=320, a banded solve at a time
+(:func:`_banded_body`: a product of the memory weights with the block's
+levels, one addition, the closure and one in-place tridiagonal solve
+into the level's row); on moderate ones, whose steps are mostly call
+overhead, two BLAS calls at a time, a near product that takes the load
+with a unit weight and one product by the step's affine solution map
+(:func:`_step_body`, :func:`_solution_map`); and on narrow ones
+``_PROPAGATE`` at a time by the step's discrete Green's function
+(:func:`_block_body`).  The march checks for blow-up once per data
+block, dropping any levels it computed past one.
 
 :func:`march` is the march: one call that hands each block of levels,
 as it is made and checked, to the caller's folds (error and energy
@@ -131,9 +132,10 @@ _CLOSURE_ULPS = 64.0
 
 # Levels per block of the memory sum (see L1Memory): the far part of a
 # block's loads is a product of a _BLOCK-row weight slice with the level
-# history, taken _SPAN levels at a time.  A _SPAN-wide slice of the
-# weights (256 KB) and of a history 321 nodes wide (1.3 MB) fit a 2 MB
-# L2 cache together, and the copied slice does not grow with Nt.
+# history, taken _SPAN levels at a time and summed in the block's rows of
+# the history.  A _SPAN-wide slice of the weights (256 KB) and of a
+# history 321 nodes wide (1.3 MB) fit a 2 MB L2 cache together, and the
+# copied slice does not grow with Nt.
 _BLOCK = 64
 _SPAN = 512
 
@@ -351,17 +353,19 @@ class L1Memory:
     same weights.
 
     The memory holds the march's one level history, ``history`` (row l
-    holds level l; ``(Nt+1, width)``), which the march writes and the far
-    loads read: those of the levels after n0 read the rows 0..n0, and the
-    rows past n0 are scratch.
+    holds level l; ``(Nt+1, width)``), in which the far loads are summed:
+    those of the levels after n0 read the rows before n0 and are written
+    into the rows of the levels they load, which the march completes with
+    the source and the body overwrites with the levels.
 
     The sum is exact and blocked over levels.  At the first level n0 of
     each block of ``_BLOCK`` levels, the *far* part of the next loads,
     the terms of every level older than n0 (of level 0 alone in the first
-    block), is taken at once; each step then adds only its *near* part,
-    the at most ``_BLOCK`` levels from n0 (from 1 in the first block) to
-    n, so the history is streamed once per block, not once per level.  The
-    far part is a Toeplitz convolution in time: dyadic pieces, exact FFT
+    block), is taken at once and written into the history rows of the
+    levels it loads; each step then adds only its *near* part, the at
+    most ``_BLOCK`` levels from n0 (from 1 in the first block) to n, so
+    the history is streamed once per block, not once per level.  The far
+    part is a Toeplitz convolution in time: dyadic pieces, exact FFT
     convolutions (Hairer, Lubich and Schlichte 1985), give the terms of
     the levels [0, P), and the product ``W @ history[P:n0]``, O(Nt^2*width)
     per march, those of [P, n0); P = 0 without a piece.  Row j of W holds
@@ -390,14 +394,16 @@ class L1Memory:
         self._floor = max(_PIECE_MIN, _PIECE_GROWTH * width**0.5)
         self._spectra: dict[int, np.ndarray] = {}
 
-    def _far_loads(self, n0: int, rows: int = _BLOCK) -> np.ndarray:
-        """Far parts of minus the loads of the ``rows`` levels after n0.
+    def _far_loads(self, n0: int, rows: int = _BLOCK) -> None:
+        """Write the far parts of minus the loads of the levels after n0.
 
-        Row j is ``sum_{l < max(n0, 1)} w_l*y^l`` for level n0+j+1, with
-        w_0 = c_{n0+j} and w_l = d_{n0+j-l}, for the levels of the block
-        that the march can reach.  The piece that ends at n0, if taken, is
-        made first; the product adds the levels [P, n0) to the pieces' sums
-        in the block's rows of the history, its later spans through them.
+        Row j of the history after n0 becomes ``sum_{l < max(n0, 1)}
+        w_l*y^l`` for level n0+j+1, with w_0 = c_{n0+j} and w_l =
+        d_{n0+j-l}, for the ``rows`` levels of the block that the march can
+        reach.  The piece that ends at n0, if taken, is made first; then
+        the product takes the levels without a piece, a span at a time: the
+        first span of a block with no piece (P = 0) is written into the
+        rows, and every other is made in ``part`` and added to them.
         """
         H, last = self.history, self._c.size
         rows = min(rows, last - n0)
@@ -412,8 +418,12 @@ class L1Memory:
             P += S
         if P == n0 > 0:
             self._add_piece(n0)
-        far = (H[n0 + 1:n0 + 1 + rows].copy() if P else
-               np.empty((rows, H.shape[1])))
+            return
+        # The spans added to the rows are made in part, taken once before
+        # their weights: a fresh product per span made the studies op 3-5%
+        # slower in process.
+        far = H[n0 + 1:n0 + 1 + rows]
+        part = np.empty_like(far) if P or n0 > _SPAN else None
         for k in range(P, max(n0, 1), _SPAN):
             m = min(_SPAN, max(n0, 1) - k)
             W = np.array(self._windows[top + k:top + k + rows, :m][::-1],
@@ -422,8 +432,7 @@ class L1Memory:
                 W[:, 0] = self._c[top:top + rows][::-1]
                 np.matmul(W, H[:m], out=far)
             else:
-                far += np.matmul(W, H[k:k + m], out=H[n0 + 1:n0 + 1 + rows])
-        return far
+                far += np.matmul(W, H[k:k + m], out=part)
 
     def _add_piece(self, L: int) -> None:
         """Add the terms of the levels [L-S, L) to the rows of levels L+1..L+S.
@@ -703,6 +712,12 @@ def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     step's :func:`_solution_map` (its first N+2 columns at sigma = 1,
     which read no level) writes the level over its load.  A map that
     overflows leaves the march to :func:`_banded_body`.
+
+    The map's row 0 is alpha times its row N, so y_0 = alpha*y_N holds to
+    rounding only, a few ulps on most levels; the banded and propagated
+    bodies set y_0 from y_N, so their levels hold it bit for bit.  Exact
+    coupling would cost one more product per level (a GEMV of rows 1..N
+    and the lift).
     """
     A = _solution_map(step, alpha)
     if not np.isfinite(A).all():
@@ -795,13 +810,15 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     ``(Nt+1, N+1)`` array with level n in row n.  f and mu are sampled a
     data block (``block_levels``) at a time, one sampler call each on the
     block's times (:func:`_step_data`).  As a block of the body starts
-    (``_BLOCK`` levels stepped, ``_PROPAGATE`` propagated), the call takes
-    its far loads once; it writes them plus the source rows into the
-    history rows of the levels they make, and hands the body its levels'
-    mu.  Once the guard has read a data block, the folds get it, a view of
-    the history's rows, in the order given, under the caller's numpy error
-    state; the first also holds level 0.  A fold that changes the levels
-    changes the march.
+    (``_BLOCK`` levels stepped, ``_PROPAGATE`` propagated), the memory
+    writes its far loads once into the history rows of the levels they
+    load (:meth:`L1Memory._far_loads`); the call adds the source rows to
+    them in place, the part of the block in each data block at a time,
+    and hands the body its levels' mu, so it keeps nothing between data
+    blocks but the history.  Once the guard has read a data block, the
+    folds get it, a view of the history's rows, in the order given,
+    under the caller's numpy error state; the first also holds level 0.
+    A fold that changes the levels changes the march.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
@@ -834,14 +851,14 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
         with np.errstate(over="ignore", invalid="ignore"):
             made = min(rows, grid.Nt - n0)
             phi, mu = _step_data(step, problem, grid, sigma, n0, n0 + made)
-            # A body block begun in an earlier data block keeps its far rows
-            # (a propagated march's data blocks hold whole body blocks).
+            # A body block begun in an earlier data block has its far loads
+            # in its rows (a propagated march's data blocks hold whole ones).
             for s in [n0, *range(n0 - n0 % B + B, n0 + made, B)]:
                 if s % B == 0:
-                    far, b0 = memory._far_loads(s, B), s
-                stop = min(b0 + len(far), n0 + made)
-                np.add(far[s - b0:stop - b0], phi[s - n0:stop - n0],
-                       levels[s + 1:stop + 1])
+                    memory._far_loads(s, B)
+                stop = min(s - s % B + B, n0 + made)
+                loads = levels[s + 1:stop + 1]
+                np.add(loads, phi[s - n0:stop - n0], out=loads)
                 advance(s, mu[s - n0:stop - n0])
             blow = _first_blow_up(levels[n0 + 1:n0 + 1 + made], n0 + 1)
         if blow is not None:        # drop what the block computed past it

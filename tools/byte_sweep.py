@@ -1,8 +1,9 @@
 """Compare the output of two fracheat source trees, byte for byte.
 
     python3 tools/byte_sweep.py PARENT_SRC CHANGE_SRC
+    python3 tools/byte_sweep.py --write-golden tests/golden/printed.json [SRC]
 
-Each argument is a ``src`` directory holding a ``fracheat`` package
+Each SRC argument is a ``src`` directory holding a ``fracheat`` package
 (for example ``src`` of a ``git archive`` of the parent commit, and
 ``src`` of the working tree).  A change meant to keep every number the
 program produces is checked in two ways:
@@ -71,14 +72,27 @@ directory.  Two summary lines then give, for the bounded and for the
 growing marches, how many moved and the largest relative level and
 residual differences among them.  A tree against itself reports 0
 differences.
+
+``--write-golden FILE`` instead runs every call once, under SRC (the
+repository's ``src`` by default), and writes the digests of its exit
+code, stdout and ``--out`` bytes to FILE (:func:`printed_digests`), with
+the numpy, scipy and machine they were made on (:func:`golden_config`);
+the tier-1 test ``tests/test_golden.py`` runs the same calls in process
+and compares, on that configuration only, since another numpy, BLAS or
+CPU may round a printed value that is itself rounding-level differently.
+A change that alters printed bytes on purpose rewrites the file and
+lists each changed line in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
+import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -249,18 +263,95 @@ print(json.dumps(out))
 """
 
 
-def benchmark_calls(src: Path) -> list[tuple[str, ...]]:
-    """The command lines of every benchmark workload at seed 1."""
-    sys.path[:0] = [str(src), str(ROOT / "benchmarks")]
+# A golden stream is digested in at most this many runs of consecutive
+# lines, so that a mismatch can name the lines that moved.
+GOLDEN_RUNS = 32
+
+
+def benchmark_workloads() -> tuple[dict, SimpleNamespace]:
+    """The benchmark's ``WORKLOADS`` and the ``fc`` namespace their ops take.
+
+    ``benchmarks/workloads.py`` is read, not imported from ``sys.path``;
+    the ``fracheat`` on ``sys.path`` sizes the ops.
+    """
     import fracheat.cli
     import fracheat.core
-    import workloads
 
-    fc = SimpleNamespace(CATALOG=fracheat.cli.CATALOG,
-                         Grid=fracheat.core.Grid,
-                         face_coefficients=fracheat.core.face_coefficients)
-    return [call.argv for workload in workloads.WORKLOADS.values()
-            for op in workload.ops(fc, 1) for call in op.calls]
+    # registered before it runs: dataclasses look their module up by name
+    spec = importlib.util.spec_from_file_location(
+        "_sweep_workloads", ROOT / "benchmarks" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS, SimpleNamespace(
+        cli=fracheat.cli, CATALOG=fracheat.cli.CATALOG,
+        Grid=fracheat.core.Grid,
+        face_coefficients=fracheat.core.face_coefficients)
+
+
+def sweep_calls() -> list[tuple[str, ...]]:
+    """Every call of the sweep: each benchmark workload's command lines at
+    seed 1, then ``EXTRA_CALLS``."""
+    workloads, fc = benchmark_workloads()
+    return [call.argv for workload in workloads.values()
+            for op in workload.ops(fc, 1)
+            for call in op.calls] + list(EXTRA_CALLS)
+
+
+def golden_config() -> str:
+    """The numpy, scipy and machine that golden digests hold for."""
+    import scipy
+
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"{platform.machine()}")
+
+
+def printed_runs(data: bytes) -> list[list]:
+    """``[first line, digest]`` of each run of the lines of ``data``.
+
+    The lines, ends included, fall into at most ``GOLDEN_RUNS`` runs of
+    equal length (the last may be shorter); a digest is the first 16 hex
+    digits of the SHA-256 of its run's bytes, so equal runs mean equal
+    bytes.
+    """
+    lines = data.splitlines(keepends=True)
+    size = max(1, -(-len(lines) // GOLDEN_RUNS))
+    return [[i, hashlib.sha256(b"".join(lines[i:i + size])).hexdigest()[:16]]
+            for i in range(0, len(lines), size)]
+
+
+def printed_digests(code: int, stdout: str, out: bytes) -> dict:
+    """The golden entry of one call: its exit code and its streams' runs."""
+    return {"exit": code, "stdout": printed_runs(stdout.encode()),
+            "out": printed_runs(out)}
+
+
+def golden_mismatch(want: Optional[dict], code: int, stdout: str,
+                    out: bytes) -> list[str]:
+    """What of one call's printed bytes its golden entry ``want`` lacks.
+
+    An empty list means they agree.  Otherwise the lines give the exit
+    codes, or each changed stream's first changed runs and their lines
+    now (at most five lines a stream).
+    """
+    if want is None:
+        return ["  no golden entry: rewrite the file with --write-golden"]
+    got, shown = printed_digests(code, stdout, out), []
+    if got["exit"] != want["exit"]:
+        shown.append(f"  exit code {want['exit']} -> {got['exit']}")
+    for stream, data in (("stdout", stdout.encode()), ("out", out)):
+        if got[stream] == want[stream]:
+            continue
+        lines, runs = data.decode(errors="replace").splitlines(), got[stream]
+        ends = [first for first, _ in runs[1:]] + [len(lines)]
+        rows = [f"  {stream} line {i + 1}: {lines[i]}"
+                for run, end in zip(runs, ends) if run not in want[stream]
+                for i in range(run[0], end)]
+        shown += rows[:5] or [f"  {stream}: {len(lines)} lines now, "
+                              f"fewer than the golden bytes held"]
+        if len(rows) > 5:
+            shown.append(f"  ({len(rows) - 5} more lines in changed "
+                         f"runs of {stream})")
+    return shown
 
 
 def run(src: Path, args: list[str], cwd: str) -> subprocess.CompletedProcess:
@@ -326,18 +417,38 @@ def identical(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_src", type=Path)
-    parser.add_argument("change_src", type=Path)
+    parser.add_argument("trees", nargs="*", type=Path, metavar="SRC",
+                        help="PARENT_SRC CHANGE_SRC, or the one SRC of "
+                        "--write-golden (default: this repository's src)")
+    parser.add_argument("--write-golden", type=Path, metavar="FILE",
+                        help="write the digests of every call's printed "
+                        "bytes under SRC to FILE, and compare nothing")
     args = parser.parse_args()
-    for src in (args.parent_src, args.change_src):
+    if args.write_golden and len(args.trees) > 1:
+        parser.error("--write-golden takes at most one SRC")
+    if not args.write_golden and len(args.trees) != 2:
+        parser.error("give PARENT_SRC and CHANGE_SRC")
+    trees = args.trees or [ROOT / "src"]
+    for src in trees:
         if not (src / "fracheat" / "cli.py").is_file():
             parser.error(f"no fracheat package under {src}")
+    sys.path.insert(0, str(trees[-1]))
+    calls = sweep_calls()
+    if args.write_golden:
+        entries = [json.dumps(" ".join(argv)) + ": " + json.dumps(
+            printed_digests(*call_result(trees[0], argv))) for argv in calls]
+        # one line a call, so that a rewrite's diff names the calls
+        args.write_golden.write_text(
+            f'{{"config": {json.dumps(golden_config())},\n"calls": {{\n'
+            + ",\n".join(entries) + "\n}}\n")
+        print(f"{len(calls)} calls written to {args.write_golden}")
+        return 0
 
     differences = 0
-    calls = benchmark_calls(args.change_src) + list(EXTRA_CALLS)
+    parent_src, change_src = trees
     for argv in calls:
-        parent = call_result(args.parent_src, argv)
-        change = call_result(args.change_src, argv)
+        parent = call_result(parent_src, argv)
+        change = call_result(change_src, argv)
         for what, a, b in zip(("exit code", "stdout", "--out bytes"),
                               parent, change):
             if a != b:
@@ -351,7 +462,7 @@ def main() -> int:
                     print("\n".join(changed_lines(a, b)))
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = (level_hashes(src, Path(tempfile.mkdtemp(dir=tmp)))
-                          for src in (args.parent_src, args.change_src))
+                          for src in trees)
         # label -> [marches, moved, largest relative level difference,
         # largest relative residual difference]
         groups = {"bounded": [0, 0, 0.0, 0.0], "growing": [0, 0, 0.0, 0.0]}
