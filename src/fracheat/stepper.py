@@ -19,8 +19,9 @@ The scheme has constant coefficients in time, so a march derives its
 same operator on the old level, and the source on the nodes
 (:class:`~fracheat.core.NodeSampler`, which samples the space factors of
 :class:`~fracheat.core.Separable` data once).  The march samples f and mu a
-block of levels at a time (:func:`block_levels`), one sampler call each on
-the block's time array (:func:`_step_data`).  :class:`L1Memory`
+block of levels at a time (:func:`block_levels`, a power of two that holds
+whole blocks of the body), one sampler call each on the block's time
+array (:func:`_step_data`).  :class:`L1Memory`
 takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
@@ -158,8 +159,9 @@ _PRODUCT_WIDTH = 101
 
 
 def block_levels(width: int) -> int:
-    """Levels per block of ``width``-entry levels: <= 256, ~2**16 entries."""
-    return max(1, min(256, 2**16 // width))
+    """Levels per block of ``width``-entry levels: a power of two, at most
+    256 and, unless one level is more, at most 2**16 entries."""
+    return 1 << min(8, max(0, (2**16 // width).bit_length() - 1))
 
 
 class SingularSystemError(RuntimeError):
@@ -359,7 +361,8 @@ class L1Memory:
     the source and the body overwrites with the levels.
 
     The sum is exact and blocked over levels.  At the first level n0 of
-    each block of ``_BLOCK`` levels, the *far* part of the next loads,
+    each block of ``_BLOCK`` levels (fewer where the march's data blocks
+    hold fewer), the *far* part of the next loads,
     the terms of every level older than n0 (of level 0 alone in the first
     block), is taken at once and written into the history rows of the
     levels it loads; each step then adds only its *near* part, the at
@@ -649,8 +652,8 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     """A memory block's levels a banded solve at a time: ``(advance, _BLOCK)``.
 
     Bound once per march, ``advance(n0, mu)`` makes the levels after n0,
-    one per entry of the flux data ``mu``, all of one block of ``_BLOCK``
-    levels, in the memory's history, from the levels before them: as
+    one per entry of the flux data ``mu``, all of one body block of at most
+    ``_BLOCK`` levels, in the memory's history, from the levels before them: as
     :func:`march` leaves them, each level's row holds its load, the
     source plus the far memory.  So phi - load is one near product, from
     the block's first level, and one addition; at sigma < 1 the explicit
@@ -676,7 +679,7 @@ def _banded_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
         multiply, total = np.multiply, np.add.reduce
 
     def advance(n0: int, mu: np.ndarray) -> None:
-        lo = max(n0 - n0 % _BLOCK, 1)
+        lo = max(n0, 1)
         for n, mu_n in zip(range(n0, n0 + len(mu)), mu.tolist()):
             level = H[n + 1]
             r = near if explicit else level
@@ -732,7 +735,7 @@ def _step_body(step: Step, memory: L1Memory, alpha: float) -> tuple[
     dot = np.dot
 
     def advance(n0: int, mu: np.ndarray) -> None:
-        lo = max(n0 - n0 % _BLOCK, 1)
+        lo = max(n0, 1)
         for n, mu_n in zip(range(n0, n0 + len(mu)), mu.tolist()):
             weights[top - n + lo:].dot(H[lo:n + 2], r)
             buf[W] = mu_n
@@ -809,16 +812,17 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
     The levels are made in the memory's history (:class:`L1Memory`), one
     ``(Nt+1, N+1)`` array with level n in row n.  f and mu are sampled a
     data block (``block_levels``) at a time, one sampler call each on the
-    block's times (:func:`_step_data`).  As a block of the body starts
-    (``_BLOCK`` levels stepped, ``_PROPAGATE`` propagated), the memory
-    writes its far loads once into the history rows of the levels they
-    load (:meth:`L1Memory._far_loads`); the call adds the source rows to
-    them in place, the part of the block in each data block at a time,
-    and hands the body its levels' mu, so it keeps nothing between data
-    blocks but the history.  Once the guard has read a data block, the
-    folds get it, a view of the history's rows, in the order given,
-    under the caller's numpy error state; the first also holds level 0.
-    A fold that changes the levels changes the march.
+    block's times (:func:`_step_data`).  The data blocks are powers of
+    two, so the body's blocks nest in them: ``_BLOCK`` levels stepped,
+    ``_PROPAGATE`` propagated, or the data block's size where that is
+    smaller (marches wider than 1,024 nodes).  As a body block starts, the
+    memory writes its far loads once into the history rows of the levels
+    they load (:meth:`L1Memory._far_loads`); the call adds the source rows
+    to them in place and hands the body its levels' mu, so it keeps
+    nothing between blocks but the history.  Once the guard has read a
+    data block, the folds get it, a view of the history's rows, in the
+    order given, under the caller's numpy error state; the first also
+    holds level 0.  A fold that changes the levels changes the march.
 
     A level that is non-finite (also after an overflow) or exceeds
     ``BLOWUP_LIMIT`` in max norm ends the march and its block; the levels
@@ -846,17 +850,15 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
             else _step_body if W <= _PRODUCT_WIDTH else _banded_body)
     with np.errstate(over="ignore", invalid="ignore"):    # see _block_body
         advance, B = body(step, memory, problem.alpha)
+    B = min(B, rows)
     for n0 in range(0, grid.Nt, rows):
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             made = min(rows, grid.Nt - n0)
             phi, mu = _step_data(step, problem, grid, sigma, n0, n0 + made)
-            # A body block begun in an earlier data block has its far loads
-            # in its rows (a propagated march's data blocks hold whole ones).
-            for s in [n0, *range(n0 - n0 % B + B, n0 + made, B)]:
-                if s % B == 0:
-                    memory._far_loads(s, B)
-                stop = min(s - s % B + B, n0 + made)
+            for s in range(n0, n0 + made, B):
+                memory._far_loads(s, B)
+                stop = min(s + B, n0 + made)
                 loads = levels[s + 1:stop + 1]
                 np.add(loads, phi[s - n0:stop - n0], out=loads)
                 advance(s, mu[s - n0:stop - n0])

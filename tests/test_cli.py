@@ -550,7 +550,7 @@ def test_stability_failure_renders_fail_line():
 @pytest.mark.parametrize("alpha, beta", [(2.0, 3.0), (0.5, 0.2)],
                          ids=["direct", "reflected"])
 def test_blocked_stability_norms_equal_one_pass_norms(alpha, beta):
-    # At N = 300 a norm block holds 217 levels, so 601 levels span three.
+    # At N = 300 a norm block holds 128 levels, so 601 levels span five.
     N, Nt, seed = 300, 600, 4
     report = run_stability(0.5, alpha, beta, 1.0, N=N, Nt=Nt, seed=seed)
     problem = CATALOG["zero"](alpha=alpha, beta=beta, gamma=0.5, T=1.0)

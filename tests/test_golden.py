@@ -20,8 +20,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fracheat.cli import main
@@ -60,3 +62,19 @@ def test_printed_bytes_match_the_golden_digests(tmp_path):
     stale = set(golden) - {" ".join(argv) for argv in calls}
     problems += [f"golden entry without a call: {key}" for key in stale]
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("a, b, moved", [
+    ([[1, 2], [3, math.nan]], [[1, 2], [3, 4]], math.inf),
+    ([[1, 2], [3, 4]], [[1, 2], [-math.inf, 4]], math.inf),
+    ([[math.inf, 2]], [[-math.inf, 2]], math.inf),
+    ([[1, math.nan], [3, 4]], [[1, math.nan], [3, 5]], 0.2),
+    ([[math.nan, -math.inf]], [[math.nan, -math.inf]], 0.0),
+    ([[1, 2]], [[1, 2, 3]], math.inf)],
+    ids=["nan-moved", "inf-moved", "inf-sign", "nan-kept", "same", "shape"])
+def test_a_moved_non_finite_level_entry_differs_by_inf(a, b, moved):
+    # The sweep's summary keeps the largest difference of its group, which
+    # a NaN would lose: a blow-up that moved must not read as unmoved.
+    difference = load_sweep().level_difference(np.array(a, dtype=float),
+                                                np.array(b, dtype=float))
+    assert difference == moved

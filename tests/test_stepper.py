@@ -723,7 +723,7 @@ def replay_against_oracle(problem, grid, params, Y):
                                   Grid(N=12, Nt=3 * _BLOCK + 5),
                                   Grid(N=12, Nt=300), Grid(N=300, Nt=230)],
                          ids=["N20", "N2", "N3", "three-blocks",
-                              "two-data-blocks", "interleaved-blocks"])
+                              "two-data-blocks", "banded"])
 def test_factored_march_matches_per_step_oracle(grid):
     problem = build_manufactured(3.0, 2.0, 0.5)
     params = SchemeParams(1.0)
@@ -1233,29 +1233,46 @@ def test_stepped_residuals_see_a_wrong_fused_right_hand_side(monkeypatch):
         assert len(res) == grid.Nt and min(res[1:]) > 1e-10
 
 
-@pytest.mark.parametrize("N, Nt, rows, body", [
-    (300, 500, _BLOCK, "banded"), (60, 600, _BLOCK, "step"),
-    (16, 600, stepper._PROPAGATE, "block")],
-    ids=["straddled", "aligned", "propagated"])
+@pytest.mark.parametrize("N, rows, B, body", [
+    (4, 256, stepper._PROPAGATE, "block"), (60, 256, _BLOCK, "step"),
+    (300, 128, _BLOCK, "banded"), (1000, 64, _BLOCK, "banded"),
+    (2048, 16, 16, "banded")],
+    ids=["propagated", "aligned", "banded", "one-per-data-block", "wide"])
 def test_each_body_block_takes_its_far_loads_once(monkeypatch, bodies, N,
-                                                  Nt, rows, body):
-    # At N=300 the data blocks of 217 levels start inside the memory blocks
-    # of 64, at N=60 they hold four whole ones, and at N=16 the propagated
-    # blocks of 16 levels: every march takes a block's far loads exactly
-    # once, at its first level, for the body's rows.  An FFT piece is made
-    # only when the far loads are taken at its level.
-    calls, far_loads = [], L1Memory._far_loads
+                                                  rows, B, body):
+    # The data blocks are powers of two, 256 levels at N=4 and N=60, 128
+    # at N=300, 64 at N=1000 and 16 at N=2048, so the body's blocks, 16
+    # levels propagated and 64 stepped, nest in them; at N=2048 they shrink
+    # to the data block's 16.  Every march takes a block's far loads
+    # exactly once, at its first level s, for the body's rows, then makes
+    # its levels in one advance(s, mu), which ends inside the data block
+    # that holds s; 300 levels end inside a data block and a body block at
+    # every width.  An FFT piece is made only when the far loads are taken
+    # at its level.
+    Nt, events, far_loads = 300, [], L1Memory._far_loads
 
-    def spy(memory, n0, count=_BLOCK):
-        calls.append((n0, count))
+    def far_spy(memory, n0, count=_BLOCK):
+        events.append(("far", n0, count))
         far_loads(memory, n0, count)
 
-    monkeypatch.setattr(L1Memory, "_far_loads", spy)
+    def advance_spy(bind):
+        def spied(*args):
+            advance, size = bind(*args)
+            return (lambda s, mu: (events.append(("advance", s, len(mu))),
+                                   advance(s, mu)), size)
+        return spied
+
+    monkeypatch.setattr(L1Memory, "_far_loads", far_spy)
+    for name in ("_block_body", "_step_body", "_banded_body"):
+        monkeypatch.setattr(stepper, name, advance_spy(getattr(stepper, name)))
     outcome = march(build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=Nt),
                     SchemeParams(1.0))
     assert outcome.blow_up is None
-    assert bodies == [body]
-    assert calls == [(n0, rows) for n0 in range(0, Nt, rows)]
+    assert bodies == [body] and block_levels(N + 1) == rows
+    starts = range(0, Nt, B)
+    assert events[::2] == [("far", s, B) for s in starts]
+    assert events[1::2] == [("advance", s, min(B, Nt - s)) for s in starts]
+    assert all(s // rows == (min(s + B, Nt) - 1) // rows for s in starts)
 
 
 @pytest.mark.parametrize("cutoff, offset, body", [
@@ -1461,12 +1478,12 @@ def test_a_march_with_no_piece_is_the_march_without_the_fft(monkeypatch,
 @pytest.mark.parametrize("grid, sigma", [
     (Grid(N=12, Nt=300), 1.0), (Grid(N=12, Nt=300), 0.5),
     (Grid(N=300, Nt=230), 1.0)],
-    ids=["sigma-1", "sigma-0.5", "interleaved-blocks"])
+    ids=["sigma-1", "sigma-0.5", "banded"])
 def test_march_with_pieces_at_every_scale_matches_per_step_oracle(
         monkeypatch, made_pieces, grid, sigma):
     # With the floor lowered to one block, pieces of scales 64, 128 and
-    # 256 are made; at N=300 the data blocks of 218 levels start inside
-    # memory blocks, so the source is added to far loads that pieces made.
+    # 256 are made; at N=300 the banded solve takes its loads from pieces
+    # in data blocks of 128 levels, two memory blocks each.
     monkeypatch.setattr(stepper, "_PIECE_MIN", _BLOCK)
     monkeypatch.setattr(stepper, "_PIECE_GROWTH", 0)
     problem, params = build_manufactured(3.0, 2.0, 0.5), SchemeParams(sigma)
@@ -1631,9 +1648,29 @@ def test_residual_checked_march_stays_in_linear_memory():
 
 
 def test_data_blocks_hold_at_most_256_levels_and_about_2_16_entries():
-    # A level of 2**16 entries or more is sampled one level at a time.
+    # A level of 2**16 entries or more is sampled one level at a time.  The
+    # blocks are the largest powers of two within both bounds, so the
+    # body's blocks of 16 and 64 levels nest in them.
     assert [block_levels(w) for w in (200_001, 2**16, 321, 17)] == [1, 1,
-                                                                    204, 256]
+                                                                    128, 256]
+    for width in [*range(1, 70_000, 97), 256, 257, 1024, 1025, 2**16 - 1]:
+        rows = block_levels(width)
+        assert rows & (rows - 1) == 0 and rows <= 256
+        assert rows * width <= 2**16 or rows == 1
+        assert rows == 256 or 2 * rows * width > 2**16
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def test_wide_march_in_short_body_blocks_keeps_small_residuals(sigma):
+    # Wider than 1,024 nodes, a data block holds fewer levels than a
+    # memory block (16 at N=2048) and the body's blocks shrink to it.  The
+    # replay of every step against assemble_step's right-hand side reads
+    # nothing of L1Memory, so a wrong far or near load shows in it.
+    problem, grid = build_manufactured(3.0, 2.0, 0.5), Grid(N=2048, Nt=200)
+    assert block_levels(grid.N + 1) == 16
+    outcome = march(problem, grid, SchemeParams(sigma), check_residuals=True)
+    assert outcome.blow_up is None
+    assert max(outcome.per_step_residuals) <= 1e-11
 
 
 @given(st.sampled_from([4, 300]), st.integers(0, 2), st.integers(-1, 2),

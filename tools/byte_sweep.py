@@ -34,10 +34,12 @@ program produces is checked in two ways:
   577, at sigma in {1, 0.5}) end on a block edge of the memory sum (64,
   577) or of the march's data blocks (256), or one step past it, and
   four of the smallest systems, N in {2, 3} (interiors of 1 and 2
-  unknowns) at sigma in {1, 0.5} with Nt = 130,
-  which crosses two block edges of the memory sum, and two at N = 1000
-  (Nt = 140, sigma in {1, 0.5}), whose data blocks of 65 levels start
-  inside the memory sum's blocks of 64, and two long marches whose far
+  unknowns) at sigma in {1, 0.5} with Nt = 130, which crosses two block
+  edges of the memory sum, and two at N = 1000 (Nt = 140, sigma in {1,
+  0.5}), whose data blocks of 64 levels hold one block of the memory sum
+  each, and two at N = 2048 (Nt = 200, sigma in {1, 0.5}), whose data
+  blocks of 16 levels are shorter than a block of the memory sum, so the
+  body's blocks shrink to them, and two long marches whose far
   memory takes FFT pieces at several scales (N = 16, Nt = 4100 of random
   homogeneous data at the stability threshold, pieces of 512 to 2048
   levels; gamma = 0.9, N = 40, Nt = 2100 at sigma = 1, pieces of 512 and
@@ -48,15 +50,16 @@ program produces is checked in two ways:
   two width cutoffs, at sigma in {1, 0.5}: 24, 25 and 26 nodes with Nt =
   416 (the propagator's cutoff of 25 nodes, with 16 levels per node or
   more) and 100, 101 and 102 nodes with Nt = 130 (the product's cutoff
-  of 101 nodes): 89 marches in all.  The hash also covers the blow-up
+  of 101 nodes): 91 marches in all.  The hash also covers the blow-up
   record and, for the blow-ups, one march that finishes, the block-edge
-  marches, the smallest systems, the N = 1000 marches, the last two
-  propagated ones and the cutoff marches, the per-step residuals.
-  Each march is labelled bounded or growing: the 16 sigma = 0.3 marches
-  of the gamma/N grid grow by 1e6 to 1e100 and the three blow-ups past
-  1e100, and the N = 1000 march at sigma = 0.5, below that grid's
-  stability threshold, grows from rounding; a growing march amplifies
-  any rounding change, by up to about 1e7.
+  marches, the smallest systems, the N = 1000 and N = 2048 marches, the
+  last two propagated ones and the cutoff marches, the per-step
+  residuals.  Each march is labelled bounded or growing: the 16 sigma =
+  0.3 marches of the gamma/N grid grow by 1e6 to 1e100 and the three
+  blow-ups past 1e100, and the N = 1000 and N = 2048 marches at sigma =
+  0.5, below their grids' stability threshold (0.63), grow from
+  rounding; a growing march amplifies any rounding change, by up to
+  about 1e7.
 
 Each difference is printed on its own line; the exit code is 1 if there
 is any difference and 0 if there is none.  The line says what moved: a
@@ -226,13 +229,16 @@ for N in (2, 3):
         digest(f"smallest N={N} Nt=130 s={sigma}", march(
             build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=130),
             SchemeParams(sigma), check_residuals=True))
-# data blocks of 65 levels (N = 1000) against memory blocks of 64; sigma
-# = 0.5 lies below this grid's stability threshold (0.63), and its growing
-# modes move the march by 2e-12 for one ulp of u0 at one node
-for sigma in (1.0, 0.5):
-    digest(f"interleaved blocks N=1000 Nt=140 s={sigma}", march(
-        build_manufactured(3.0, 2.0, 0.5), Grid(N=1000, Nt=140),
-        SchemeParams(sigma), check_residuals=True), sigma < 1.0)
+# data blocks of 64 levels (N = 1000), one memory block each, and of 16
+# (N = 2048), to which the body's blocks shrink; sigma = 0.5 lies below
+# these grids' stability threshold (0.63), and its growing modes move the
+# march by 2e-12 (N = 1000) and 4e-12 (N = 2048) for one ulp of u0 at one
+# node
+for N, Nt in ((1000, 140), (2048, 200)):
+    for sigma in (1.0, 0.5):
+        digest(f"wide blocks N={N} Nt={Nt} s={sigma}", march(
+            build_manufactured(3.0, 2.0, 0.5), Grid(N=N, Nt=Nt),
+            SchemeParams(sigma), check_residuals=True), sigma < 1.0)
 # long marches whose far memory takes FFT pieces at several scales
 zero, grid = build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=4100)
 y0 = uniform_symmetric(11, 17)
@@ -395,16 +401,21 @@ def level_hashes(src: Path, folder: Path) -> dict[str, list]:
 def level_difference(a: np.ndarray, b: np.ndarray) -> float:
     """Largest over the levels of max|b - a| / max(|a|, |b|).
 
-    Entries that are equal, or NaN on both sides, differ by 0; level
-    arrays of different shapes differ by inf.
+    Entries that are equal, or NaN on both sides, differ by 0 and a level's
+    scale leaves such NaNs out; a NaN or infinite entry that faces another
+    value, and level arrays of different shapes, differ by inf.
     """
     if a.shape != b.shape:
         return float("inf")
     with np.errstate(invalid="ignore", over="ignore"):
         same = (a == b) | (np.isnan(a) & np.isnan(b))
-        diff = np.where(same, 0.0, np.abs(b - a)).max(axis=1)
-        top = np.maximum(np.abs(a), np.abs(b)).max(axis=1)
+        finite = np.isfinite(a) & np.isfinite(b)
+        diff = np.where(same, 0.0, np.where(finite, np.abs(b - a), np.inf)
+                        ).max(axis=1)
+        top = np.nan_to_num(np.maximum(np.abs(a), np.abs(b)), nan=0.0,
+                            posinf=np.inf).max(axis=1)
         relative = np.where(diff == 0.0, 0.0, diff / top)
+    relative[np.isinf(diff)] = np.inf
     return float(relative.max())
 
 

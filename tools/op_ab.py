@@ -10,13 +10,18 @@ pairs and B first in odd ones, ``PAIRS`` pairs per workload, each with
 that tree first on ``PYTHONPATH`` and BLAS pinned to one thread.  Each
 runs one untimed warm-up op, then ``OPS`` ops round-robin through
 ``fracheat.cli.main`` with stdout captured, checks what they printed as
-the benchmark does, and reports its best op time (``time.perf_counter``).
-No reference march runs, so the op time is not moved by what a reference
-leaves in the heap, as the benchmark's ``op_per_ref`` can be.
+the benchmark does, and reports its best op time (``time.perf_counter``)
+and the median of its ops' minor page faults (``ru_minflt`` of
+``resource.getrusage`` around each op): where glibc gives freed heap
+back to the system, every op faults its pages in again, which moves the
+op time with no change to the code.  No reference march runs, so the op
+time is not moved by what a reference leaves in the heap, as the
+benchmark's ``op_per_ref`` can be.
 
 Per workload the script prints each tree's median and quartiles of the
-best op times over the pairs, how many pairs each tree won, and the
-median of B over A.  The exit code is 1 if any op failed its check.
+best op times over the pairs and the median over the pairs of its minor
+faults per op, how many pairs each tree won, and the median of B over A.
+The exit code is 1 if any op failed its check.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import argparse
 import contextlib
 import io
 import json
+import resource
 import statistics
 import sys
 import tempfile
@@ -38,11 +44,13 @@ OPS = 8
 
 
 def child(workload: str) -> int:
-    """Print ``{"best": seconds, "failed": count}`` of ``OPS`` timed ops."""
+    """Print ``{"best": seconds, "faults": median, "failed": count}`` of
+    ``OPS`` timed ops, ``faults`` their median minor page faults."""
     workloads, fc = benchmark_workloads()
     plan = workloads[workload].ops(fc, 1)
-    best, failed = float("inf"), 0
+    best, faults, failed = float("inf"), [], 0
     for i in range(OPS + 1):                    # op 0 is the warm-up
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start, printed = time.perf_counter(), []
         for call in plan[i % len(plan)].calls:
             stdout = io.StringIO()
@@ -50,11 +58,14 @@ def child(workload: str) -> int:
                 printed.append((fc.cli.main(list(call.argv)),
                                 stdout.getvalue()))
         elapsed = time.perf_counter() - start
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
         for call, (code, out) in zip(plan[i % len(plan)].calls, printed):
             failed += bool(call.check(code, out))
         if i:
             best = min(best, elapsed)
-    print(json.dumps({"best": best, "failed": failed}))
+            faults.append(minflt)
+    print(json.dumps({"best": best, "faults": statistics.median(faults),
+                      "failed": failed}))
     return 0
 
 
@@ -89,16 +100,18 @@ def main() -> int:
             parser.error(f"no fracheat package under {src}")
     failed = 0
     for name in names:
-        times = ([], [])
+        times, faults = ([], []), ([], [])
         for pair in range(PAIRS):
             for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
                 report = child_report(trees[side], name)
                 times[side].append(report["best"])
+                faults[side].append(report["faults"])
                 failed += report["failed"]
         wins = sum(b < a for a, b in zip(*times))
         print(f"{name}: {PAIRS} pairs, best of {OPS} ops a process")
-        for label, src, t in zip("AB", trees, times):
-            print(f"  {label} {src}: {summary(t)}")
+        for label, src, t, f in zip("AB", trees, times, faults):
+            print(f"  {label} {src}: {summary(t)}; "
+                  f"{statistics.median(f):.0f} minor faults per op")
         print(f"  B faster in {wins} of {PAIRS} pairs, A in "
               f"{sum(a < b for a, b in zip(*times))}; median B/A "
               f"{statistics.median(b / a for a, b in zip(*times)):.3f}")
