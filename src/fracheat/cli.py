@@ -39,8 +39,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (DomainError, Grid, NodeSampler, Problem, SchemeParams,
-                   check_steps, check_time, face_coefficients)
+from .core import (DomainError, Grid, Problem, SchemeParams, check_steps,
+                   check_time, face_coefficients, sample_space_time)
 from .fractional import (ORACLE_TOL, OracleFailureError, caputo_oracle,
                          discrete_caputo)
 from .manufactured import CATALOG, time_profile, time_profile_d1
@@ -190,24 +190,28 @@ def _study_grid(N: int, config: StudyConfig) -> Grid:
 
 
 class _ErrorNorms:
-    """Per-level trapezoid and max error norms of a march; NaN maps to inf.
+    """Trapezoid and max error norms of a march; NaN maps to inf.
 
-    Called with each ``(first level, block)`` of a march, it appends the
-    norms of the block's levels to ``full`` and ``max``.
+    Called with each ``(first level, block)`` of a march, it keeps each
+    norm's value at the last level folded, in ``final``, and its largest
+    value over every level folded, in ``peak``, keyed "full" and "max".
     """
 
     def __init__(self, problem: Problem, grid: Grid):
-        self._exact, self._grid = NodeSampler(problem.exact, grid.x), grid
-        self.full: list[float] = []
-        self.max: list[float] = []
+        self._exact, self._grid, self._x = problem.exact, grid, grid.x
+        self.final: dict[str, float] = {}
+        self.peak = {"full": 0.0, "max": 0.0}
 
     def __call__(self, first: int, block: np.ndarray) -> None:
         times = np.arange(first, first + len(block)) * self._grid.tau
         with np.errstate(over="ignore", invalid="ignore"):
-            z = block - self._exact.rows(times)
-            full, mx = norm_trapezoid(z, self._grid.h), norm_max(z)
-        self.full += np.where(np.isnan(full), np.inf, full).tolist()
-        self.max += np.where(np.isnan(mx), np.inf, mx).tolist()
+            z = block - sample_space_time(self._exact, self._x, times)
+            norms = {"full": norm_trapezoid(z, self._grid.h),
+                     "max": norm_max(z)}
+        for key, values in norms.items():
+            values = np.where(np.isnan(values), np.inf, values)
+            self.final[key] = float(values[-1])
+            self.peak[key] = max(self.peak[key], float(values.max()))
 
 
 def run_convergence(config: StudyConfig) -> StudyReport:
@@ -228,8 +232,8 @@ def run_convergence(config: StudyConfig) -> StudyReport:
         residuals = outcome.per_step_residuals
         rows.append(StudyRow(
             h=grid.h, Nt=grid.Nt, tau=grid.tau,
-            err_full=max(errors.full) if "full" in config.norms else None,
-            err_max=max(errors.max) if "max" in config.norms else None,
+            err_full=errors.peak["full"] if "full" in config.norms else None,
+            err_max=errors.peak["max"] if "max" in config.norms else None,
             blew_up=outcome.blow_up is not None,
             max_residual=None if residuals is None else max(residuals),
         ))
@@ -268,13 +272,17 @@ def render_table(report: StudyReport) -> str:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A march's grid, last level, blow-up record and per-level errors."""
+    """A march's grid, last level, blow-up record and error norms.
+
+    ``err_final`` and ``err_peak`` hold the trapezoid ("full") and max
+    error norms at the last level and their largest values over the march.
+    """
 
     grid: Grid
     final: np.ndarray
     blow_up: Optional[BlowUp]
-    err_full: list[float]
-    err_max: list[float]
+    err_final: dict[str, float]
+    err_peak: dict[str, float]
 
 
 def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
@@ -296,8 +304,8 @@ def run_solve(problem_name: str, alpha: float, beta: float, gamma: float,
     sinks = () if sink is None else (functools.partial(sink, grid),)
     outcome = march(problem, grid, SchemeParams(sigma), errors, *sinks)
     return SolveResult(grid=grid, final=outcome.history[-1].copy(),
-                       blow_up=outcome.blow_up, err_full=errors.full,
-                       err_max=errors.max)
+                       blow_up=outcome.blow_up, err_final=errors.final,
+                       err_peak=errors.peak)
 
 
 def _final_lines(result: SolveResult) -> Iterator[str]:
@@ -685,10 +693,10 @@ def _main_solve(args: argparse.Namespace) -> int:
                        sink=write_history if args.history else None)
     if args.out and not args.history:
         _emit(_final_lines(result), args.out)
-    print(f"err_full_final={_fmt(result.err_full[-1])}")
-    print(f"err_max_final={_fmt(result.err_max[-1])}")
-    print(f"err_full_peak={_fmt(max(result.err_full))}")
-    print(f"err_max_peak={_fmt(max(result.err_max))}")
+    print(f"err_full_final={_fmt(result.err_final['full'])}")
+    print(f"err_max_final={_fmt(result.err_final['max'])}")
+    print(f"err_full_peak={_fmt(result.err_peak['full'])}")
+    print(f"err_max_peak={_fmt(result.err_peak['max'])}")
     if result.blow_up is not None:
         b = result.blow_up
         print(f"blow_up_level={b.level}")

@@ -33,12 +33,11 @@ __all__ = [
     "check_steps",
     "check_time",
     "Grid",
-    "NodeSampler",
     "Problem",
     "SchemeParams",
-    "Separable",
     "face_coefficients",
     "sample_space",
+    "sample_space_time",
 ]
 
 
@@ -182,8 +181,7 @@ class Problem:
         Diffusivity ``k(x)`` on [0, 1].
     f : callable
         Source term ``f(x, t)``, sampled a block of times at a time (see
-        :class:`NodeSampler`); a :class:`Separable` has its space factors
-        sampled once per march.
+        :func:`sample_space_time`).
     mu : callable
         Flux boundary datum ``mu(t)``, called once on a block's time array
         when it takes arrays (see :func:`sample_space`).
@@ -193,8 +191,8 @@ class Problem:
         Declared bounds ``0 < c1 <= k(x) <= c2``; verified against the
         grid samples when face coefficients are built.
     exact : callable, optional
-        Reference solution ``u(x, t)`` used by error reports; a
-        :class:`Separable` is evaluated a block of levels at a time.
+        Reference solution ``u(x, t)`` used by error reports, sampled a
+        block of levels at a time as ``f`` is.
     """
 
     gamma: float
@@ -249,65 +247,25 @@ def sample_space(func: Callable, x: np.ndarray) -> np.ndarray:
     return np.array([float(func(float(xi))) for xi in x])
 
 
-def _term_sum(terms, zero):
-    """Sum of the arrays ``terms`` in order, or ``zero`` if there are none."""
-    value = zero
-    for k, term in enumerate(terms):
-        value = value + term if k else term
-    return value
+def sample_space_time(func: Callable, x: np.ndarray, times) -> np.ndarray:
+    """A function of (x, t) on the nodes ``x``, row j at time ``times[j]``.
 
-
-@dataclass(frozen=True)
-class Separable:
-    """Function of (x, t) stated as a short sum of space x time terms.
-
-    ``terms`` holds pairs (s_k, q_k); the value is s_1(x)*q_1(t) +
-    s_2(x)*q_2(t) + ..., summed in term order, and zero without terms.
-    """
-
-    terms: tuple[tuple[Callable, Callable], ...] = ()
-
-    def __call__(self, x, t):
-        return _term_sum((s(x) * q(t) for s, q in self.terms),
-                         np.zeros_like(np.asarray(x, dtype=float)))
-
-
-class NodeSampler:
-    """A function of (x, t) on fixed nodes, a block of times at a time.
-
-    A :class:`Separable` has its space factors sampled once, here; each
-    block then evaluates every time factor once, on the block's time
-    array (through :func:`sample_space`), and costs one multiply and one
-    add per term; data without terms give zeros.  Another callback is
-    called once per block as ``func(x[None, :], t[:, None])``; a result
-    of any other shape than ``(len(t), x.size)``, or a callback that
-    refuses arrays, is sampled one time at a time through
+    One call ``func(x[None, :], t[:, None])`` samples every time at once;
+    a result of any other shape than ``(len(t), x.size)``, or a callback
+    that refuses arrays, is sampled one time at a time through
     :func:`sample_space`, which falls back to one call per point.  Either
     way the rows are the same bits as the callback evaluated on the same
     time array; a call at one scalar time may differ by rounding.
     """
-
-    def __init__(self, func: Callable, x: np.ndarray):
-        self._func, self._x = func, x
-        self._factors = ([(sample_space(s, x), q) for s, q in func.terms]
-                         if isinstance(func, Separable) else None)
-
-    def rows(self, times: np.ndarray) -> np.ndarray:
-        """Values at an array of times, row j holding time ``times[j]``."""
-        times = np.asarray(times, dtype=float)
-        x, shape = self._x, (times.size, self._x.size)
-        if self._factors is not None:
-            return _term_sum((s * sample_space(q, times)[:, None]
-                              for s, q in self._factors), np.zeros(shape))
-        try:
-            out = np.asarray(self._func(x[None, :], times[:, None]),
-                             dtype=float)
-            if out.shape == shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([sample_space(lambda xs: self._func(xs, t), x)
-                         for t in times.tolist()])
+    times = np.asarray(times, dtype=float)
+    try:
+        out = np.asarray(func(x[None, :], times[:, None]), dtype=float)
+        if out.shape == (times.size, x.size):
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([sample_space(lambda xs: func(xs, t), x)
+                     for t in times.tolist()])
 
 
 def face_coefficients(problem: Problem, grid: Grid) -> np.ndarray:

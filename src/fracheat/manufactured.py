@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Grid, Problem, Separable, check_time
+from .core import DomainError, Grid, Problem, check_time
 from .fractional import caputo_oracle
 
 __all__ = [
@@ -71,18 +71,9 @@ def time_profile_d1(t):
 
 def caputo_time_profile(gamma: float, t):
     """Closed-form Caputo derivative of the cubic time profile."""
-    return _caputo_time_profile(gamma)(t)
-
-
-def _caputo_time_profile(gamma: float):
-    """The function t -> caputo_time_profile(gamma, t), its constants bound."""
     e3, e2, e1 = 3.0 - gamma, 2.0 - gamma, 1.0 - gamma
     g4, g3, g2 = math.gamma(4.0 - gamma), math.gamma(e3), math.gamma(e2)
-
-    def profile(t):
-        return 6.0 * t ** e3 / g4 - 2.0 * t ** e2 / g3 + t ** e1 / g2
-
-    return profile
+    return 6.0 * t ** e3 / g4 - 2.0 * t ** e2 / g3 + t ** e1 / g2
 
 
 def build_manufactured(alpha: float, beta: float, gamma: float,
@@ -91,7 +82,7 @@ def build_manufactured(alpha: float, beta: float, gamma: float,
 
     The source and boundary datum are derived so that S(x)*Q(t) solves
     the problem exactly; k(x) = exp(x) gives c1 = 1, c2 = e.  Source and
-    exact solution are :class:`~fracheat.core.Separable`:
+    exact solution are plain callbacks of (x, t):
     f = S*D(Q) + (-E)*Q with E(x) = exp(x)*(S'(x) + S''(x)), and u = S*Q.
     """
     mu_factor = math.e * (3.0 - 6.0 * alpha) - beta * alpha
@@ -103,22 +94,26 @@ def build_manufactured(alpha: float, beta: float, gamma: float,
         return -(np.exp(x) * (space_profile_d1(alpha, x)
                               + space_profile_d2(alpha, x)))
 
-    DQ = _caputo_time_profile(gamma)
+    def f(x, t):
+        return (S(x) * caputo_time_profile(gamma, t)
+                + minus_E(x) * time_profile(t))
+
+    def exact(x, t):
+        return S(x) * time_profile(t)
 
     def mu(t):
         return mu_factor * time_profile(t)
 
-    problem = Problem(gamma=gamma, alpha=alpha, beta=beta, k=np.exp,
-                      f=Separable(((S, DQ), (minus_E, time_profile))),
-                      mu=mu, u0=S, c1=1.0, c2=math.e,
-                      exact=Separable(((S, time_profile),)))
+    problem = Problem(gamma=gamma, alpha=alpha, beta=beta, k=np.exp, f=f,
+                      mu=mu, u0=S, c1=1.0, c2=math.e, exact=exact)
     # The time factors grow like T**3, which overflows above T = 5.6e102.
     # Such a T is refused before any march, checked a few ulps past T,
     # where the time n*tau of the last level may round to.
     check_time("final time T", T)
     t = np.array([T * (1.0 + 2.0**-50)])
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite([q(t) for q in (time_profile, DQ, mu)]).all():
+        if not np.isfinite([time_profile(t), caputo_time_profile(gamma, t),
+                            mu(t)]).all():
             raise DomainError(f"the time factors or mu overflow at the final "
                               f"time T={T} (alpha={alpha}, beta={beta})")
     # Below T = 1.1e-16 the exact solution rounds to its value at 0.
@@ -208,17 +203,19 @@ def build_zero(alpha: float = 1.0, beta: float = 1.0, gamma: float = 0.5,
                T: float = 1.0) -> Problem:
     """Fully homogeneous problem; the zero function is its exact solution.
 
-    Source and exact solution are separable with no terms, so a march
-    spends nothing on the source; mu gives zeros of its argument's shape,
-    so a march samples it once per block of times.
+    Source and exact solution give zeros of the shape their arguments
+    broadcast to, and mu zeros of its argument's shape, so a march samples
+    each once per block of times.
 
     k(x) = exp(x) with c1 = 1, c2 = e, as in the manufactured family.
     """
-    return Problem(gamma=gamma, alpha=alpha, beta=beta,
-                   k=np.exp, f=Separable(),
+    def zero(x, t):
+        return np.zeros(np.broadcast(x, t).shape)
+
+    return Problem(gamma=gamma, alpha=alpha, beta=beta, k=np.exp, f=zero,
                    mu=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                    u0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   c1=1.0, c2=math.e, exact=Separable())
+                   c1=1.0, c2=math.e, exact=zero)
 
 
 # Named problems addressable from the command line.  Builders share the

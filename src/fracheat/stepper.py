@@ -15,13 +15,11 @@ extension module, loaded without the ``scipy.linalg`` package.
 
 The scheme has constant coefficients in time, so a march derives its
 :class:`Step` once (:func:`build_step`): the matrix of the new level
-(:class:`StepOperator`, factored on first use), the explicit part of the
-same operator on the old level, and the source on the nodes
-(:class:`~fracheat.core.NodeSampler`, which samples the space factors of
-:class:`~fracheat.core.Separable` data once).  The march samples f and mu a
-block of levels at a time (:func:`block_levels`, a power of two that holds
-whole blocks of the body), one sampler call each on the block's time
-array (:func:`_step_data`).  :class:`L1Memory`
+(:class:`StepOperator`, factored on first use) and the explicit part of
+the same operator on the old level.  The march samples f and mu a block
+of levels at a time (:func:`block_levels`, a power of two that holds
+whole blocks of the body), one call each on the block's time array
+(:func:`_step_data`).  :class:`L1Memory`
 takes its L1 weights from one evaluation, holds the march's one level
 history and sums the memory exactly over the levels themselves
 (summation by parts), blocked over levels, the old levels' far part by
@@ -69,8 +67,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (DimensionError, DomainError, Grid, NodeSampler, Problem,
-                   SchemeParams, face_coefficients, sample_space)
+from .core import (DimensionError, DomainError, Grid, Problem, SchemeParams,
+                   face_coefficients, sample_space, sample_space_time)
 from .fractional import l1_weights, split_implicit
 from .norms import norm_max
 
@@ -484,9 +482,7 @@ class Step:
     ``flux_N`` = (1-sigma)*2*a_N/h^2 and ``flux_1`` = (1-sigma)*2*beta*a_1/h^2.
     The stencil is stated here once: :func:`_step_rhs`, the banded loop
     and the solution map all read it.  At sigma = 1 (``explicit`` == 0)
-    the right-hand side reads none of the explicit fields.  ``source``
-    samples f on the nodes, so separable data cost only their time
-    factors; the march samples it.
+    the right-hand side reads none of the explicit fields.
     """
 
     operator: StepOperator
@@ -496,7 +492,6 @@ class Step:
     flux_N: float
     flux_1: float
     beta: float
-    source: NodeSampler
 
 
 def build_step(problem: Problem, grid: Grid, sigma: float,
@@ -535,8 +530,7 @@ def build_step(problem: Problem, grid: Grid, sigma: float,
     operator = StepOperator(lower=lower, diag=diag, upper=upper,
                             corner=corner, last_row=(b1, bNm1, bN))
     return Step(operator=operator, bands=bands, explicit=1.0 - sigma,
-                two_by_h=2.0 / h, flux_N=flux_N, flux_1=flux_1, beta=beta,
-                source=NodeSampler(problem.f, grid.x))
+                two_by_h=2.0 / h, flux_N=flux_N, flux_1=flux_1, beta=beta)
 
 
 def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray,
@@ -568,17 +562,18 @@ def _step_rhs(step: Step, yn: np.ndarray, r: np.ndarray,
     return out
 
 
-def _step_data(step: Step, problem: Problem, grid: Grid, sigma: float,
-               first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+def _step_data(problem: Problem, grid: Grid, sigma: float, first: int,
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
     """f on the nodes and mu, at t_n + sigma*tau for the steps first..stop-1.
 
-    The times are one array expression and each datum one sampler call on
-    them (:class:`~fracheat.core.NodeSampler`, :func:`sample_space`), so
+    The times are one array expression and each datum one call on them
+    (:func:`~fracheat.core.sample_space_time`, :func:`sample_space`), so
     the march, :func:`assemble_step` and the replay of a history give a
     step the same data bits.
     """
     times = (np.arange(first, stop) + sigma) * grid.tau
-    return step.source.rows(times), sample_space(problem.mu, times)
+    return (sample_space_time(problem.f, grid.x, times),
+            sample_space(problem.mu, times))
 
 
 def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
@@ -599,7 +594,7 @@ def assemble_step(problem: Problem, grid: Grid, params: SchemeParams,
     c_new, load = split_implicit(Y, problem.gamma, grid.tau)
     step = build_step(problem, grid, params.sigma, c_new)
     n = len(Y) - 1
-    phi, mu = _step_data(step, problem, grid, params.sigma, n, n + 1)
+    phi, mu = _step_data(problem, grid, params.sigma, n, n + 1)
     return StepSystem(**vars(step.operator), rhs=_step_rhs(
         step, Y[-1], phi[0] - load, mu.item(0), np.empty(grid.N)))
 
@@ -811,8 +806,8 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
 
     The levels are made in the memory's history (:class:`L1Memory`), one
     ``(Nt+1, N+1)`` array with level n in row n.  f and mu are sampled a
-    data block (``block_levels``) at a time, one sampler call each on the
-    block's times (:func:`_step_data`).  The data blocks are powers of
+    data block (``block_levels``) at a time, one call each on the block's
+    times (:func:`_step_data`).  The data blocks are powers of
     two, so the body's blocks nest in them: ``_BLOCK`` levels stepped,
     ``_PROPAGATE`` propagated, or the data block's size where that is
     smaller (marches wider than 1,024 nodes).  As a body block starts, the
@@ -855,7 +850,7 @@ def march(problem: Problem, grid: Grid, params: SchemeParams,
         # The folds run outside the error state, so they see the caller's.
         with np.errstate(over="ignore", invalid="ignore"):
             made = min(rows, grid.Nt - n0)
-            phi, mu = _step_data(step, problem, grid, sigma, n0, n0 + made)
+            phi, mu = _step_data(problem, grid, sigma, n0, n0 + made)
             for s in range(n0, n0 + made, B):
                 memory._far_loads(s, B)
                 stop = min(s + B, n0 + made)
@@ -894,7 +889,7 @@ def _step_residuals(problem: Problem, grid: Grid, params: SchemeParams,
     step = build_step(problem, grid, params.sigma, float(c[-1]))
     old = levels[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, mu = _step_data(step, problem, grid, params.sigma, 0, len(old))
+        phi, mu = _step_data(problem, grid, params.sigma, 0, len(old))
         diffs, loads = np.diff(levels, axis=0), np.empty(old.shape)
         for n in range(len(old)):
             np.matmul(c[-n - 1:-1], diffs[:n], out=loads[n])

@@ -24,7 +24,8 @@ LOOKED_UP = {
                      "march", "uniform_symmetric", "face_coefficients",
                      "norm_trapezoid", "norm_max"),
     "fracheat.stepper": ("assemble_step", "solve_bordered", "l1_weights",
-                         "sample_space", "face_coefficients"),
+                         "sample_space", "sample_space_time",
+                         "face_coefficients"),
     "fracheat.core": ("Grid", "face_coefficients", "sample_space"),
 }
 

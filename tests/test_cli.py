@@ -145,12 +145,12 @@ def test_study_builds_its_problem_once(monkeypatch):
 
 
 def error_history(levels, problem, grid):
-    """Error norms of a level array, folded in blocks of ``block_levels``."""
+    """Final and peak error norms of a level array, folded in blocks."""
     errors = _ErrorNorms(problem, grid)
     rows = block_levels(levels.shape[1])
     for first in range(0, len(levels), rows):
         errors(first, levels[first:first + rows])
-    return errors.full, errors.max
+    return errors.final, errors.peak
 
 
 def test_error_history_maps_non_finite_levels_to_inf():
@@ -159,29 +159,9 @@ def test_error_history_maps_non_finite_levels_to_inf():
     levels[1, 2] = math.nan
     levels[2, 0] = -math.inf
     levels[3, 1] = 1e200
-    full, mx = error_history(levels, problem, Grid(N=4, Nt=3))
-    assert full == [0.0, math.inf, math.inf, math.inf]
-    assert mx == [0.0, math.inf, math.inf, 1e200]
-
-
-def per_level_errors(history, problem, grid):
-    """Error norms one level at a time: the reference for the blocked loop.
-
-    The exact solution is the callback at the levels' time array, as the
-    blocked loop samples it.
-    """
-    x, h = grid.x, grid.h
-    t = np.arange(len(history)) * grid.tau
-    full, mx = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = np.asarray(problem.exact(x[None, :], t[:, None]), dtype=float)
-        for y, u in zip(history, exact):
-            z = y - u
-            full.append(float(np.sqrt(0.5 * h * (z[0] ** 2 + z[-1] ** 2)
-                                      + h * np.sum(z[1:-1] ** 2))))
-            mx.append(float(np.max(np.abs(z))))
-    return ([math.inf if math.isnan(e) else e for e in full],
-            [math.inf if math.isnan(e) else e for e in mx])
+    final, peak = error_history(levels, problem, Grid(N=4, Nt=3))
+    assert final == {"full": math.inf, "max": 1e200}
+    assert peak == {"full": math.inf, "max": math.inf}
 
 
 def unstable_history_with_non_finite_rows():
@@ -199,10 +179,11 @@ def unstable_history_with_non_finite_rows():
 
 @pytest.mark.parametrize("case", ["601-levels", "wide-grid", "callback-exact",
                                   "unstable-non-finite"])
-def test_blocked_error_history_matches_the_per_level_loop(case):
+def test_blocked_error_history_matches_the_per_level_loop(case,
+                                                         per_level_errors):
     if case == "unstable-non-finite":
         problem, grid, history = unstable_history_with_non_finite_rows()
-        full, mx = error_history(history, problem, grid)
+        final, peak = error_history(history, problem, grid)
     else:
         problem = CATALOG["mms-cubic"](alpha=3.0, beta=2.0, gamma=0.5)
         # 601 = 2*256 + 89 levels; 601 nodes give blocks of 109 levels.
@@ -217,9 +198,8 @@ def test_blocked_error_history_matches_the_per_level_loop(case):
         # the errors fold the march's own blocks, as the studies do
         errors = _ErrorNorms(problem, grid)
         history = march(problem, grid, SchemeParams(1.0), errors).history
-        full, mx = errors.full, errors.max
-    assert (full, mx) == per_level_errors(history, problem, grid)
-    assert len(full) == len(history)
+        final, peak = errors.final, errors.peak
+    assert (final, peak) == per_level_errors(history, problem, grid)
 
 
 def test_config_validation_messages():
@@ -275,7 +255,7 @@ def test_streamed_history_holds_every_level_of_the_march(tmp_path):
         float(f"{n * grid.tau:.5e}") for n in range(301)]
 
 
-def test_solve_holds_no_array_of_every_level():
+def test_solve_holds_no_array_of_every_level(per_level_errors):
     # The march's increments take (Nt, N+1) floats, the same as the
     # levels; a solve that kept both arrays would peak above their sum.
     grid = Grid.balanced(320, 0.5)
@@ -287,8 +267,12 @@ def test_solve_holds_no_array_of_every_level():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.blow_up is None and len(result.err_full) == grid.Nt + 1
     assert peak < arrays
+    problem = CATALOG["mms-cubic"](alpha=3.0, beta=2.0, gamma=0.5, T=1.0)
+    history = march(problem, grid, SchemeParams(1.0)).history
+    assert result.blow_up is None
+    assert ((result.err_final, result.err_peak)
+            == per_level_errors(history, problem, grid))
 
 
 @pytest.mark.parametrize("history", [[], ["--history"]],

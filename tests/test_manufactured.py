@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracheat.cli import _ErrorNorms
-from fracheat.core import (DomainError, Grid, NodeSampler, SchemeParams,
-                           Separable, sample_space)
+from fracheat.core import (DomainError, Grid, SchemeParams, sample_space,
+                           sample_space_time)
 from fracheat.fractional import caputo_oracle
 from fracheat.manufactured import (
     CATALOG,
@@ -91,7 +91,7 @@ def test_builder_refuses_a_final_time_its_time_factors_cannot_reach(T):
         build_manufactured(0.5, 0.1, 0.5, T=T)
 
 
-def test_largest_final_time_marches_to_its_last_level():
+def test_largest_final_time_marches_to_its_last_level(per_level_errors):
     # With Nt=305, Nt*(T/Nt) rounds past T; the error norms of the last
     # level still evaluate the time factors there.
     problem = build_manufactured(0.5, 0.1, 0.5, T=_LARGEST_T)
@@ -99,7 +99,8 @@ def test_largest_final_time_marches_to_its_last_level():
     assert grid.Nt * grid.tau > grid.T
     errors = _ErrorNorms(problem, grid)
     outcome = march(problem, grid, SchemeParams(0.0), errors)
-    assert len(errors.full) == len(errors.max) == len(outcome.history)
+    assert ((errors.final, errors.peak)
+            == per_level_errors(outcome.history, problem, grid))
 
 
 @pytest.mark.parametrize("alpha,beta,gamma", [(3.0, 2.0, 0.5),
@@ -160,7 +161,7 @@ def test_catalog_exposes_named_builders():
 
 
 # ---------------------------------------------------------------------------
-# separable data against the closed-form callbacks
+# catalog data against the closed-form callbacks
 # ---------------------------------------------------------------------------
 
 def callback_source(alpha, gamma):
@@ -186,31 +187,30 @@ def same_bits(got, want):
        gamma=st.floats(0.05, 0.95), N=st.integers(2, 300),
        times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
        node=st.integers(0, 300))
-def test_separable_data_sample_as_their_callbacks_bit_for_bit(
+def test_catalog_data_sample_as_their_closed_forms_bit_for_bit(
         alpha, gamma, N, times, node):
-    # The sampler evaluates each time factor once on the time array, so
-    # its rows are the callback's on the same time array, as are the
-    # plain callback's rows and the data called on the same arrays; a call
-    # at one scalar time may differ by rounding (numpy's array ** is not
-    # Python's scalar **), but the data and the callback agree there too.
+    # Sampled on a time array, the data give the closed form's bits on the
+    # same arrays; a call at one scalar time may differ by rounding from
+    # the array call (numpy's array ** is not Python's scalar **), but the
+    # data and the closed form agree there too.
     problem = build_manufactured(alpha, alpha, gamma)
     x, t = Grid(N=N, Nt=1).x, np.array(times)
     xi = float(x[node % x.size])
     for data, callback in ((problem.f, callback_source(alpha, gamma)),
                            (problem.exact, callback_exact(alpha))):
         want = callback(x[None, :], t[:, None])
-        assert same_bits(NodeSampler(data, x).rows(t), want)
-        assert same_bits(NodeSampler(callback, x).rows(t), want)
+        assert same_bits(sample_space_time(data, x, t), want)
         assert same_bits(data(x[None, :], t[:, None]), want)
         for tj in times:
             assert same_bits(data(xi, tj), callback(xi, tj))
 
 
 def test_data_without_terms_sample_to_one_shared_zero_array():
-    zero = build_zero()
-    sampler = NodeSampler(zero.f, Grid(N=6, Nt=1).x)
-    assert same_bits(sampler.rows([0.1, 0.2]), np.zeros((2, 7)))
-    assert same_bits(sampler.rows([0.7]), np.zeros((1, 7)))
+    zero, x = build_zero(), Grid(N=6, Nt=1).x
+    assert same_bits(sample_space_time(zero.f, x, [0.1, 0.2]),
+                     np.zeros((2, 7)))
+    assert same_bits(sample_space_time(zero.exact, x, [0.7]),
+                     np.zeros((1, 7)))
     assert same_bits(zero.f(np.linspace(0.0, 1.0, 4), 0.3), np.zeros(4))
 
 
@@ -225,69 +225,40 @@ def test_plain_callbacks_sample_as_the_per_point_loop_bit_for_bit():
 
     x, times = Grid(N=12, Nt=1).x, [0.0, 0.35, 1.0]
     for func in (vectorised, scalar_only, lambda x, t: 0.0):
-        rows = NodeSampler(func, x).rows(times)
+        rows = sample_space_time(func, x, times)
         for j, t in enumerate(times):
             assert same_bits(rows[j], [float(func(float(xi), t)) for xi in x])
-    assert same_bits(NodeSampler(vectorised, x).rows(times),
+    assert same_bits(sample_space_time(vectorised, x, times),
                      [vectorised(x, t) for t in times])
 
 
-@pytest.mark.parametrize("alpha, beta, gamma, sigma, grid", [
-    (3.0, 2.0, 0.5, 1.0, Grid.balanced(20, 0.5)),
-    (0.7, 0.1, 0.5, 0.3, Grid(N=30, Nt=50)),
-    (2.0, 5.0, 0.8, 0.6, Grid(N=16, Nt=150)),
-    (0.1, 10.0, 0.4, 1.0, Grid.balanced(80, 0.4)),
-], ids=["implicit", "sigma-0.3", "sigma-0.6", "blow-up"])
-def test_march_on_separable_data_matches_plain_callbacks(alpha, beta, gamma,
-                                                         sigma, grid):
-    problem = build_manufactured(alpha, beta, gamma)
-    plain = dataclasses.replace(problem, f=callback_source(alpha, gamma),
-                                exact=callback_exact(alpha))
-    params = SchemeParams(sigma)
-    terms, callbacks = march(problem, grid, params), march(plain, grid, params)
-    assert terms.history.tobytes() == callbacks.history.tobytes()
-    assert terms.blow_up == callbacks.blow_up
-    assert (terms.blow_up is not None) == (alpha == 0.1)
-    errors = [_ErrorNorms(problem, grid), _ErrorNorms(plain, grid)]
-    errors[0](0, terms.history)
-    errors[1](0, callbacks.history)
-    assert ((errors[0].full, errors[0].max)
-            == (errors[1].full, errors[1].max))
-
-
-def counting(func, shapes):
-    """``func`` of one variable, appending the shape of each argument."""
-    def counted(t):
-        shapes.append(np.shape(t))
-        return func(t)
+def counting(func, sizes):
+    """``func``, appending the size of its last argument, the times."""
+    def counted(*args):
+        sizes.append(np.size(args[-1]))
+        return func(*args)
     return counted
 
 
 @pytest.mark.parametrize("name", ["mms-cubic", "zero"])
 def test_a_march_samples_each_time_factor_and_mu_once_per_data_block(name):
     # A march samples its data a block of block_levels(N+1) times at a
-    # time: each time factor of a separable source, and mu, is one call on
-    # the block's time array, and each time factor of the exact solution
-    # one call per block of levels that the error norms fold.  The zero
-    # problem's mu is vectorised for that: mapped once per level, it
-    # added about 5 ms to a 13 ms stability op (N=16, Nt=4000).
+    # time: the source and mu are one call each on the block's time array,
+    # and the exact solution one call per block of levels that the error
+    # norms fold.  The zero problem's data are vectorised for that: its mu
+    # mapped once per level added about 5 ms to a 13 ms stability op
+    # (N=16, Nt=4000).
     problem = CATALOG[name](alpha=3.0, beta=2.0, gamma=0.5)
-    shapes = {}
-
-    def counted(data, key):
-        return Separable(tuple((s, counting(q, shapes.setdefault(
-            f"{key}{i}", []))) for i, (s, q) in enumerate(data.terms)))
-
+    sizes = {"f": [], "u": [], "mu": []}
     problem = dataclasses.replace(
-        problem, f=counted(problem.f, "f"), exact=counted(problem.exact, "u"),
-        mu=counting(problem.mu, shapes.setdefault("mu", [])))
+        problem, f=counting(problem.f, sizes["f"]),
+        exact=counting(problem.exact, sizes["u"]),
+        mu=counting(problem.mu, sizes["mu"]))
     grid = Grid(N=20, Nt=600)
     rows = block_levels(grid.N + 1)
     assert (rows, grid.Nt - 2 * rows) == (256, 88)
     outcome = march(problem, grid, SchemeParams(1.0),
                     _ErrorNorms(problem, grid))
     assert outcome.blow_up is None
-    assert len(shapes) == {"mms-cubic": 4, "zero": 1}[name]
-    for key, calls in shapes.items():
-        assert calls == ([(257,), (256,), (88,)] if key.startswith("u") else
-                         [(256,), (256,), (88,)]), key
+    assert sizes == {"f": [256, 256, 88], "u": [257, 256, 88],
+                     "mu": [256, 256, 88]}

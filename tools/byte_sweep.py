@@ -24,11 +24,10 @@ program produces is checked in two ways:
   gamma in {0.2, 0.4, 0.5, 0.8}, sigma in {1, 0.3, 0.5} and N in
   {20, 40, 80, 160} on balanced grids, plus two marches that blow up
   (one in its first block of 256 levels, one after it), one of random
-  homogeneous data, one of plain-callback data whose source takes
-  plain floats only, so it is sampled point by point, one of plain
-  vectorised callbacks, sampled a data block at a time, one of the
-  manufactured data with a mu that takes plain floats only, so it is
-  sampled point by point, and one at sigma = 1 whose source is -0.0
+  homogeneous data, one whose source takes plain floats only, so it is
+  sampled point by point, one of vectorised data, sampled a data block
+  at a time, one of the manufactured data with a mu that takes plain
+  floats only, so it is sampled point by point, and one at sigma = 1 whose source is -0.0
   everywhere on a concave level 0, so right-hand sides meet signed
   zeros, and ten at N = 12 whose step counts (64, 65, 256, 257 and
   577, at sigma in {1, 0.5}) end on a block edge of the memory sum (64,
@@ -187,20 +186,20 @@ y0 = uniform_symmetric(5, 17)
 y0[0] = 2.0 * y0[-1]
 digest("random zero-data N=16 Nt=400 s=0.6", march(
     build_zero(2.0, 3.0, 0.5), Grid(N=16, Nt=400), SchemeParams(0.6), y0=y0))
-# plain callbacks, f scalar-only: the march samples it point by point
+# f scalar-only: the march samples it point by point
 digest("plain callbacks N=24 Nt=300 s=0.7", march(Problem(
     gamma=0.6, alpha=2.0, beta=3.0, k=np.exp,
     f=lambda x, t: math.sin(3.0 * x) * (1.0 + t), mu=lambda t: math.cos(t),
     u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
     Grid(N=24, Nt=300), SchemeParams(0.7)))
-# plain vectorised callbacks: the march samples f once per data block, as
+# vectorised data: the march samples f once per data block, as
 # f(x[None, :], t[:, None]), and mu on the block's time array
 digest("vectorised callbacks N=30 Nt=600 s=0.7", march(Problem(
     gamma=0.6, alpha=2.0, beta=3.0, k=np.exp,
     f=lambda x, t: np.sin(3.0 * x) * (1.0 + t**3), mu=lambda t: np.cos(t),
     u0=lambda x: np.cos(x), c1=1.0, c2=math.e),
     Grid(N=30, Nt=600), SchemeParams(0.7)))
-# separable data with a scalar-only mu, which is sampled point by point
+# the manufactured data with a scalar-only mu, sampled point by point
 mms = build_manufactured(3.0, 2.0, 0.5)
 
 def scalar_mu(t):
